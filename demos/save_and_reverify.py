@@ -6,6 +6,7 @@ circuit carries enough information to be re-verified from scratch.
 """
 
 import json
+import os
 import tempfile
 
 from cvexact.circuit_tools import deserialize, serialize_json
@@ -16,18 +17,19 @@ target = TargetGate.position({0: 4}, 0.3)
 seq, report = compile(target)
 print(f"compiled e^(0.3i X^4): {report.n_gates_nonfourier} non-Fourier gates")
 
-with tempfile.NamedTemporaryFile("w+", suffix=".json", delete=False) as fh:
-    fh.write(serialize_json(seq))
-    path = fh.name
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "circuit.json")
+    with open(path, "w") as fh:
+        fh.write(serialize_json(seq))
 
-with open(path) as fh:
-    doc = json.load(fh)
-print(f"schema version {doc['version']}, {len(doc['gates'])} gates on disk")
-print("first three gates as applied:")
-for entry in doc["gates"][:3]:
-    print("  ", entry)
+    with open(path) as fh:
+        doc = json.load(fh)
+    print(f"schema version {doc['version']}, {len(doc['gates'])} gates on disk")
+    print("first three gates as applied:")
+    for entry in doc["gates"][:3]:
+        print("  ", entry)
 
-with open(path) as fh:
-    loaded = deserialize(fh.read())
+    with open(path) as fh:
+        loaded = deserialize(fh.read())
 residual = verify_symbolic(loaded, target.generator(), target.strength)
 print(f"reloaded circuit symbolic residual: {residual:.3e}")

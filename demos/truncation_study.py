@@ -10,12 +10,13 @@ for a momentum-square gadget.
 
 import numpy as np
 
-from cvexact.algebra import NOPoly
-from cvexact.decompose import decompose_px2
+from cvexact.algebra import Basis, NOPoly
+from cvexact.decompose import TargetGate, compile
 from cvexact.verify import FockContext, verify_numeric, verify_symbolic
 
 s = 0.1
-seq = decompose_px2(1, 0, s, balanced=True)  # e^{is P_0 X_1^2}
+target = TargetGate(((0, 1, Basis.MOMENTUM), (1, 2, Basis.POSITION)), s)
+seq, _ = compile(target, balanced=True)  # e^{is P_0 X_1^2}
 generator = NOPoly.monomial([(0, 0, 1), (1, 2, 0)], 1.0)
 
 # exact in the symbolic (infinite-dimensional) sense

@@ -6,8 +6,8 @@ exact operator identities, plus symbolic/numeric verifiers and Trotter and
 group-commutator baselines for comparison.
 """
 
-from .algebra import (Basis, NOPoly, NonTerminatingSeries, QuadLabel,
-                      adjoint_series, commutator, max_coeff_diff, poly_mul)
+from .algebra import (Basis, NOPoly, NonTerminatingSeries, adjoint_series,
+                      commutator, max_coeff_diff, poly_mul)
 from .baseline import (commutator_approx, commutator_repeats,
                        estimate_commutator_count, target_from_poly,
                        trotter_suzuki)
@@ -16,17 +16,15 @@ from .circuit_tools import (DecompReport, SchemaViolation, count_gates,
                             deserialize, optimize, serialize, serialize_json)
 from .decompose import (CoeffSolution, EligibilityVerdict, Ineligible,
                         NoUnitCentralMode, TargetGate, check_eligibility,
-                        compile, decompose_poly_power, decompose_pp_xn,
-                        decompose_px2, decompose_px_n, decompose_single_even,
-                        decompose_single_odd3, decompose_x2x2,
-                        expand_general_d, solve_pascal_coeffs)
+                        compile, decompose_poly_power, expand_general_d,
+                        solve_pascal_coeffs)
 from .verify import (DimensionTooLarge, FockContext, fock_matrices,
                      heisenberg_action, verify_numeric, verify_symbolic)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis", "NOPoly", "NonTerminatingSeries", "QuadLabel", "adjoint_series",
+    "Basis", "NOPoly", "NonTerminatingSeries", "adjoint_series",
     "commutator", "max_coeff_diff", "poly_mul",
     "commutator_approx", "commutator_repeats", "estimate_commutator_count",
     "target_from_poly", "trotter_suzuki",
@@ -35,8 +33,6 @@ __all__ = [
     "optimize", "serialize", "serialize_json",
     "CoeffSolution", "EligibilityVerdict", "Ineligible", "NoUnitCentralMode",
     "TargetGate", "check_eligibility", "compile", "decompose_poly_power",
-    "decompose_pp_xn", "decompose_px2", "decompose_px_n",
-    "decompose_single_even", "decompose_single_odd3", "decompose_x2x2",
     "expand_general_d", "solve_pascal_coeffs",
     "DimensionTooLarge", "FockContext", "fock_matrices", "heisenberg_action",
     "verify_numeric", "verify_symbolic",

@@ -10,7 +10,6 @@ floating-point rounding of the i/2 correction cascade.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -20,18 +19,6 @@ PRUNE_THRESHOLD = 1e-12
 class Basis(Enum):
     POSITION = "x"
     MOMENTUM = "p"
-
-
-@dataclass(frozen=True)
-class QuadLabel:
-    """One quadrature generator: X_mode or P_mode."""
-
-    mode: int
-    basis: Basis
-
-    def __repr__(self):
-        sym = "X" if self.basis is Basis.POSITION else "P"
-        return f"{sym}{self.mode}"
 
 
 class NonTerminatingSeries(Exception):
@@ -93,12 +80,6 @@ class NOPoly:
         return NOPoly({((mode, 0, power),): coeff})
 
     @staticmethod
-    def quad(label: QuadLabel, power: int = 1) -> "NOPoly":
-        if label.basis is Basis.POSITION:
-            return NOPoly.x(label.mode, power)
-        return NOPoly.p(label.mode, power)
-
-    @staticmethod
     def monomial(factors: Iterable[tuple[int, int, int]], coeff: complex = 1.0) -> "NOPoly":
         """Build coeff * prod X_m^a P_m^b from (mode, a, b) triples."""
         key = tuple(sorted((m, a, b) for m, a, b in factors if a or b))
@@ -106,16 +87,6 @@ class NOPoly:
         if len(set(modes)) != len(modes):
             raise ValueError("duplicate mode in monomial factors")
         return NOPoly({key: coeff})
-
-    @staticmethod
-    def annihilation(mode: int) -> "NOPoly":
-        """a = X + iP."""
-        return NOPoly.x(mode) + NOPoly.p(mode, coeff=1j)
-
-    @staticmethod
-    def creation(mode: int) -> "NOPoly":
-        """a† = X - iP."""
-        return NOPoly.x(mode) + NOPoly.p(mode, coeff=-1j)
 
     # -- structure ---------------------------------------------------------
 

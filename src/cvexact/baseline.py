@@ -12,7 +12,7 @@ import math
 
 from .algebra import Basis, NOPoly
 from .circuit import Gate, GateSeq
-from .decompose import Ineligible, TargetGate, _Compiler, check_eligibility
+from .decompose import Ineligible, TargetGate, _Compiler
 
 # error-model constant for repeat-count estimates, calibrated so that the
 # strength-2/3 nested-cubic example lands near its known 1e5 repeat count
@@ -40,11 +40,7 @@ def target_from_poly(p: NOPoly, strength: float = 1.0) -> TargetGate:
 
 
 def _compiled_gates(comp: _Compiler, p: NOPoly, strength: float) -> list[Gate]:
-    target = target_from_poly(p, strength)
-    verdict = check_eligibility(target)
-    if not verdict.eligible:
-        raise Ineligible(verdict.reason)
-    return comp.run(target)
+    return comp.run(target_from_poly(p, strength))[1]
 
 
 def trotter_suzuki(terms: list[NOPoly], t: float, K: int) -> GateSeq:

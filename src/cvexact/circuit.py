@@ -8,12 +8,10 @@ leftmost factor, i.e. the gate applied *last*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .algebra import (
-    Basis,
     NOPoly,
-    QuadLabel,
     adjoint_series,
     commutator,
     max_coeff_diff,
@@ -123,16 +121,6 @@ class GateSeq:
 
     def inverse(self) -> "GateSeq":
         return replace(self, gates=tuple(g.inverse() for g in reversed(self.gates)))
-
-    def then(self, earlier: "GateSeq") -> "GateSeq":
-        """Product self * earlier (earlier applied first)."""
-        if earlier.n_target_modes != self.n_target_modes:
-            raise ValueError("mode count mismatch")
-        anc = list(self.ancilla_modes)
-        for a in earlier.ancilla_modes:
-            if a not in anc:
-                anc.append(a)
-        return GateSeq(self.gates + earlier.gates, self.n_target_modes, tuple(anc))
 
 
 def heisenberg_conjugate(g: Gate, b: NOPoly) -> NOPoly:

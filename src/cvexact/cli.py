@@ -68,7 +68,7 @@ def parse_spec(text: str) -> TargetGate:
 
 
 def format_spec(target: TargetGate) -> str:
-    parts = [f"t={target.strength:.17g}"]
+    parts = [f"t={target.strength!r}"]
     for mode, power, basis in target.exponents:
         sym = "X" if basis is Basis.POSITION else "P"
         parts.append(f"{sym}[{mode}]" + (f"^{power}" if power > 1 else ""))

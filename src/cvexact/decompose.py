@@ -21,9 +21,10 @@ Route overview:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable
 
 from .algebra import Basis, NOPoly
 from .circuit import ZERO_STRENGTH, Gate, GateSeq
@@ -79,9 +80,6 @@ class TargetGate:
             [(m, n, 0) if b is Basis.POSITION else (m, 0, n)
              for m, n, b in self.exponents])
 
-    def momentum_modes(self) -> list[int]:
-        return [m for m, _, b in self.exponents if b is Basis.MOMENTUM]
-
     def position_form(self) -> "TargetGate":
         """Same powers with every momentum factor relabeled to position."""
         return TargetGate(tuple((m, n, Basis.POSITION)
@@ -126,61 +124,93 @@ def solve_pascal_coeffs(N: int) -> CoeffSolution:
 
 def check_eligibility(target: TargetGate) -> EligibilityVerdict:
     """Decide the compilation route, or explain why none exists."""
-    exps = target.exponents
-    xs = [(m, n) for m, n, b in exps if b is Basis.POSITION]
-    ps = [(m, n) for m, n, b in exps if b is Basis.MOMENTUM]
+    return _classify(target)[0]
+
+
+def _classify(target: TargetGate
+              ) -> tuple[EligibilityVerdict, Callable[[_Compiler], list[Gate]] | None]:
+    """The route of target together with the builder that emits it.
+
+    The builder takes the compiler of the run; it is None when no exact
+    route exists.
+    """
+    t = target.strength
+    xs = [(m, n) for m, n, b in target.exponents if b is Basis.POSITION]
+    ps = [(m, n) for m, n, b in target.exponents if b is Basis.MOMENTUM]
+
+    def eligible(route, reason, build):
+        return EligibilityVerdict(True, route, reason), build
+
+    def ineligible(reason):
+        return EligibilityVerdict(False, "", reason), None
 
     # special-pattern registry, consulted before the general restrictions
     if len(ps) == 1 and ps[0][1] == 1 and len(xs) == 1:
-        if xs[0][1] == 2:
-            return EligibilityVerdict(True, special_identity("px2"),
-                                      "momentum times squared position")
-        if xs[0][1] >= 3:
-            return EligibilityVerdict(True, special_identity("pxn"),
-                                      "momentum times position power")
+        (j, n), (k, _) = xs[0], ps[0]
+        if n == 2:
+            return eligible(special_identity("px2"),
+                            "momentum times squared position",
+                            lambda c: c.px2(j, k, t))
+        if n >= 3:
+            return eligible(special_identity("pxn"),
+                            "momentum times position power",
+                            lambda c: c.px_n(j, k, n, t))
     if (len(ps) == 2 and all(n == 1 for _, n in ps)
             and len(xs) == 1 and xs[0][1] >= 2):
-        return EligibilityVerdict(True, special_identity("ppxn"),
-                                  "two momenta times position power")
+        (j, n), (k, _), (l, _) = xs[0], ps[0], ps[1]
+        return eligible(special_identity("ppxn"),
+                        "two momenta times position power",
+                        lambda c: c.pp_xn(j, k, l, n, t))
     if not ps and len(xs) == 2:
-        n1, n2 = sorted(n for _, n in xs)
+        (u, n1), (j, n2) = sorted(xs, key=lambda e: e[1])
         if (n1, n2) == (2, 2):
-            return EligibilityVerdict(True, special_identity("twosquares"),
-                                      "product of two squared positions")
+            return eligible(special_identity("twosquares"),
+                            "product of two squared positions",
+                            lambda c: c.x2x2(u, j, t))
         if n1 == 1 and n2 >= 2:
-            return EligibilityVerdict(True, special_identity("xxn"),
-                                      "position times position power")
+            return eligible(special_identity("xxn"),
+                            "position times position power",
+                            lambda c: c._x_xn(u, j, n2, t))
 
     # general rules, on the Fourier-normalized (all-position) form
-    powers = [n for _, n, _ in exps]
+    powers = [n for _, n, _ in target.exponents]
     nmodes = len(powers)
-    if nmodes == 1:
-        n = powers[0]
-        if n <= 3:
-            return EligibilityVerdict(True, UNIVERSAL_PRIMITIVE,
-                                      "single-mode power at most 3")
-        if n % 2 == 0:
-            return EligibilityVerdict(True, SINGLE_EVEN, "even single-mode power")
-        if n % 3 == 0:
-            return EligibilityVerdict(True, SINGLE_ODD3,
-                                      "odd single-mode power divisible by 3")
-        return EligibilityVerdict(
-            False, "",
-            f"single-mode power {n} is divisible by neither 2 nor 3")
     nonunit = [n for n in powers if n > 1]
-    if len(nonunit) > 1:
-        return EligibilityVerdict(
-            False, "",
+    if nmodes == 1:
+        (m,), (n,) = target.modes(), powers
+        if n <= 3:
+            found = eligible(UNIVERSAL_PRIMITIVE, "single-mode power at most 3",
+                             lambda c: [Gate.x(m, n, t, "primitive")])
+        elif n % 2 == 0:
+            found = eligible(SINGLE_EVEN, "even single-mode power",
+                             lambda c: c.single_even(m, n, t))
+        elif n % 3 == 0:
+            found = eligible(SINGLE_ODD3, "odd single-mode power divisible by 3",
+                             lambda c: c.single_odd3(m, n, t))
+        else:
+            return ineligible(
+                f"single-mode power {n} is divisible by neither 2 nor 3")
+    elif len(nonunit) > 1:
+        return ineligible(
             "at most one mode may carry an exponent larger than one "
             f"(found {len(nonunit)}) and no special identity applies")
-    if all(n == 1 for n in powers) and nmodes == 2:
-        return EligibilityVerdict(True, UNIVERSAL_PRIMITIVE, "bilinear coupling")
-    if nmodes % 2 != 0 and nmodes % 3 != 0:
-        return EligibilityVerdict(
-            False, "",
-            f"mode count {nmodes} is divisible by neither 2 nor 3")
-    return EligibilityVerdict(True, GENERAL_MULTI_MODE,
-                              f"{nmodes}-mode product, one exponent above one")
+    elif all(n == 1 for n in powers) and nmodes == 2:
+        j, k = target.modes()
+        found = eligible(UNIVERSAL_PRIMITIVE, "bilinear coupling",
+                         lambda c: [Gate.xx(j, k, t, "primitive")])
+    elif nmodes % 2 != 0 and nmodes % 3 != 0:
+        return ineligible(f"mode count {nmodes} is divisible by neither 2 nor 3")
+    else:
+        found = eligible(GENERAL_MULTI_MODE,
+                         f"{nmodes}-mode product, one exponent above one",
+                         lambda c: c.general(target))
+    if not ps:
+        return found
+    # momentum factors are eliminated by an outer Fourier conjugation of the
+    # all-position form, which is routed on its own
+    pmodes = [m for m, _ in ps]
+    return found[0], lambda c: _fourier_conj(
+        pmodes, c.run(target.position_form())[1], "intake")
 
 
 def expand_general_d(target: TargetGate) -> list[tuple[float, list[tuple[int, int]]]]:
@@ -200,6 +230,12 @@ def expand_general_d(target: TargetGate) -> list[tuple[float, list[tuple[int, in
         for subset in combinations(exps, size):
             out.append((c, list(subset)))
     return out
+
+
+def _fourier_conj(modes: list[int], gates: list[Gate], label: str) -> list[Gate]:
+    """F·gates·F†, with F the forward Fourier transform on each of modes."""
+    return ([Gate.fourier(m, 1, label) for m in modes] + gates
+            + [Gate.fourier(m, -1, label) for m in reversed(modes)])
 
 
 class _Compiler:
@@ -232,27 +268,25 @@ class _Compiler:
     def _inverse(gates: list[Gate]) -> list[Gate]:
         return [g.inverse() for g in reversed(gates)]
 
-    def _p3(self, k: int, q: float) -> list[Gate]:
+    @staticmethod
+    def _p3(k: int, q: float) -> list[Gate]:
         """e^{iqP_k³} = F_k e^{iqX_k³} F_k†."""
-        return [Gate.fourier(k, 1, "p-cubed"), Gate.x(k, 3, q, "p-cubed"),
-                Gate.fourier(k, -1, "p-cubed")]
+        return _fourier_conj([k], [Gate.x(k, 3, q, "p-cubed")], "p-cubed")
 
-    def _px_unit(self, c: int, i: int, s: float) -> list[Gate]:
+    @staticmethod
+    def _px_unit(c: int, i: int, s: float) -> list[Gate]:
         """e^{isP_cX_i} = F_c e^{isX_cX_i} F_c†."""
-        return [Gate.fourier(c, 1, "shift"), Gate.xx(c, i, s, "shift"),
-                Gate.fourier(c, -1, "shift")]
+        return _fourier_conj([c], [Gate.xx(c, i, s, "shift")], "shift")
 
     def _x_xn(self, u: int, j: int, m: int, s: float) -> list[Gate]:
         """e^{isX_uX_j^m}: bilinear when m = 1, else Fourier-wrapped P·Xᵐ."""
         if m == 1:
             return [Gate.xx(u, j, s, "coupling")]
-        return ([Gate.fourier(u, 1, "coupling")] + self.px_n(j, u, m, -s)
-                + [Gate.fourier(u, -1, "coupling")])
+        return _fourier_conj([u], self.px_n(j, u, m, -s), "coupling")
 
     def _x2p2(self, j: int, k: int, s: float) -> list[Gate]:
         """e^{isX_j²P_k²} = F_k e^{isX_j²X_k²} F_k†."""
-        return ([Gate.fourier(k, 1, "squares")] + self.x2x2(j, k, s)
-                + [Gate.fourier(k, -1, "squares")])
+        return _fourier_conj([k], self.x2x2(j, k, s), "squares")
 
     # -- identity routes ---------------------------------------------------
 
@@ -315,18 +349,13 @@ class _Compiler:
         self._enter("ppxn")
         if n == 2:
             al = math.sqrt(s / 2.0)
-            wrap = lambda inner: ([Gate.fourier(l, 1, "ppxn")] + inner
-                                  + [Gate.fourier(l, -1, "ppxn")])
-            f1 = wrap([Gate.xx(k, l, 2 * al, "ppxn")])
+            f1 = _fourier_conj([l], [Gate.xx(k, l, 2 * al, "ppxn")], "ppxn")
             f2 = self._x2p2(j, k, -al)
-            f5 = wrap(self.x2x2(j, l, al ** 3))
+            f5 = _fourier_conj([l], self.x2x2(j, l, al ** 3), "ppxn")
             gates = f1 + f2 + self._inverse(f1) + self._inverse(f2) + f5
         else:
             inner = self.general(TargetGate.position({j: n, k: 1, l: 1}, s))
-            gates = ([Gate.fourier(k, 1, "ppxn"), Gate.fourier(l, 1, "ppxn")]
-                     + inner
-                     + [Gate.fourier(l, -1, "ppxn"),
-                        Gate.fourier(k, -1, "ppxn")])
+            gates = _fourier_conj([k, l], inner, "ppxn")
         self._leave()
         return gates
 
@@ -400,8 +429,7 @@ class _Compiler:
             + self.single_even(j, 4, 3 * al)
             + self.single_even(k, 2 * n // 3, 3 * al)
             + self._x_xn(j, k, 2 * m, -6 * al)
-            + ([Gate.fourier(l, 1, "single-odd3")] + self.px2(j, l, -6 * al)
-               + [Gate.fourier(l, -1, "single-odd3")])
+            + _fourier_conj([l], self.px2(j, l, -6 * al), "single-odd3")
             + self._x_xn(l, k, m, 6 * al)
             + [Gate.x(l, 2, 3 * al, "single-odd3")])
         self._leave()
@@ -457,60 +485,23 @@ class _Compiler:
 
     # -- dispatch ----------------------------------------------------------
 
-    def run(self, target: TargetGate) -> list[Gate]:
-        verdict = check_eligibility(target)
+    def run(self, target: TargetGate) -> tuple[str, list[Gate]]:
+        """Route of target and the gates it emits; Ineligible if none."""
+        verdict, build = _classify(target)
         if not verdict.eligible:
             raise Ineligible(verdict.reason)
-        t = target.strength
-        if abs(t) < ZERO_STRENGTH:
-            return []
-        exps = target.exponents
-        xs = [(m, n) for m, n, b in exps if b is Basis.POSITION]
-        ps = [(m, n) for m, n, b in exps if b is Basis.MOMENTUM]
-
-        if verdict.route == special_identity("px2"):
-            return self.px2(xs[0][0], ps[0][0], t)
-        if verdict.route == special_identity("pxn"):
-            return self.px_n(xs[0][0], ps[0][0], xs[0][1], t)
-        if verdict.route == special_identity("ppxn"):
-            return self.pp_xn(xs[0][0], ps[0][0], ps[1][0], xs[0][1], t)
-        if verdict.route == special_identity("twosquares"):
-            return self.x2x2(xs[0][0], xs[1][0], t)
-        if verdict.route == special_identity("xxn"):
-            (u, _), (j, n) = sorted(xs, key=lambda e: e[1])
-            return self._x_xn(u, j, n, t)
-
-        # remaining routes act on the all-position form; momentum factors
-        # are eliminated by an outer Fourier conjugation
-        if ps:
-            pmodes = [m for m, _ in ps]
-            inner = self.run(target.position_form())
-            pre = [Gate.fourier(m, 1, "intake") for m in pmodes]
-            return pre + inner + [Gate.fourier(m, -1, "intake")
-                                  for m in reversed(pmodes)]
-
-        if verdict.route == UNIVERSAL_PRIMITIVE:
-            if len(xs) == 1:
-                return [Gate.x(xs[0][0], xs[0][1], t, "primitive")]
-            return [Gate.xx(xs[0][0], xs[1][0], t, "primitive")]
-        if verdict.route == SINGLE_EVEN:
-            return self.single_even(xs[0][0], xs[0][1], t)
-        if verdict.route == SINGLE_ODD3:
-            return self.single_odd3(xs[0][0], xs[0][1], t)
-        return self.general(target)
-
-
-def _compile_gates(build, n_modes: int, balanced: bool):
-    comp = _Compiler(n_modes, balanced)
-    gates = build(comp)
-    return GateSeq(tuple(gates), n_modes, tuple(comp.ancillas)), comp
+        if abs(target.strength) < ZERO_STRENGTH:
+            return verdict.route, []
+        return verdict.route, build(self)
 
 
 def compile(target: TargetGate, balanced: bool = False
             ) -> tuple[GateSeq, DecompReport]:
     """Full pipeline: route dispatch, recursion, then peephole optimization."""
     n_modes = (max(target.modes()) + 1) if target.exponents else 0
-    raw, comp = _compile_gates(lambda c: c.run(target), n_modes, balanced)
+    comp = _Compiler(n_modes, balanced)
+    route, gates = comp.run(target)
+    raw = GateSeq(tuple(gates), n_modes, tuple(comp.ancillas))
     seq = optimize(raw)
     report = DecompReport(
         n_gates_total=len(seq.gates),
@@ -518,58 +509,15 @@ def compile(target: TargetGate, balanced: bool = False
         n_gates_preopt=len(raw.gates),
         n_ancillas=len(seq.ancilla_modes),
         recursion_trace=comp.trace,
-        route=check_eligibility(target).route,
+        route=route,
     )
     return seq, report
-
-
-# standalone entry points for the individual identities ---------------------
-
-def decompose_px2(j: int, k: int, s: float, balanced: bool = False) -> GateSeq:
-    """e^{isP_kX_j²} on modes j (position) and k (momentum)."""
-    seq, _ = _compile_gates(lambda c: c.px2(j, k, s), max(j, k) + 1, balanced)
-    return optimize(seq)
-
-
-def decompose_px_n(j: int, k: int, n: int, s: float,
-                   balanced: bool = False) -> GateSeq:
-    """e^{isP_kX_jⁿ}."""
-    seq, _ = _compile_gates(lambda c: c.px_n(j, k, n, s), max(j, k) + 1, balanced)
-    return optimize(seq)
-
-
-def decompose_pp_xn(j: int, k: int, l: int, n: int, s: float,
-                    balanced: bool = False) -> GateSeq:
-    """e^{isP_kP_lX_jⁿ}."""
-    seq, _ = _compile_gates(lambda c: c.pp_xn(j, k, l, n, s),
-                            max(j, k, l) + 1, balanced)
-    return optimize(seq)
-
-
-def decompose_x2x2(j: int, k: int, t: float, balanced: bool = False) -> GateSeq:
-    """e^{itX_j²X_k²}."""
-    seq, _ = _compile_gates(lambda c: c.x2x2(j, k, t), max(j, k) + 1, balanced)
-    return optimize(seq)
-
-
-def decompose_single_even(k: int, n: int, t: float,
-                          balanced: bool = False) -> GateSeq:
-    """e^{itX_kⁿ}, n even and at least 4."""
-    seq, _ = _compile_gates(lambda c: c.single_even(k, n, t), k + 1, balanced)
-    return optimize(seq)
-
-
-def decompose_single_odd3(k: int, n: int, t: float,
-                          balanced: bool = False) -> GateSeq:
-    """e^{itX_kⁿ}, n odd, divisible by 3, at least 9."""
-    seq, _ = _compile_gates(lambda c: c.single_odd3(k, n, t), k + 1, balanced)
-    return optimize(seq)
 
 
 def decompose_poly_power(summands: list[tuple[int, int]], N: int, t: float,
                          balanced: bool = False) -> GateSeq:
     """e^{it(Σ X_i^{n_i})^N} for summands [(mode, n_i), ...]."""
     n_modes = max(m for m, _ in summands) + 1
-    seq, _ = _compile_gates(lambda c: c.poly_power(summands, N, t),
-                            n_modes, balanced)
-    return optimize(seq)
+    comp = _Compiler(n_modes, balanced)
+    gates = comp.poly_power(summands, N, t)
+    return optimize(GateSeq(tuple(gates), n_modes, tuple(comp.ancillas)))

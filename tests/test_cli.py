@@ -41,6 +41,8 @@ def test_format_parse_round_trip():
     for s in specs:
         tg = parse_spec(s)
         assert parse_spec(format_spec(tg)) == tg
+    for s in ["t=0.3 X[0]^4", "t=-2.5 P[0] X[1]^3"]:
+        assert format_spec(parse_spec(s)) == s
 
 
 def test_parse_terms_splits_on_plus():

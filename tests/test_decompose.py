@@ -10,18 +10,22 @@ import pytest
 
 from cvexact.algebra import Basis, NOPoly
 from cvexact.decompose import (Ineligible, NoUnitCentralMode, TargetGate,
-                               check_eligibility, compile, decompose_poly_power,
-                               decompose_pp_xn, decompose_px2, decompose_px_n,
-                               decompose_single_even, decompose_single_odd3,
-                               decompose_x2x2)
+                               check_eligibility, compile, decompose_poly_power)
 from cvexact.circuit_tools import count_gates
+from cvexact.cli import parse_spec
 from cvexact.verify import verify_symbolic
 
 TOL = 1e-9
+X, P = Basis.POSITION, Basis.MOMENTUM
 
 
 def _check(seq, generator, strength):
     assert verify_symbolic(seq, generator, strength) < TOL
+
+
+def _compiled(strength, *factors):
+    """Circuit of e^{i*strength*Π factors}, each factor (mode, power, basis)."""
+    return compile(TargetGate(factors, strength))[0]
 
 
 # ---------------------------------------------------------------- counts ---
@@ -60,6 +64,32 @@ def test_counts_independent_of_strength_and_split():
             assert rep.n_gates_nonfourier == 29
 
 
+# route, non-Fourier count, total count and ancillas at t = 0.3
+ROUTE_PINS = [
+    ("X[0]^3", "UniversalPrimitive", 1, 1, 0),
+    ("X[0] X[1]", "UniversalPrimitive", 1, 1, 0),
+    ("P[0] X[1]", "UniversalPrimitive", 1, 3, 0),
+    ("X[0]^4", "SingleEven", 29, 55, 1),
+    ("X[0] X[1] X[2]", "GeneralMultiMode", 17, 29, 0),
+    ("P[0] P[1] P[2]", "GeneralMultiMode", 17, 35, 0),
+    ("X[0]^2 X[1] X[2]", "GeneralMultiMode", 873, 1681, 6),
+    ("P[0] X[1]^2", "SpecialIdentity(px2)", 9, 17, 0),
+    ("P[0] X[1]^3", "SpecialIdentity(pxn)", 269, 519, 4),
+    ("X[0]^2 P[1] P[2]", "SpecialIdentity(ppxn)", 359, 699, 4),
+    ("X[0]^2 X[1]^2", "SpecialIdentity(twosquares)", 119, 229, 1),
+    ("X[0] X[1]^3", "SpecialIdentity(xxn)", 269, 521, 4),
+]
+
+
+@pytest.mark.parametrize("body,route,nonfourier,total,ancillas", ROUTE_PINS,
+                         ids=[b.translate({ord(c): None for c in "[] "})
+                              for b, *_ in ROUTE_PINS])
+def test_route_and_counts_pinned(body, route, nonfourier, total, ancillas):
+    _, rep = compile(parse_spec(f"t=0.3 {body}"))
+    assert (rep.route, rep.n_gates_nonfourier, rep.n_gates_total,
+            rep.n_ancillas) == (route, nonfourier, total, ancillas)
+
+
 # ----------------------------------------------------------- eligibility ---
 
 @pytest.mark.parametrize("exps", [{0: 5}, {0: 7}, {0: 2, 1: 2, 2: 2}])
@@ -94,7 +124,7 @@ def test_mixed_quadrature_targets_compile():
 
 @pytest.mark.parametrize("s", [0.5, -0.8, 2.0])
 def test_px2_identity(s):
-    seq = decompose_px2(1, 0, s)
+    seq = _compiled(s, (0, 1, P), (1, 2, X))
     gen = NOPoly.monomial([(0, 0, 1), (1, 2, 0)], 1.0)
     _check(seq, gen, s)
     assert count_gates(seq, exclude_fourier=True) == 9
@@ -103,20 +133,20 @@ def test_px2_identity(s):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_px_n_identity(n):
     s = 0.7
-    seq = decompose_px_n(1, 0, n, s)
+    seq = _compiled(s, (0, 1, P), (1, n, X))
     gen = NOPoly.monomial([(0, 0, 1), (1, n, 0)], 1.0)
     _check(seq, gen, s)
 
 
 def test_px_n_negative_strength():
-    seq = decompose_px_n(1, 0, 3, -0.4)
+    seq = _compiled(-0.4, (0, 1, P), (1, 3, X))
     gen = NOPoly.monomial([(0, 0, 1), (1, 3, 0)], 1.0)
     _check(seq, gen, -0.4)
 
 
 def test_pp_xn_identity():
     s = 0.6
-    seq = decompose_pp_xn(0, 1, 2, 2, s)
+    seq = _compiled(s, (0, 2, X), (1, 1, P), (2, 1, P))
     gen = NOPoly.monomial([(0, 2, 0), (1, 0, 1), (2, 0, 1)], 1.0)
     _check(seq, gen, s)
 
@@ -125,13 +155,13 @@ def test_pp_xn_higher_power_compiles_to_universal_gates():
     # the n >= 3 route goes through the general multi-mode expansion; full
     # symbolic verification of that large circuit lives with the expansion
     # tests, here we check the structure
-    seq = decompose_pp_xn(0, 1, 2, 3, 0.6)
+    seq = _compiled(0.6, (0, 3, X), (1, 1, P), (2, 1, P))
     assert all(g.is_universal() for g in seq.gates)
 
 
 @pytest.mark.parametrize("t", [0.5, -1.2])
 def test_x2x2_identity(t):
-    seq = decompose_x2x2(0, 1, t)
+    seq = _compiled(t, (0, 2, X), (1, 2, X))
     gen = NOPoly.monomial([(0, 2, 0), (1, 2, 0)], 1.0)
     _check(seq, gen, t)
 
@@ -143,12 +173,12 @@ def test_single_even_identity(n):
     # five- and nine-factor identities are verified from raw factors in the
     # acceptance suite instead
     t = 0.9
-    seq = decompose_single_even(0, n, t)
+    seq = _compiled(t, (0, n, X))
     _check(seq, NOPoly.x(0, n), t)
 
 
 def test_single_odd_nine_compiles_to_universal_gates():
-    seq = decompose_single_odd3(0, 9, 0.3)
+    seq = _compiled(0.3, (0, 9, X))
     assert all(g.is_universal() for g in seq.gates)
     assert len(seq.gates) > 100
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cvexact.algebra import NOPoly
+from cvexact.algebra import Basis, NOPoly
 from cvexact.circuit import Gate, GateSeq
-from cvexact.decompose import TargetGate, compile, decompose_px2
+from cvexact.decompose import TargetGate, compile
 from cvexact.verify import (DimensionTooLarge, FockContext, fock_matrices,
                             heisenberg_action, verify_numeric, verify_symbolic)
 
@@ -66,7 +66,8 @@ def test_numeric_exact_gate_is_machine_precision():
 
 def test_numeric_error_converges_with_cutoff():
     s = 0.1
-    seq = decompose_px2(1, 0, s, balanced=True)
+    tg = TargetGate(((0, 1, Basis.MOMENTUM), (1, 2, Basis.POSITION)), s)
+    seq, _ = compile(tg, balanced=True)
     gen = NOPoly.monomial([(0, 0, 1), (1, 2, 0)], 1.0)
     errs = []
     for cutoff in (16, 24, 32):
