@@ -161,7 +161,16 @@ def _classify(target: TargetGate
         return eligible(special_identity("ppxn"),
                         "two momenta times position power",
                         lambda c: c.pp_xn(j, k, l, n, t))
-    if not ps and len(xs) == 2:
+    if ps:
+        # momentum factors are eliminated by an outer Fourier conjugation:
+        # the all-position form decides the route and emits the gates
+        verdict, build = _classify(target.position_form())
+        if build is None:
+            return verdict, None
+        pmodes = [m for m, _ in ps]
+        return verdict, lambda c: _fourier_conj(pmodes, build(c), "intake")
+
+    if len(xs) == 2:
         (u, n1), (j, n2) = sorted(xs, key=lambda e: e[1])
         if (n1, n2) == (2, 2):
             return eligible(special_identity("twosquares"),
@@ -172,45 +181,36 @@ def _classify(target: TargetGate
                             "position times position power",
                             lambda c: c._x_xn(u, j, n2, t))
 
-    # general rules, on the Fourier-normalized (all-position) form
-    powers = [n for _, n, _ in target.exponents]
+    # general rules
+    powers = [n for _, n in xs]
     nmodes = len(powers)
     nonunit = [n for n in powers if n > 1]
     if nmodes == 1:
-        (m,), (n,) = target.modes(), powers
+        (m, n), = xs
         if n <= 3:
-            found = eligible(UNIVERSAL_PRIMITIVE, "single-mode power at most 3",
-                             lambda c: [Gate.x(m, n, t, "primitive")])
-        elif n % 2 == 0:
-            found = eligible(SINGLE_EVEN, "even single-mode power",
-                             lambda c: c.single_even(m, n, t))
-        elif n % 3 == 0:
-            found = eligible(SINGLE_ODD3, "odd single-mode power divisible by 3",
-                             lambda c: c.single_odd3(m, n, t))
-        else:
-            return ineligible(
-                f"single-mode power {n} is divisible by neither 2 nor 3")
-    elif len(nonunit) > 1:
+            return eligible(UNIVERSAL_PRIMITIVE, "single-mode power at most 3",
+                            lambda c: [Gate.x(m, n, t, "primitive")])
+        if n % 2 == 0:
+            return eligible(SINGLE_EVEN, "even single-mode power",
+                            lambda c: c.single_even(m, n, t))
+        if n % 3 == 0:
+            return eligible(SINGLE_ODD3, "odd single-mode power divisible by 3",
+                            lambda c: c.single_odd3(m, n, t))
+        return ineligible(
+            f"single-mode power {n} is divisible by neither 2 nor 3")
+    if len(nonunit) > 1:
         return ineligible(
             "at most one mode may carry an exponent larger than one "
             f"(found {len(nonunit)}) and no special identity applies")
-    elif all(n == 1 for n in powers) and nmodes == 2:
+    if all(n == 1 for n in powers) and nmodes == 2:
         j, k = target.modes()
-        found = eligible(UNIVERSAL_PRIMITIVE, "bilinear coupling",
-                         lambda c: [Gate.xx(j, k, t, "primitive")])
-    elif nmodes % 2 != 0 and nmodes % 3 != 0:
+        return eligible(UNIVERSAL_PRIMITIVE, "bilinear coupling",
+                        lambda c: [Gate.xx(j, k, t, "primitive")])
+    if nmodes % 2 != 0 and nmodes % 3 != 0:
         return ineligible(f"mode count {nmodes} is divisible by neither 2 nor 3")
-    else:
-        found = eligible(GENERAL_MULTI_MODE,
-                         f"{nmodes}-mode product, one exponent above one",
-                         lambda c: c.general(target))
-    if not ps:
-        return found
-    # momentum factors are eliminated by an outer Fourier conjugation of the
-    # all-position form, which is routed on its own
-    pmodes = [m for m, _ in ps]
-    return found[0], lambda c: _fourier_conj(
-        pmodes, c.run(target.position_form())[1], "intake")
+    return eligible(GENERAL_MULTI_MODE,
+                    f"{nmodes}-mode product, one exponent above one",
+                    lambda c: c.general(target))
 
 
 def expand_general_d(target: TargetGate) -> list[tuple[float, list[tuple[int, int]]]]:

@@ -10,6 +10,7 @@ the phase.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,7 @@ def _position_basis(d_int: int):
     discrete quadrature grid used to apply position-diagonal gates.
     """
     x, _, _ = fock_matrices(d_int)
-    return np.linalg.eigh(x)
+    return np.linalg.eigh(x.real)
 
 
 def _mode_split(generator: NOPoly):
@@ -147,57 +148,133 @@ def _mode_split(generator: NOPoly):
     return pmodes, NOPoly(terms)
 
 
+def _apply_axis(state, mat, axis, grid_axes=()):
+    """Multiply state by mat along axis: one np.matmul on a reshaped view.
+
+    mat is one (D', D) matrix, or a stack of shape (G,)*len(grid_axes) +
+    (D', D) that holds one matrix for each grid point of grid_axes, which
+    all come before axis. Away from the last axis the product is batched
+    over the axes in front of axis; on the last axis it is a
+    right-multiplication by the transposed matrix.
+    """
+    shape = state.shape
+    n_out, n_in = mat.shape[-2:]
+    # runs of axes between the grid axes merge into one axis of the view
+    bounds = [-1, *grid_axes, axis]
+    runs = [math.prod(shape[lo + 1:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    dims, mdims = [runs[0]], [1]
+    for g, run in zip(grid_axes, runs[1:]):
+        dims += [shape[g], run]
+        mdims += [shape[g], 1]
+    out_shape = shape[:axis] + (n_out,) + shape[axis + 1:]
+    tail = math.prod(shape[axis + 1:])
+    if tail == 1:
+        mt = mat.reshape(mdims[:-1] + [n_out, n_in]).swapaxes(-1, -2)
+        return (state.reshape(dims + [n_in]) @ mt).reshape(out_shape)
+    view = state.reshape(dims + [n_in, tail])
+    mat = mat.reshape(mdims + [n_out, n_in])
+    if mat.dtype.kind == "f":
+        # a real matrix acts on the real and imaginary parts alike: one
+        # real product over the interleaved float view
+        return (mat @ view.view(np.float64)).view(complex).reshape(out_shape)
+    return (mat @ view).reshape(out_shape)
+
+
 class _NumericEngine:
-    """Applies gates to subspace columns of a multi-mode truncated space."""
+    """Applies gates to the subspace columns of a multi-mode truncated space.
+
+    The state has shape (cols, D, ..., D): the column axis comes first and
+    mode m sits on axis axis_of[m], so the last mode's axis is contiguous.
+    Every per-axis product is one np.matmul on a reshaped view of the state
+    (_apply_axis), so no axis is ever moved into place by a copy.
+
+    A gate e^{isG} with G diagonal in position acts on its k modes as
+    proj·diag(e^{isφ})·projᴴ per mode, with φ the generator on the padded
+    position grid of G = D + INTERNAL_PAD points. The product is multiplied
+    out in one of two orders:
+      - matrix order: the first k−1 axes go to the grid, a stack of G^(k−1)
+        D×D matrices proj·diag(e^{isφ})·projᴴ, one per grid point of those
+        axes, acts on the last gate axis, and the k−1 axes come back;
+      - grid order: all k axes go to the grid, the state is multiplied by
+        the diagonal, and the k axes come back.
+    Each gate takes the order with fewer multiplications, counted from the
+    array shapes (_matrix_order). A single-mode gate always takes matrix
+    order; its D×D matrix is cached on the engine for each (generator
+    terms, strength). A momentum mode's Fourier rotations are folded into
+    its grid projections.
+    """
 
     def __init__(self, modes: list[int], cutoff: int):
-        self.modes = modes
-        self.axis_of = {m: i for i, m in enumerate(modes)}
+        self.axis_of = {m: i + 1 for i, m in enumerate(modes)}
         self.D = cutoff
-        self.d_int = cutoff + INTERNAL_PAD
-        lam, v = _position_basis(self.d_int)
-        self.lam = lam
-        self.proj = v[:cutoff, :]  # Fock (D) <- grid (d_int)
+        self.lam, v = _position_basis(cutoff + INTERNAL_PAD)
+        proj = v[:cutoff, :]  # Fock (D) <- grid
         n = np.arange(cutoff)
         self.fourier_diag = np.exp(1j * np.pi / 2 * (n + 0.5))
+        # Fock -> grid and grid -> Fock, keyed by "is a momentum mode":
+        # e^{isG(P)} = F e^{isG(X)} F† with F diagonal in the Fock basis
+        f = self.fourier_diag
+        self.to_grid = {False: proj.conj().T, True: proj.conj().T * f.conj()}
+        self.from_grid = {False: proj, True: f[:, None] * proj}
+        self.single_mode: dict = {}
 
-    def _axis_apply(self, state, mat, axis):
-        t = np.tensordot(mat, state, axes=(1, axis))
-        return np.moveaxis(t, 0, axis)
-
-    def _diag_apply(self, state, diag, axis):
-        shape = [1] * state.ndim
-        shape[axis] = len(diag)
-        return state * diag.reshape(shape)
-
-    def _apply_position_exp(self, state, strength, xgen: NOPoly):
-        """state <- e^{i*strength*xgen} state for a position-diagonal xgen."""
-        axes = sorted(self.axis_of[m] for m in xgen.modes())
-        for ax in axes:
-            state = self._axis_apply(state, self.proj.conj().T, ax)
-        phase = np.zeros([len(self.lam)] * len(axes))
-        mode_of_axis = {self.axis_of[m]: m for m in xgen.modes()}
+    def _grid_phase(self, xgen: NOPoly, gmodes: list[int]):
+        """xgen on the joint position grid of gmodes, shape (G,)*len(gmodes)."""
+        phase = np.zeros([len(self.lam)] * len(gmodes))
         for key, coeff in xgen.terms.items():
             exps = {m: a for m, a, _ in key}
             term = np.array(coeff.real)
-            for i, ax in enumerate(axes):
-                lam_pow = self.lam ** exps.get(mode_of_axis[ax], 0)
-                shape = [1] * len(axes)
+            for i, m in enumerate(gmodes):
+                lam_pow = self.lam ** exps.get(m, 0)
+                shape = [1] * len(gmodes)
                 shape[i] = len(self.lam)
                 term = term * lam_pow.reshape(shape)
             phase = phase + term
-        diag = np.exp(1j * strength * phase)
-        flat = diag.reshape(-1)
-        # multiply the grid axes by the joint diagonal
-        grid_axes = axes
-        moved = np.moveaxis(state, grid_axes, range(len(grid_axes)))
-        lead = moved.shape[:len(grid_axes)]
-        rest = moved.reshape(int(np.prod(lead)), -1)
-        rest = rest * flat[:, None]
-        moved = rest.reshape(moved.shape)
-        state = np.moveaxis(moved, range(len(grid_axes)), grid_axes)
-        for ax in axes:
-            state = self._axis_apply(state, self.proj, ax)
+        return phase
+
+    def _matrix_order(self, shape, k: int) -> bool:
+        """True when matrix order costs fewer multiplications than grid
+        order for a k-mode gate, on a state of the given shape whose first
+        k−1 gate axes are already on the grid (the steps both orders share
+        are left out). Building the stack costs G multiplications per
+        entry, so matrix order never builds a stack of more than about
+        twice the state's size."""
+        G, D, size = len(self.lam), self.D, math.prod(shape)
+        grid = 2 * size * G + size * G // D  # to the grid, diagonal, back
+        matrix = G ** (k - 1) * D * G * (D + 1) + size * D  # build, apply
+        return matrix < grid
+
+    def _apply_position_exp(self, state, strength, xgen: NOPoly, pmodes):
+        """state <- e^{i*strength*xgen} state for a position-diagonal xgen,
+        with the modes in pmodes rotated to momentum."""
+        gmodes = sorted(xgen.modes(), key=self.axis_of.get)
+        if not gmodes:
+            return state * np.exp(1j * strength * self._grid_phase(xgen, []))
+        axes = [self.axis_of[m] for m in gmodes]
+        fwd = [self.to_grid[m in pmodes] for m in gmodes]
+        back = [self.from_grid[m in pmodes] for m in gmodes]
+        if len(gmodes) == 1:
+            key = (frozenset(xgen.terms.items()), frozenset(pmodes), strength)
+            mat = self.single_mode.get(key)
+            if mat is None:
+                diag = np.exp(1j * strength * self._grid_phase(xgen, gmodes))
+                mat = self.single_mode[key] = (back[0] * diag) @ fwd[0]
+            return _apply_axis(state, mat, axes[0])
+        for ax, f in zip(axes[:-1], fwd[:-1]):
+            state = _apply_axis(state, f, ax)
+        diag = np.exp(1j * strength * self._grid_phase(xgen, gmodes))
+        if self._matrix_order(state.shape, len(gmodes)):
+            stack = (back[-1] * diag[..., None, :]) @ fwd[-1]
+            state = _apply_axis(state, stack, axes[-1], axes[:-1])
+        else:
+            state = _apply_axis(state, fwd[-1], axes[-1])
+            bshape = [1] * state.ndim
+            for ax in axes:
+                bshape[ax] = len(self.lam)
+            state *= diag.reshape(bshape)
+            state = _apply_axis(state, back[-1], axes[-1])
+        for ax, b in zip(axes[:-1], back[:-1]):
+            state = _apply_axis(state, b, ax)
         return state
 
     def _apply_dense_exp(self, state, strength, generator: NOPoly):
@@ -223,29 +300,33 @@ class _NumericEngine:
         evals, evecs = np.linalg.eigh(h)
         u = (evecs * np.exp(1j * evals)) @ evecs.conj().T
         axes = [self.axis_of[m] for m in gmodes]
-        r = len(axes)
-        ug = u.reshape([D] * (2 * r))
-        t = np.tensordot(ug, state, axes=(list(range(r, 2 * r)), axes))
-        return np.moveaxis(t, range(r), axes)
+        if len(axes) == 1:
+            return _apply_axis(state, u, axes[0])
+        # u on r axes at once: contract its input indices with those axes
+        r, idx = len(axes), list(range(state.ndim))
+        new = [state.ndim + i for i in range(r)]
+        out = list(idx)
+        for ax, i in zip(axes, new):
+            out[ax] = i
+        return np.einsum(u.reshape([D] * (2 * r)), new + axes, state, idx, out,
+                         order="C")
 
     def apply_exp(self, state, strength, generator: NOPoly):
         split = _mode_split(generator)
         if split is None:
             return self._apply_dense_exp(state, strength, generator)
         pmodes, xgen = split
-        for m in pmodes:
-            state = self._diag_apply(state, self.fourier_diag.conj(),
-                                     self.axis_of[m])
-        state = self._apply_position_exp(state, strength, xgen)
-        for m in pmodes:
-            state = self._diag_apply(state, self.fourier_diag, self.axis_of[m])
-        return state
+        return self._apply_position_exp(state, strength, xgen, set(pmodes))
 
     def apply_gate(self, state, g: Gate):
+        """The state after g; a Fourier gate overwrites state in place."""
         if g.kind == FOURIER:
             diag = (self.fourier_diag if g.power == 1
                     else self.fourier_diag.conj())
-            return self._diag_apply(state, diag, self.axis_of[g.mode])
+            shape = [1] * state.ndim
+            shape[self.axis_of[g.mode]] = self.D
+            state *= diag.reshape(shape)
+            return state
         return self.apply_exp(state, g.strength, g.generator)
 
 
@@ -258,6 +339,9 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
     quadrature grid and projected back, so per-gate truncation artifacts
     stay far below the genuine circuit leakage), then compares the subspace
     block of the result against the block of the target exponential.
+    The columns are held as one array of shape (cols, D, ..., D), column
+    axis first; each gate is multiplied out in matrix or grid order,
+    whichever takes fewer multiplications (see _NumericEngine).
     Returns (subspace_error, phase_offset). phase_offset is the angle of
     tr(B†A), with A the circuit's block and B the target's; the error is
     the largest singular value of A - e^{i*phase_offset} B. That phase
@@ -273,18 +357,19 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
     eng = _NumericEngine(modes, D)
 
     cols = d ** nmodes
-    state = np.zeros([D] * nmodes + [cols], dtype=complex)
+    state = np.zeros([cols] + [D] * nmodes, dtype=complex)
     for c, tup in enumerate(itertools.product(range(d), repeat=nmodes)):
-        state[tup + (c,)] = 1.0
+        state[(c,) + tup] = 1.0
     ref = state.copy()
 
     for g in reversed(seq.gates):  # rightmost gate acts first
         state = eng.apply_gate(state, g)
     ref = eng.apply_exp(ref, strength, generator)
 
-    sub = tuple(slice(0, d) for _ in range(nmodes))
-    a_blk = state[sub].reshape(cols, cols)
-    b_blk = ref[sub].reshape(cols, cols)
+    # row c of the block is column c of the operator
+    sub = (slice(None),) + tuple(slice(0, d) for _ in range(nmodes))
+    a_blk = state[sub].reshape(cols, cols).T
+    b_blk = ref[sub].reshape(cols, cols).T
     phase = np.angle(np.trace(b_blk.conj().T @ a_blk))
     err = np.linalg.norm(a_blk - np.exp(1j * phase) * b_blk, 2)
     return float(err), float(phase)

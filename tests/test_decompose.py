@@ -78,6 +78,10 @@ ROUTE_PINS = [
     ("X[0]^2 P[1] P[2]", "SpecialIdentity(ppxn)", 359, 699, 4),
     ("X[0]^2 X[1]^2", "SpecialIdentity(twosquares)", 119, 229, 1),
     ("X[0] X[1]^3", "SpecialIdentity(xxn)", 269, 521, 4),
+    # momentum forms of the two patterns above: routed as their
+    # all-position form inside the intake Fourier conjugation
+    ("X[0] P[1]^2", "SpecialIdentity(xxn)", 9, 21, 0),
+    ("P[0]^2 P[1]^2", "SpecialIdentity(twosquares)", 119, 233, 1),
 ]
 
 
@@ -117,6 +121,13 @@ def test_mixed_quadrature_targets_compile():
     # momentum factors are absorbed by Fourier conjugation at intake
     tg = TargetGate(((0, 1, Basis.MOMENTUM), (1, 2, Basis.POSITION)), 0.3)
     seq, rep = compile(tg)
+    _check(seq, tg.generator(), tg.strength)
+
+
+def test_momentum_two_squares_is_exact():
+    # P0²P1² is X0²X1² inside an intake Fourier conjugation of both modes
+    tg = parse_spec("t=0.3 P[0]^2 P[1]^2")
+    seq, _ = compile(tg)
     _check(seq, tg.generator(), tg.strength)
 
 

@@ -1,13 +1,18 @@
 """The two verifiers: exact Heisenberg comparison and truncated-Fock check."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from cvexact.algebra import Basis, NOPoly
 from cvexact.circuit import Gate, GateSeq
 from cvexact.decompose import TargetGate, compile
-from cvexact.verify import (DimensionTooLarge, FockContext, fock_matrices,
+from cvexact.verify import (INTERNAL_PAD, DimensionTooLarge, FockContext,
+                            _NumericEngine, _position_basis, fock_matrices,
                             heisenberg_action, verify_numeric, verify_symbolic)
+
+from util import gate_matrix, seq_matrix
 
 
 def test_fock_matrices_commutator():
@@ -111,3 +116,116 @@ def test_numeric_mixed_basis_generator_fallback():
     seq = GateSeq((Gate.exp_poly(gen, 0.3),), 1)
     err, _ = verify_numeric(seq, gen, 0.3, FockContext(cutoff=24, subspace=5))
     assert err < 1e-8
+
+
+# pinned: a change to the numeric engine that moves these verdicts fails here
+@pytest.mark.parametrize("exps,t,err", [
+    ({0: 4}, 0.05, 0.9593015780464558),
+    ({0: 1, 1: 1, 2: 1}, 0.02, 0.3164205571041106),
+    ((((0, 1, Basis.MOMENTUM), (1, 2, Basis.POSITION))), 0.1, 0.5847913375934876),
+], ids=["X0^4", "X0X1X2", "P0X1^2"])
+def test_numeric_error_pinned_at_cutoff_24(exps, t, err):
+    tg = (TargetGate.position(exps, t) if isinstance(exps, dict)
+          else TargetGate(exps, t))
+    seq, _ = compile(tg)
+    got, _ = verify_numeric(seq, tg.generator(), t,
+                            FockContext(cutoff=24, subspace=5))
+    assert abs(got - err) < 1e-9
+
+
+def _dense_gate(g, cutoff, n_modes):
+    """Dense matrix of one gate on n_modes modes, built on the same padded
+    position grid as the engine but as one Kronecker product per gate."""
+    n = np.arange(cutoff)
+    f = np.exp(1j * np.pi / 2 * (n + 0.5))  # the Fourier gate, diagonal
+    if g.kind == "fourier":
+        diag = np.ones(1)
+        for m in range(n_modes):
+            diag = np.kron(diag, f ** g.power if m == g.mode
+                           else np.ones(cutoff))
+        return np.diag(diag)
+    lam, v = _position_basis(cutoff + INTERNAL_PAD)
+    proj = v[:cutoff, :]
+    gmodes = g.generator.modes()
+    momentum = {m for key in g.generator.terms for m, _, b in key if b}
+    left = np.ones((1, 1))
+    for m in range(n_modes):
+        factor = np.eye(cutoff) if m not in gmodes else (
+            f[:, None] * proj if m in momentum else proj)
+        left = np.kron(left, factor)
+    sizes = [len(lam) if m in gmodes else cutoff for m in range(n_modes)]
+    phase = np.zeros(sizes)
+    for key, coeff in g.generator.terms.items():
+        term = np.array(coeff.real)
+        for m, a, b in key:
+            shape = [1] * n_modes
+            shape[m] = len(lam)
+            term = term * (lam ** (a + b)).reshape(shape)
+        phase = phase + term
+    return (left * np.exp(1j * g.strength * phase.reshape(-1))) @ left.conj().T
+
+
+def _block_err_phase(u, v, cutoff, subspace):
+    """verify_numeric's (err, phase) for dense 3-mode matrices u (circuit)
+    and v (target), on the block where every mode is below subspace."""
+    idx = [(a * cutoff + b) * cutoff + c for a, b, c in
+           itertools.product(range(subspace), repeat=3)]
+    a_blk, b_blk = u[np.ix_(idx, idx)], v[np.ix_(idx, idx)]
+    phase = np.angle(np.trace(b_blk.conj().T @ a_blk))
+    return np.linalg.norm(a_blk - np.exp(1j * phase) * b_blk, 2), phase
+
+
+@pytest.mark.parametrize("cutoff,subspace,matrix_order", [(6, 1, False),
+                                                          (6, 2, True)])
+def test_numeric_matches_dense_kronecker_product(cutoff, subspace,
+                                                 matrix_order):
+    # the three-mode gates take grid order at d=1 and matrix order at d=2
+    grid = cutoff + INTERNAL_PAD
+    eng = _NumericEngine([0, 1, 2], cutoff)
+    assert eng._matrix_order((subspace ** 3, grid, grid, cutoff),
+                             3) == matrix_order
+    x0x1x2 = NOPoly.monomial([(0, 1, 0), (1, 1, 0), (2, 1, 0)])
+    mono = lambda *f: NOPoly.monomial(list(f))
+    # unequal powers and momentum modes make the per-gate matrices and
+    # phase grids asymmetric, so a swapped axis or transpose shows
+    gates = (Gate.xx(0, 1, 0.3), Gate.fourier(1), Gate.xx(0, 2, -0.2),
+             Gate.x(2, 3, 0.15), Gate.xx(1, 2, 0.25), Gate.fourier(0, -1),
+             Gate.xx(2, 0, 0.35), Gate.exp_poly(NOPoly.p(1, 2), 0.2),
+             Gate.exp_poly(mono((0, 0, 1), (2, 1, 0)), -0.3),
+             Gate.exp_poly(mono((0, 1, 0), (1, 1, 0), (2, 2, 0)), 0.1),
+             Gate.fourier(2),
+             Gate.exp_poly(mono((0, 1, 0), (1, 0, 1), (2, 1, 0)), 0.12),
+             Gate.exp_poly(NOPoly.p(2, 3), 0.1),
+             Gate.exp_poly(mono((1, 2, 0), (2, 0, 1)), -0.15),
+             Gate.x(0, 2, -0.4), Gate.fourier(1, -1))
+    seq = GateSeq(gates, 3)
+    ctx = FockContext(cutoff=cutoff, subspace=subspace)
+    err, phase = verify_numeric(seq, x0x1x2, 0.2, ctx)
+
+    u = np.eye(cutoff ** 3)
+    for g in gates:  # gates[0] is the leftmost factor
+        u = u @ _dense_gate(g, cutoff, 3)
+    want = _dense_gate(Gate.exp_poly(x0x1x2, 0.2), cutoff, 3)
+    want_err, want_phase = _block_err_phase(u, want, cutoff, subspace)
+    assert err > 1e-3  # the circuit is not the target: a real comparison
+    assert abs(err - want_err) < 1e-12
+    assert abs(phase - want_phase) < 1e-12
+
+
+def test_numeric_mixed_basis_on_two_modes_matches_dense():
+    # generators mixing X and P on a mode take the dense path on every mode
+    # they touch; util builds the same exponentials on the full space
+    cutoff, subspace = 6, 2
+    gates = (Gate.exp_poly(NOPoly.monomial([(0, 1, 1), (2, 1, 0)]), 0.3),
+             Gate.fourier(1),
+             Gate.exp_poly(NOPoly.x(1, 2) + NOPoly.p(1, 2), -0.2),
+             Gate.exp_poly(NOPoly.monomial([(1, 0, 1), (2, 1, 1)]), 0.25))
+    gen = NOPoly.monomial([(0, 1, 0), (2, 1, 1)])
+    err, phase = verify_numeric(GateSeq(gates, 3), gen, 0.2,
+                                FockContext(cutoff=cutoff, subspace=subspace))
+    u = seq_matrix(GateSeq(gates, 3), cutoff, 3)
+    want = gate_matrix(Gate.exp_poly(gen, 0.2), 3, cutoff)
+    want_err, want_phase = _block_err_phase(u, want, cutoff, subspace)
+    assert err > 1e-3
+    assert abs(err - want_err) < 1e-12
+    assert abs(phase - want_phase) < 1e-12

@@ -1,0 +1,99 @@
+"""Run perfbench on two checkouts in alternating pairs and record every run.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
+        --pairs N --first-seed S [--seconds 15] --out BENCH_<n>.json
+
+Pair i uses seed S+i on both sides; even pairs run the parent first, odd
+pairs the change first. Each run is `python3 perfbench/run.py --workload NAME
+--seed SEED --seconds SECONDS --trace 0` in that checkout, and its
+end-to-end metrics are read back from the checkout's
+`perfbench/out/result-NAME-seedSEED-trace0.json`. The output file keeps
+every run of every workload recorded so far, with a summary per metric:
+each side's median and quartiles, and the pairs the change won (lower is
+better for every gated metric; ties count for neither side).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("wall_s", "setup_s", "gates_nonfourier", "peak_rss_mb",
+           "wall_raw_s", "numeric_err_gmean", "failed_frac")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    result = checkout / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    doc = json.loads(result.read_text())
+    return {"seed": seed, "exit_code": proc.returncode,
+            "git_sha": doc["environment"]["git_sha"],
+            "passes": doc["passes"], "problems": doc["problems"],
+            "metrics": {k: doc["end_to_end"].get(k) for k in METRICS}}
+
+
+def summarize(runs: list[dict]) -> dict:
+    out = {}
+    for name in METRICS:
+        sides = {}
+        for side in ("parent", "change"):
+            vals = [r[side]["metrics"][name] for r in runs]
+            if any(v is None for v in vals):
+                break
+            q1, med, q3 = (statistics.quantiles(vals, n=4) if len(vals) > 1
+                           else (vals[0],) * 3)
+            sides[side] = {"median": statistics.median(vals), "q1": q1,
+                           "q3": q3}
+        else:
+            sides["change_wins"] = sum(
+                r["change"]["metrics"][name] < r["parent"]["metrics"][name]
+                for r in runs)
+            sides["pairs"] = len(runs)
+            out[name] = sides
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--first-seed", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=15.0)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {
+        "command": ("python3 perfbench/run.py --workload <name> --seed <seed> "
+                    "--seconds <seconds> --trace 0, in each checkout"),
+        "workloads": {}}
+    runs = []
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            checkout = args.parent if side == "parent" else args.change
+            pair[side] = run_once(checkout, args.workload, seed, args.seconds)
+            print(f"{args.workload} seed {seed} {side}: "
+                  f"{pair[side]['metrics']}", flush=True)
+        runs.append(pair)
+    doc["workloads"][args.workload] = {
+        "seconds": args.seconds,
+        "seeds": [r["seed"] for r in runs],
+        "runs": runs,
+        "summary": summarize(runs),
+    }
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
