@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cvexact.algebra import Basis, NOPoly
-from cvexact.circuit import Gate, GateSeq
+from cvexact.circuit import FOURIER, Gate, GateSeq
 from cvexact.decompose import TargetGate, compile
 from cvexact.verify import (INTERNAL_PAD, DimensionTooLarge, FockContext,
                             _NumericEngine, _position_basis, fock_matrices,
@@ -119,16 +119,15 @@ def test_numeric_mixed_basis_generator_fallback():
 
 
 # pinned: a change to the numeric engine that moves these verdicts fails here
-@pytest.mark.parametrize("exps,t,err", [
-    ({0: 4}, 0.05, 0.9593015780464558),
-    ({0: 1, 1: 1, 2: 1}, 0.02, 0.3164205571041106),
-    ((((0, 1, Basis.MOMENTUM), (1, 2, Basis.POSITION))), 0.1, 0.5847913375934876),
+@pytest.mark.parametrize("tg,err", [
+    (TargetGate.position({0: 4}, 0.05), 0.9593015780464558),
+    (TargetGate.position({0: 1, 1: 1, 2: 1}, 0.02), 0.3164205571041106),
+    (TargetGate(((0, 1, Basis.MOMENTUM), (1, 2, Basis.POSITION)), 0.1),
+     0.5847913375934876),
 ], ids=["X0^4", "X0X1X2", "P0X1^2"])
-def test_numeric_error_pinned_at_cutoff_24(exps, t, err):
-    tg = (TargetGate.position(exps, t) if isinstance(exps, dict)
-          else TargetGate(exps, t))
+def test_numeric_error_pinned_at_cutoff_24(tg, err):
     seq, _ = compile(tg)
-    got, _ = verify_numeric(seq, tg.generator(), t,
+    got, _ = verify_numeric(seq, tg.generator(), tg.strength,
                             FockContext(cutoff=24, subspace=5))
     assert abs(got - err) < 1e-9
 
@@ -138,7 +137,7 @@ def _dense_gate(g, cutoff, n_modes):
     position grid as the engine but as one Kronecker product per gate."""
     n = np.arange(cutoff)
     f = np.exp(1j * np.pi / 2 * (n + 0.5))  # the Fourier gate, diagonal
-    if g.kind == "fourier":
+    if g.kind == FOURIER:
         diag = np.ones(1)
         for m in range(n_modes):
             diag = np.kron(diag, f ** g.power if m == g.mode
