@@ -1,7 +1,9 @@
 """Gates, gate sequences, and Heisenberg conjugation by gates.
 
-A Gate is either a Fourier transform on one mode or an exponential
-e^{i * strength * generator} of a normal-ordered polynomial generator.
+A Gate is a plain record. The universal set, a Fourier transform on one
+mode and e^{i * strength * X^n} (n = 1, 2, 3) or e^{i * strength * X_j X_k},
+is stored by kind and modes alone; any other exponential e^{i * strength *
+generator} keeps its normal-ordered polynomial generator.
 Gate sequences follow operator-product order: the first list entry is the
 leftmost factor, i.e. the gate applied *last*.
 """
@@ -17,78 +19,100 @@ from .algebra import (
     max_coeff_diff,
 )
 
+# gate kinds; the universal ones are the names of the saved-circuit format
 FOURIER = "fourier"
-EXPPOLY = "exppoly"
+X_POWER = {"x1": 1, "x2": 2, "x3": 3}  # e^{isXⁿ} by kind
+XX = "xx"
+EXPPOLY = "exppoly"  # any other generator
 
 # |strength| below this is treated as the identity gate
 ZERO_STRENGTH = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
+    """One gate as a record.
+
+    kind: FOURIER, a key of X_POWER, XX, or EXPPOLY.
+    modes: the modes the gate acts on; an XX gate holds its two sorted.
+    strength: s in e^{is·generator}; 0.0 for a Fourier gate.
+    power: +1 for the forward Fourier transform, -1 for its inverse.
+    poly: the generator of an EXPPOLY gate; None for every other kind.
+    """
+
     kind: str
-    mode: int = 0  # fourier only
-    power: int = 1  # fourier only, +1 or -1
-    generator: NOPoly | None = None  # exppoly only
-    strength: float = 0.0  # exppoly only
+    modes: tuple[int, ...]
+    strength: float = 0.0
+    power: int = 1
     provenance: str = ""
+    poly: NOPoly | None = None
 
     @staticmethod
     def fourier(mode: int, power: int = 1, provenance: str = "") -> "Gate":
         if power not in (1, -1):
             raise ValueError("Fourier power must be +1 or -1")
-        return Gate(kind=FOURIER, mode=mode, power=power, provenance=provenance)
+        return Gate(FOURIER, (mode,), 0.0, power, provenance)
 
     @staticmethod
     def exp_poly(generator: NOPoly, strength: float, provenance: str = "") -> "Gate":
-        return Gate(kind=EXPPOLY, generator=generator, strength=float(strength),
-                    provenance=provenance)
+        """e^{i*strength*generator}; a unit monomial of the universal set
+        gives the same record as Gate.x or Gate.xx."""
+        if len(generator.terms) == 1:
+            (key, coeff), = generator.terms.items()
+            if coeff == 1.0 and not any(p for _, _, p in key):
+                if len(key) == 1 and key[0][1] <= 3:
+                    return Gate.x(key[0][0], key[0][1], strength, provenance)
+                if len(key) == 2 and key[0][1] == key[1][1] == 1:
+                    return Gate.xx(key[0][0], key[1][0], strength, provenance)
+        return Gate(EXPPOLY, tuple(sorted(generator.modes())), float(strength),
+                    1, provenance, generator)
 
     @staticmethod
     def x(mode: int, power: int, strength: float, provenance: str = "") -> "Gate":
-        return Gate.exp_poly(NOPoly.x(mode, power), strength, provenance)
+        kind = f"x{power}"
+        if kind not in X_POWER:
+            return Gate.exp_poly(NOPoly.x(mode, power), strength, provenance)
+        return Gate(kind, (mode,), float(strength), 1, provenance)
 
     @staticmethod
     def xx(j: int, k: int, strength: float, provenance: str = "") -> "Gate":
         if j == k:
             raise ValueError("XX gate needs two distinct modes")
-        return Gate.exp_poly(NOPoly.monomial([(j, 1, 0), (k, 1, 0)]), strength,
-                             provenance)
+        return Gate(XX, (min(j, k), max(j, k)), float(strength), 1, provenance)
+
+    @property
+    def mode(self) -> int:
+        return self.modes[0]
+
+    @property
+    def generator(self) -> NOPoly | None:
+        """The generator as a polynomial, built on each access for the
+        universal kinds; None for a Fourier gate."""
+        if self.kind == FOURIER:
+            return None
+        if self.kind == XX:
+            return NOPoly.monomial([(m, 1, 0) for m in self.modes])
+        if self.kind == EXPPOLY:
+            return self.poly
+        return NOPoly.x(self.modes[0], X_POWER[self.kind])
 
     def inverse(self) -> "Gate":
         if self.kind == FOURIER:
-            return replace(self, power=-self.power)
-        return replace(self, strength=-self.strength)
-
-    def modes(self) -> set[int]:
-        if self.kind == FOURIER:
-            return {self.mode}
-        return self.generator.modes()
+            return Gate(FOURIER, self.modes, 0.0, -self.power, self.provenance)
+        return Gate(self.kind, self.modes, -self.strength, self.power,
+                    self.provenance, self.poly)
 
     def is_universal(self) -> bool:
         """True for the universal set: Fourier, X, X², X³, and X_j X_k."""
-        if self.kind == FOURIER:
-            return True
-        terms = self.generator.terms
-        if len(terms) != 1:
-            return False
-        (key, coeff), = terms.items()
-        if abs(coeff - 1.0) > 1e-12:
-            return False
-        if any(p for _, _, p in key):
-            return False
-        if len(key) == 1:
-            return key[0][1] in (1, 2, 3)
-        if len(key) == 2:
-            return key[0][1] == 1 and key[1][1] == 1
-        return False
+        return self.kind != EXPPOLY
 
     def same_generator(self, other: "Gate") -> bool:
-        if self.kind != EXPPOLY or other.kind != EXPPOLY:
+        if self.kind == FOURIER or other.kind == FOURIER:
             return False
-        if set(self.generator.terms) != set(other.generator.terms):
-            return False
-        return max_coeff_diff(self.generator, other.generator) <= 1e-12
+        if self.kind != EXPPOLY and other.kind != EXPPOLY:
+            return (self.kind, self.modes) == (other.kind, other.modes)
+        a, b = self.generator, other.generator
+        return set(a.terms) == set(b.terms) and max_coeff_diff(a, b) <= 1e-12
 
     def __repr__(self):
         if self.kind == FOURIER:
@@ -106,9 +130,9 @@ class GateSeq:
 
     def __post_init__(self):
         allowed = set(range(self.n_target_modes)) | set(self.ancilla_modes)
-        referenced = set().union(*(g.modes() for g in self.gates)) if self.gates else set()
-        if not referenced <= allowed:
-            raise ValueError(f"gate references undeclared modes {referenced - allowed}")
+        undeclared = {m for g in self.gates for m in g.modes} - allowed
+        if undeclared:
+            raise ValueError(f"gate references undeclared modes {undeclared}")
 
     def __len__(self):
         return len(self.gates)
@@ -130,7 +154,7 @@ def heisenberg_conjugate(g: Gate, b: NOPoly) -> NOPoly:
     summed via the terminating adjoint series. A forward Fourier acts as
     X -> -P, P -> X on its mode; the inverse Fourier undoes it.
     """
-    if g.kind == EXPPOLY:
+    if g.kind != FOURIER:
         if abs(g.strength) <= ZERO_STRENGTH:
             return b
         return adjoint_series(g.generator.scale(1j * g.strength), b)

@@ -8,10 +8,11 @@ contributes one non-Fourier gate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .algebra import NOPoly
-from .circuit import EXPPOLY, FOURIER, ZERO_STRENGTH, Gate, GateSeq
+from .circuit import EXPPOLY, FOURIER, X_POWER, XX, ZERO_STRENGTH, Gate, GateSeq
 
 
 class SchemaViolation(Exception):
@@ -62,7 +63,7 @@ def optimize(seq: GateSeq) -> GateSeq:
 
 
 def _is_identity(g: Gate) -> bool:
-    return g.kind == EXPPOLY and abs(g.strength) < ZERO_STRENGTH
+    return g.kind != FOURIER and abs(g.strength) < ZERO_STRENGTH
 
 
 def _merge_pair(g: Gate, h: Gate):
@@ -71,7 +72,7 @@ def _merge_pair(g: Gate, h: Gate):
         if g.mode == h.mode and g.power == -h.power:
             return []
         return None
-    if g.kind == EXPPOLY and h.kind == EXPPOLY and g.same_generator(h):
+    if g.same_generator(h):
         s = g.strength + h.strength
         if abs(s) < ZERO_STRENGTH:
             return []
@@ -84,18 +85,18 @@ def _reuse_ancillas(seq: GateSeq) -> GateSeq:
     if not seq.ancilla_modes:
         return seq
     n = seq.n_target_modes
-    live: dict[int, tuple[int, int]] = {}
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
     for idx, g in enumerate(seq.gates):
-        for m in g.modes():
-            if m >= n or m in seq.ancilla_modes:
-                lo, hi = live.get(m, (idx, idx))
-                live[m] = (min(lo, idx), max(hi, idx))
+        for m in g.modes:
+            if m >= n:
+                first.setdefault(m, idx)
+                last[m] = idx
     # assign each used ancilla (by first use) to the first free register
     regs: list[int] = []  # index -> last gate index occupying it
     mapping: dict[int, int] = {}
-    for m, (lo, hi) in sorted(live.items(), key=lambda kv: (kv[1][0], kv[0])):
-        if m < n:
-            continue
+    for m in sorted(first, key=lambda m: (first[m], m)):
+        lo, hi = first[m], last[m]
         for r, busy_until in enumerate(regs):
             if busy_until < lo:
                 regs[r] = hi
@@ -111,36 +112,27 @@ def _reuse_ancillas(seq: GateSeq) -> GateSeq:
 
 
 def _remap_gate(g: Gate, mapping: dict[int, int]) -> Gate:
-    if g.kind == FOURIER:
-        return replace(g, mode=mapping.get(g.mode, g.mode))
-    terms = {}
-    for key, coeff in g.generator.terms.items():
-        new_key = tuple(sorted((mapping.get(m, m), a, b) for m, a, b in key))
-        terms[new_key] = coeff
-    return replace(g, generator=NOPoly(terms))
+    if g.kind == EXPPOLY:
+        terms = {}
+        for key, coeff in g.poly.terms.items():
+            new_key = tuple(sorted((mapping.get(m, m), a, b) for m, a, b in key))
+            terms[new_key] = coeff
+        return Gate.exp_poly(NOPoly(terms), g.strength, g.provenance)
+    modes = tuple([mapping.get(m, m) for m in g.modes])
+    if modes == g.modes:
+        return g
+    if g.kind == XX:
+        modes = tuple(sorted(modes))
+    return Gate(g.kind, modes, g.strength, g.power, g.provenance)
 
 
 # -- serialization ---------------------------------------------------------
 
-_POWER_KIND = {1: "x1", 2: "x2", 3: "x3"}
-_KIND_POWER = {v: k for k, v in _POWER_KIND.items()}
-
-
 def _gate_record(g: Gate) -> dict:
-    if g.kind == FOURIER:
-        return {"kind": "fourier", "modes": [g.mode], "strength": 0.0,
-                "dagger": g.power == -1, "provenance": g.provenance}
-    if not g.is_universal():
+    if g.kind == EXPPOLY:
         raise SchemaViolation("only universal gates are serializable")
-    (key, _), = g.generator.terms.items()
-    if len(key) == 1:
-        kind = _POWER_KIND[key[0][1]]
-        modes = [key[0][0]]
-    else:
-        kind = "xx"
-        modes = [key[0][0], key[1][0]]
-    return {"kind": kind, "modes": modes, "strength": g.strength,
-            "dagger": False, "provenance": g.provenance}
+    return {"kind": g.kind, "modes": list(g.modes), "strength": g.strength,
+            "dagger": g.power == -1, "provenance": g.provenance}
 
 
 def serialize(seq: GateSeq) -> dict:
@@ -154,10 +146,24 @@ def serialize(seq: GateSeq) -> dict:
 
 
 def serialize_json(seq: GateSeq) -> str:
-    return json.dumps(serialize(seq), indent=2)
+    """The circuit document as one line of compact JSON.
+
+    Strengths are written as the shortest decimal that reads back to the
+    same float, so deserialize(serialize_json(seq)) is exact. The file has
+    no indentation: the C encoder writes it several times faster than the
+    indented form, which deserialize still reads.
+    """
+    return json.dumps(serialize(seq))
 
 
 def deserialize(doc: dict | str) -> GateSeq:
+    """The GateSeq of a version-1 circuit document or its JSON text.
+
+    Raises SchemaViolation for malformed input, including a gate record
+    with the wrong number of modes for its kind, the same mode twice in an
+    xx record, a strength that is not finite, or dagger set on a
+    non-Fourier record.
+    """
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -175,18 +181,22 @@ def deserialize(doc: dict | str) -> GateSeq:
     for rec in records:
         try:
             kind = rec["kind"]
-            modes = [int(m) for m in rec["modes"]]
+            modes = tuple(int(m) for m in rec["modes"])
             strength = float(rec["strength"])
             dagger = bool(rec["dagger"])
             prov = rec.get("provenance", "")
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation(f"bad gate record {rec!r}: {exc}") from exc
-        if kind == "fourier":
-            gates.append(Gate.fourier(modes[0], -1 if dagger else 1, prov))
-        elif kind in _KIND_POWER:
-            gates.append(Gate.x(modes[0], _KIND_POWER[kind], strength, prov))
-        elif kind == "xx":
-            gates.append(Gate.xx(modes[0], modes[1], strength, prov))
-        else:
+        if kind not in X_POWER and kind not in (FOURIER, XX):
             raise SchemaViolation(f"unknown gate kind {kind!r}")
+        if len(modes) != (2 if kind == XX else 1) or len(set(modes)) != len(modes):
+            raise SchemaViolation(f"wrong modes for a {kind} gate: {rec!r}")
+        if not math.isfinite(strength):
+            raise SchemaViolation(f"strength is not finite: {rec!r}")
+        if kind == FOURIER:
+            gates.append(Gate(FOURIER, modes, 0.0, -1 if dagger else 1, prov))
+        elif dagger:
+            raise SchemaViolation(f"dagger is set on a {kind} gate: {rec!r}")
+        else:
+            gates.append(Gate(kind, tuple(sorted(modes)), strength, 1, prov))
     return GateSeq(tuple(reversed(gates)), n, ancillas)

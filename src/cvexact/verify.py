@@ -9,6 +9,7 @@ the phase.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NOPoly, adjoint_series
-from .circuit import EXPPOLY, FOURIER, Gate, GateSeq, heisenberg_conjugate
+from .circuit import FOURIER, X_POWER, Gate, GateSeq, heisenberg_conjugate
 
 
 class DimensionTooLarge(Exception):
@@ -75,7 +76,7 @@ def heisenberg_action(seq: GateSeq, b: NOPoly) -> NOPoly:
     that orientation.
     """
     for g in seq.gates:
-        if g.kind == EXPPOLY:
+        if g.kind != FOURIER:
             b = heisenberg_conjugate(g.inverse(), b)
         else:
             b = heisenberg_conjugate(g, b)
@@ -112,14 +113,19 @@ def verify_symbolic(seq: GateSeq, generator: NOPoly, strength: float) -> float:
 INTERNAL_PAD = 24
 
 
+@functools.cache
 def _position_basis(d_int: int):
     """Eigendecomposition of the truncated position operator.
 
     Returns (lam, v) with X v[:,a] = lam[a] v[:,a]; the columns form the
-    discrete quadrature grid used to apply position-diagonal gates.
+    discrete quadrature grid used to apply position-diagonal gates. The
+    result is cached per size, so both arrays are read-only.
     """
     x, _, _ = fock_matrices(d_int)
-    return np.linalg.eigh(x.real)
+    lam, v = np.linalg.eigh(x.real)
+    lam.flags.writeable = False
+    v.flags.writeable = False
+    return lam, v
 
 
 def _mode_split(generator: NOPoly):
@@ -199,9 +205,10 @@ class _NumericEngine:
         the diagonal, and the k axes come back.
     Each gate takes the order with fewer multiplications, counted from the
     array shapes (_matrix_order). A single-mode gate always takes matrix
-    order; its D×D matrix is cached on the engine for each (generator
-    terms, strength). A momentum mode's Fourier rotations are folded into
-    its grid projections.
+    order; its D×D matrix is cached on the engine, by (kind, mode,
+    strength) for an x1/x2/x3 gate and by (generator terms, momentum modes,
+    strength) for any other. A momentum mode's Fourier rotations are folded
+    into its grid projections.
     """
 
     def __init__(self, modes: list[int], cutoff: int):
@@ -244,6 +251,13 @@ class _NumericEngine:
         matrix = G ** (k - 1) * D * G * (D + 1) + size * D  # build, apply
         return matrix < grid
 
+    def _single_mode_matrix(self, strength, xgen: NOPoly, mode: int,
+                            momentum: bool):
+        """The D×D matrix of e^{i*strength*xgen} on one mode, rotated to
+        momentum when momentum is set."""
+        diag = np.exp(1j * strength * self._grid_phase(xgen, [mode]))
+        return (self.from_grid[momentum] * diag) @ self.to_grid[momentum]
+
     def _apply_position_exp(self, state, strength, xgen: NOPoly, pmodes):
         """state <- e^{i*strength*xgen} state for a position-diagonal xgen,
         with the modes in pmodes rotated to momentum."""
@@ -257,8 +271,8 @@ class _NumericEngine:
             key = (frozenset(xgen.terms.items()), frozenset(pmodes), strength)
             mat = self.single_mode.get(key)
             if mat is None:
-                diag = np.exp(1j * strength * self._grid_phase(xgen, gmodes))
-                mat = self.single_mode[key] = (back[0] * diag) @ fwd[0]
+                mat = self.single_mode[key] = self._single_mode_matrix(
+                    strength, xgen, gmodes[0], gmodes[0] in pmodes)
             return _apply_axis(state, mat, axes[0])
         for ax, f in zip(axes[:-1], fwd[:-1]):
             state = _apply_axis(state, f, ax)
@@ -327,6 +341,13 @@ class _NumericEngine:
             shape[self.axis_of[g.mode]] = self.D
             state *= diag.reshape(shape)
             return state
+        if g.kind in X_POWER:
+            key = (g.kind, g.mode, g.strength)
+            mat = self.single_mode.get(key)
+            if mat is None:
+                mat = self.single_mode[key] = self._single_mode_matrix(
+                    g.strength, g.generator, g.mode, False)
+            return _apply_axis(state, mat, self.axis_of[g.mode])
         return self.apply_exp(state, g.strength, g.generator)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from cvexact.algebra import NOPoly, commutator, poly_mul
 from cvexact.baseline import commutator_approx, commutator_repeats
-from cvexact.circuit import EXPPOLY, Gate, GateSeq
+from cvexact.circuit import FOURIER, Gate, GateSeq
 from cvexact.decompose import (TargetGate, _Compiler, check_eligibility,
                                compile, solve_pascal_coeffs)
 from cvexact.verify import (MAX_FULL_DIM, FockContext, verify_numeric,
@@ -236,7 +236,7 @@ def _resolve(seq, generator, strength):
 
 def _negate_last_exp(seq):
     """seq with the strength of its last non-Fourier gate negated."""
-    i = max(i for i, g in enumerate(seq.gates) if g.kind == EXPPOLY)
+    i = max(i for i, g in enumerate(seq.gates) if g.kind != FOURIER)
     return replace(seq, gates=(seq.gates[:i] + (seq.gates[i].inverse(),)
                                + seq.gates[i + 1:]))
 
@@ -262,7 +262,7 @@ def test_criterion_4_numeric_corpus():
         split = GateSeq(tuple(_NativeQuartics(2).x2x2(0, 1, t)), 2)
         pieces.append((f"{exps} splitting", split, tg))
         for s in sorted({g.strength for g in split.gates
-                         if g.kind == EXPPOLY and g.generator.degree() == 4}):
+                         if g.kind != FOURIER and g.generator.degree() == 4}):
             q = TargetGate.position({0: 4}, s)
             pieces.append((f"{exps} route X⁴ at {s:.4g}", compile(q)[0], q))
     rows, ok = [], True

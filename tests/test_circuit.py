@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from cvexact.algebra import NOPoly, max_coeff_diff
-from cvexact.circuit import Gate, GateSeq, heisenberg_conjugate, zassenhaus_split
+from cvexact.circuit import (EXPPOLY, FOURIER, Gate, GateSeq,
+                             heisenberg_conjugate, zassenhaus_split)
 
 from util import block_distance, gate_matrix, seq_matrix
 
@@ -125,3 +126,46 @@ def test_zassenhaus_commuting_terms_split_exactly():
     ref = _exact_sum_exponential(a, b, t, cutoff)
     assert block_distance(seq_matrix(seq, cutoff), ref, 6, 1, cutoff,
                           phase_free=False) < 1e-9
+
+
+# generators that Gate.exp_poly turns into the record of Gate.x or Gate.xx
+UNIT_MONOMIALS = [
+    (NOPoly.x(0, 1), Gate.x(0, 1, 0.3)),
+    (NOPoly.x(2, 2), Gate.x(2, 2, 0.3)),
+    (NOPoly.x(1, 3), Gate.x(1, 3, 0.3)),
+    (NOPoly.monomial([(0, 1, 0), (3, 1, 0)]), Gate.xx(3, 0, 0.3)),
+]
+# generators that stay exppoly gates
+OTHER_GENERATORS = [NOPoly.x(0, 4), NOPoly.x(0, 3, 2.0),
+                    NOPoly.monomial([(0, 1, 1)]),
+                    NOPoly.monomial([(0, 1, 0), (1, 0, 1)])]
+
+
+def test_exp_poly_normalises_universal_unit_monomials():
+    for poly, record in UNIT_MONOMIALS:
+        g = Gate.exp_poly(poly, 0.3)
+        assert g == record
+        assert g.poly is None
+        assert g.generator == poly
+    assert Gate.xx(3, 0, 0.3).modes == (0, 3)
+    for poly in OTHER_GENERATORS:
+        g = Gate.exp_poly(poly, 0.3)
+        assert g.kind == EXPPOLY
+        assert g.generator is poly
+    assert Gate.x(0, 4, 0.3).kind == EXPPOLY
+
+
+def test_universal_flag_and_generator_match_on_the_table():
+    # the answers of the polynomial rules: universal means Fourier or a unit
+    # monomial of the set, and two gates merge when their generators agree
+    universal = [g for _, g in UNIT_MONOMIALS] + [Gate.fourier(1, -1)]
+    others = [Gate.exp_poly(p, 0.3) for p in OTHER_GENERATORS]
+    assert all(g.is_universal() for g in universal)
+    assert not any(g.is_universal() for g in others)
+    table = universal + others + [Gate.xx(0, 3, -1.0), Gate.x(1, 3, 2.0),
+                                  Gate.exp_poly(NOPoly.x(0, 4), -0.1)]
+    for g in table:
+        for h in table:
+            want = (g.kind != FOURIER and h.kind != FOURIER
+                    and g.generator == h.generator)
+            assert g.same_generator(h) == want, (g, h)

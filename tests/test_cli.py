@@ -111,6 +111,15 @@ def test_verify_rejects_malformed_circuit(tmp_path, capsys):
     assert "cannot load circuit" in capsys.readouterr().err
 
 
+def test_verify_rejects_gate_record_with_too_few_modes(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": 1, "modes": 2, "ancillas": [],
+                                "gates": [{"kind": "xx", "modes": [0],
+                                           "strength": 1.0, "dagger": False}]}))
+    assert main(["verify", str(path), "t=1 X[0] X[1]"]) == EXIT_PARSE
+    assert "cannot load circuit" in capsys.readouterr().err
+
+
 def test_compare_prints_ratio(capsys):
     rc = main(["compare", "t=1 X[0]^4", "--epsilon", "1e-3"])
     assert rc == 0

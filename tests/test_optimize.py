@@ -9,8 +9,11 @@ from cvexact.algebra import NOPoly
 from cvexact.circuit import Gate, GateSeq
 from cvexact.circuit_tools import (SchemaViolation, count_gates, deserialize,
                                    optimize, serialize, serialize_json)
+from cvexact.cli import parse_spec
 from cvexact.decompose import TargetGate, compile
 from cvexact.verify import verify_symbolic
+
+from test_decompose import ROUTE_PINS
 
 
 def test_fourier_pair_cancellation():
@@ -68,8 +71,8 @@ def test_serialize_round_trip():
     assert len(back.gates) == len(seq.gates)
     for g, h in zip(back.gates, seq.gates):
         assert g.kind == h.kind
-        if g.kind == "exppoly":
-            assert abs(g.strength - h.strength) < 1e-15
+        if g.kind != "fourier":
+            assert g.strength == h.strength
             assert g.generator.terms == h.generator.terms
 
 
@@ -96,6 +99,54 @@ def test_deserialize_rejects_bad_documents():
     with pytest.raises(SchemaViolation):
         deserialize({"version": 1, "n_target_modes": 1, "ancilla_modes": [],
                      "gates": [{"kind": "x9", "mode": 0, "strength": 1.0}]})
+
+
+def _fields(seq):
+    return ([(g.kind, g.modes, g.power, g.strength, g.provenance)
+             for g in seq.gates], seq.n_target_modes, seq.ancilla_modes)
+
+
+def test_saved_route_circuits_load_gate_for_gate():
+    for body, *_ in ROUTE_PINS:
+        seq, _ = compile(parse_spec(f"t=0.3 {body}"))
+        text = serialize_json(seq)
+        assert "\n" not in text
+        assert _fields(deserialize(text)) == _fields(seq), body
+
+
+def test_indented_document_still_loads():
+    seq, _ = compile(TargetGate.position({0: 1, 1: 3}, -1.7))
+    back = deserialize(json.dumps(serialize(seq), indent=2))
+    assert _fields(back) == _fields(seq)
+
+
+def _doc(*records):
+    return {"version": 1, "modes": 2, "ancillas": [], "gates": [
+        {"kind": k, "modes": m, "strength": s, "dagger": d}
+        for k, m, s, d in records]}
+
+
+@pytest.mark.parametrize("record", [
+    ("xx", [0], 1.0, False),
+    ("xx", [1, 1], 1.0, False),
+    ("xx", [0, 1, 1], 1.0, False),
+    ("fourier", [], 0.0, False),
+    ("fourier", [0, 1], 0.0, True),
+    ("x2", [0, 1], 1.0, False),
+    ("x3", [], 1.0, False),
+    ("x1", [0], "nan", False),
+    ("x2", [0], float("inf"), False),
+    ("xx", [0, 1], "-inf", False),
+    ("x3", [0], 1.0, True),
+    ("xx", [0, 1], 1.0, True),
+], ids=["xx-one-mode", "xx-same-mode", "xx-three-modes", "fourier-no-mode",
+        "fourier-two-modes", "x2-two-modes", "x3-no-mode", "nan-strength",
+        "inf-strength", "minus-inf-strength", "dagger-x3", "dagger-xx"])
+def test_deserialize_rejects_malformed_gate_records(record):
+    with pytest.raises(SchemaViolation):
+        deserialize(_doc(record))
+    with pytest.raises(SchemaViolation):
+        deserialize(json.dumps(_doc(("x1", [0], 0.5, False), record)))
 
 
 def test_universal_gate_flag():

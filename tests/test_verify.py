@@ -228,3 +228,11 @@ def test_numeric_mixed_basis_on_two_modes_matches_dense():
     assert err > 1e-3
     assert abs(err - want_err) < 1e-12
     assert abs(phase - want_phase) < 1e-12
+
+
+def test_position_basis_is_cached_and_read_only():
+    lam, v = _position_basis(30)
+    assert _position_basis(30)[1] is v
+    for arr in (lam, v):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
