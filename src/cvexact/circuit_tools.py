@@ -174,14 +174,14 @@ def deserialize(doc: dict | str) -> GateSeq:
     try:
         n = int(doc["modes"])
         ancillas = tuple(int(a) for a in doc["ancillas"])
-        records = doc["gates"]
+        records = list(doc["gates"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"bad document structure: {exc}") from exc
     gates = []
     for rec in records:
         try:
-            kind = rec["kind"]
-            modes = tuple(int(m) for m in rec["modes"])
+            kind = str(rec["kind"])
+            modes = tuple([int(m) for m in rec["modes"]])
             strength = float(rec["strength"])
             dagger = bool(rec["dagger"])
             prov = rec.get("provenance", "")
@@ -198,5 +198,6 @@ def deserialize(doc: dict | str) -> GateSeq:
         elif dagger:
             raise SchemaViolation(f"dagger is set on a {kind} gate: {rec!r}")
         else:
-            gates.append(Gate(kind, tuple(sorted(modes)), strength, 1, prov))
+            gates.append(Gate(kind, tuple(sorted(modes)) if kind == XX else modes,
+                              strength, 1, prov))
     return GateSeq(tuple(reversed(gates)), n, ancillas)

@@ -113,13 +113,14 @@ def verify_symbolic(seq: GateSeq, generator: NOPoly, strength: float) -> float:
 INTERNAL_PAD = 24
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _position_basis(d_int: int):
     """Eigendecomposition of the truncated position operator.
 
     Returns (lam, v) with X v[:,a] = lam[a] v[:,a]; the columns form the
     discrete quadrature grid used to apply position-diagonal gates. The
-    result is cached per size, so both arrays are read-only.
+    results for the last few sizes are cached and shared, so both arrays
+    are read-only.
     """
     x, _, _ = fock_matrices(d_int)
     lam, v = np.linalg.eigh(x.real)

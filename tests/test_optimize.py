@@ -99,6 +99,8 @@ def test_deserialize_rejects_bad_documents():
     with pytest.raises(SchemaViolation):
         deserialize({"version": 1, "n_target_modes": 1, "ancilla_modes": [],
                      "gates": [{"kind": "x9", "mode": 0, "strength": 1.0}]})
+    with pytest.raises(SchemaViolation):
+        deserialize({"version": 1, "modes": 1, "ancillas": [], "gates": 5})
 
 
 def _fields(seq):
@@ -139,9 +141,11 @@ def _doc(*records):
     ("xx", [0, 1], "-inf", False),
     ("x3", [0], 1.0, True),
     ("xx", [0, 1], 1.0, True),
+    (["x1"], [0], 1.0, False),
 ], ids=["xx-one-mode", "xx-same-mode", "xx-three-modes", "fourier-no-mode",
         "fourier-two-modes", "x2-two-modes", "x3-no-mode", "nan-strength",
-        "inf-strength", "minus-inf-strength", "dagger-x3", "dagger-xx"])
+        "inf-strength", "minus-inf-strength", "dagger-x3", "dagger-xx",
+        "kind-not-a-string"])
 def test_deserialize_rejects_malformed_gate_records(record):
     with pytest.raises(SchemaViolation):
         deserialize(_doc(record))
