@@ -161,8 +161,8 @@ def deserialize(doc: dict | str) -> GateSeq:
 
     Raises SchemaViolation for malformed input, including a gate record
     with the wrong number of modes for its kind, the same mode twice in an
-    xx record, a strength that is not finite, or dagger set on a
-    non-Fourier record.
+    xx record, a mode the document does not declare, a strength that is
+    not finite, or dagger set on a non-Fourier record.
     """
     if isinstance(doc, str):
         try:
@@ -200,4 +200,7 @@ def deserialize(doc: dict | str) -> GateSeq:
         else:
             gates.append(Gate(kind, tuple(sorted(modes)) if kind == XX else modes,
                               strength, 1, prov))
-    return GateSeq(tuple(reversed(gates)), n, ancillas)
+    try:
+        return GateSeq(tuple(reversed(gates)), n, ancillas)
+    except ValueError as exc:
+        raise SchemaViolation(str(exc)) from exc

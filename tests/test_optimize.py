@@ -101,6 +101,8 @@ def test_deserialize_rejects_bad_documents():
                      "gates": [{"kind": "x9", "mode": 0, "strength": 1.0}]})
     with pytest.raises(SchemaViolation):
         deserialize({"version": 1, "modes": 1, "ancillas": [], "gates": 5})
+    with pytest.raises(SchemaViolation):
+        deserialize(_doc(("x1", [2], 1.0, False)))
 
 
 def _fields(seq):
