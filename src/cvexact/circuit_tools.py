@@ -26,8 +26,6 @@ class DecompReport:
     n_gates_preopt: int = 0
     n_ancillas: int = 0
     recursion_trace: list[tuple[str, int]] = field(default_factory=list)
-    residual_symbolic: float | None = None
-    residual_numeric: float | None = None
     route: str = ""
 
 
@@ -39,27 +37,23 @@ def count_gates(seq: GateSeq, exclude_fourier: bool) -> int:
 
 def optimize(seq: GateSeq) -> GateSeq:
     """Cancel adjacent inverses, merge equal generators, drop zero-strength
-    gates, then compact ancilla registers. Circuit-equivalent output."""
-    gates = [g for g in seq.gates if not _is_identity(g)]
-    changed = True
-    while changed:
-        changed = False
-        out: list[Gate] = []
-        i = 0
-        while i < len(gates):
-            g = gates[i]
-            if i + 1 < len(gates):
-                merged = _merge_pair(g, gates[i + 1])
-                if merged is not None:
-                    if merged:
-                        out.append(merged[0])
-                    i += 2
-                    changed = True
-                    continue
+    gates, then compact ancilla registers. Circuit-equivalent output.
+
+    One pass with the output as a stack: each gate merges with or cancels
+    the gate on top, so a cancellation exposes the gate below it at once.
+    A merge keeps the generator of the top gate, so no two adjacent output
+    gates can merge and a second pass would change nothing.
+    """
+    out: list[Gate] = []
+    for g in seq.gates:
+        if _is_identity(g):
+            continue
+        merged = _merge_pair(out[-1], g) if out else None
+        if merged is None:
             out.append(g)
-            i += 1
-        gates = out
-    return _reuse_ancillas(replace(seq, gates=tuple(gates)))
+        else:
+            out[-1:] = merged
+    return _reuse_ancillas(replace(seq, gates=tuple(out)))
 
 
 def _is_identity(g: Gate) -> bool:

@@ -5,8 +5,12 @@ estimate, compile a named application preset, or re-verify a saved circuit.
 Target gates are written as a strength assignment followed by quadrature
 factors, e.g. `t=0.1 X[0] X[1] X[2]^2` or `t=1 P[0] X[1]^2`.
 
-Exit codes: 0 success, 2 parse error or unknown preset, 3 ineligible target,
-4 verification failure above threshold.
+Every command runs the same stages: the parse stage checks all inputs (spec,
+preset, numeric and Trotter flags, saved circuit) before any compile or verify
+call, `compile` alone judges eligibility, and `_verify` makes the symbolic and
+numeric checks. `main` maps the outcome to an exit code: 0 success, 2 bad
+input (parse error, unknown preset, bad flag, unreadable circuit),
+3 ineligible target, 4 verification failure above threshold.
 """
 
 from __future__ import annotations
@@ -16,13 +20,18 @@ import json
 import re
 import sys
 
-from .algebra import Basis, NOPoly
+from .algebra import Basis
 from .baseline import estimate_commutator_count, trotter_suzuki
 from .circuit_tools import (SchemaViolation, count_gates, deserialize,
                             serialize_json)
-from .decompose import Ineligible, TargetGate, check_eligibility, compile
+from .decompose import Ineligible, TargetGate, compile
 from .verify import (DimensionTooLarge, FockContext, verify_numeric,
                      verify_symbolic)
+
+# compile, verify_symbolic and verify_numeric are looked up in this module's
+# globals at each call, so a caller that replaces them as attributes of this
+# module (to time a call or hold it to a time limit) sees every call the CLI
+# makes. Never bind them early, e.g. as default arguments.
 
 EXIT_PARSE = 2
 EXIT_INELIGIBLE = 3
@@ -39,7 +48,12 @@ _FACTOR_RE = re.compile(r"([XP])\[(\d+)\](?:\^(\d+))?$")
 
 
 def parse_spec(text: str) -> TargetGate:
-    """Parse `t=<float> X[i](^n) P[j](^n) ...` into a TargetGate."""
+    """Parse `t=<float> X[i](^n) P[j](^n) ...` into a TargetGate.
+
+    The grammar is checked here; what TargetGate requires of the values
+    (finite strength, positive powers, distinct modes) is checked by
+    TargetGate and reported as a SpecError.
+    """
     tokens = text.split()
     if not tokens or not tokens[0].startswith("t="):
         raise SpecError("spec must start with a strength assignment t=<float>")
@@ -48,23 +62,19 @@ def parse_spec(text: str) -> TargetGate:
     except ValueError as exc:
         raise SpecError(f"bad strength {tokens[0][2:]!r}") from exc
     exps = []
-    seen = set()
     for tok in tokens[1:]:
         m = _FACTOR_RE.match(tok)
         if not m:
             raise SpecError(f"bad factor {tok!r}; expected X[i]^n or P[i]^n")
         basis = Basis.POSITION if m.group(1) == "X" else Basis.MOMENTUM
-        mode = int(m.group(2))
         power = int(m.group(3)) if m.group(3) else 1
-        if mode in seen:
-            raise SpecError(f"mode {mode} appears twice")
-        if power < 1:
-            raise SpecError("exponents must be positive")
-        seen.add(mode)
-        exps.append((mode, power, basis))
+        exps.append((int(m.group(2)), power, basis))
     if not exps:
         raise SpecError("spec needs at least one quadrature factor")
-    return TargetGate(tuple(exps), strength)
+    try:
+        return TargetGate(tuple(exps), strength)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
 
 
 def format_spec(target: TargetGate) -> str:
@@ -73,27 +83,6 @@ def format_spec(target: TargetGate) -> str:
         sym = "X" if basis is Basis.POSITION else "P"
         parts.append(f"{sym}[{mode}]" + (f"^{power}" if power > 1 else ""))
     return " ".join(parts)
-
-
-def parse_terms(text: str) -> tuple[float, list[NOPoly]]:
-    """Parse `t=<float> <product> + <product> + ...` into summand polynomials."""
-    tokens = text.split()
-    if not tokens or not tokens[0].startswith("t="):
-        raise SpecError("spec must start with a strength assignment t=<float>")
-    strength = float(tokens[0][2:])
-    groups: list[list[str]] = [[]]
-    for tok in tokens[1:]:
-        if tok == "+":
-            groups.append([])
-        else:
-            groups[-1].append(tok)
-    terms = []
-    for group in groups:
-        if not group:
-            raise SpecError("empty summand")
-        sub = parse_spec("t=1 " + " ".join(group))
-        terms.append(sub.generator())
-    return strength, terms
 
 
 PRESETS = {
@@ -119,11 +108,21 @@ def preset_spec(name: str, strength: float) -> str:
         body = PRESETS[name]
     else:
         raise SpecError(f"unknown preset {name!r}")
-    return f"t={strength:g} {body}"
+    return f"t={strength!r} {body}"
+
+
+def _residual_lines(residual_sym, residual_num, phase):
+    lines = []
+    if residual_sym is not None:
+        lines.append(f"symbolic residual:   {residual_sym:.3e}")
+    if residual_num is not None:
+        lines.append(f"numeric error:       {residual_num:.3e}")
+        lines.append(f"phase offset:        {phase:.3e}")
+    return lines
 
 
 def _report_lines(report, residual_sym, residual_num, phase):
-    lines = [
+    return [
         f"route:               {report.route}",
         f"gates (non-Fourier): {report.n_gates_nonfourier}",
         f"gates (total):       {report.n_gates_total}",
@@ -132,13 +131,7 @@ def _report_lines(report, residual_sym, residual_num, phase):
         f"recursion steps:     {len(report.recursion_trace)}"
         + (f" (max depth {max(d for _, d in report.recursion_trace)})"
            if report.recursion_trace else ""),
-    ]
-    if residual_sym is not None:
-        lines.append(f"symbolic residual:   {residual_sym:.3e}")
-    if residual_num is not None:
-        lines.append(f"numeric error:       {residual_num:.3e}")
-        lines.append(f"phase offset:        {phase:.3e}")
-    return lines
+    ] + _residual_lines(residual_sym, residual_num, phase)
 
 
 def _report_json(report, residual_sym, residual_num, phase):
@@ -156,85 +149,58 @@ def _report_json(report, residual_sym, residual_num, phase):
     return json.dumps(doc, indent=2)
 
 
-def _compile_and_verify(target: TargetGate, args) -> int:
-    verdict = check_eligibility(target)
-    if not verdict.eligible:
-        print(f"ineligible: {verdict.reason}", file=sys.stderr)
-        return EXIT_INELIGIBLE
+def _verify(seq, target: TargetGate, ctx: FockContext | None):
+    """(status, symbolic residual, numeric error, phase offset) of seq.
 
-    if getattr(args, "trotter", None):
-        seq = trotter_suzuki([target.generator()], target.strength, args.trotter)
-        print(f"trotter split with K={args.trotter}: "
-              f"{count_gates(seq, exclude_fourier=True)} non-Fourier gates")
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(serialize_json(seq))
-        return 0
+    The numeric check runs only with a ctx, and is skipped with a note when
+    its space is too large. A NaN residual counts as a failure.
+    """
+    residual_sym = verify_symbolic(seq, target.generator(), target.strength)
+    failed = not residual_sym <= SYMBOLIC_THRESHOLD
+    residual_num = phase = None
+    if ctx is not None:
+        try:
+            residual_num, phase = verify_numeric(
+                seq, target.generator(), target.strength, ctx)
+        except DimensionTooLarge as exc:
+            print(f"numeric check skipped: {exc}", file=sys.stderr)
+        else:
+            failed |= not residual_num <= ctx.tolerance
+    return (EXIT_VERIFY if failed else 0), residual_sym, residual_num, phase
 
-    seq, report = compile(target, balanced=(args.param_split == "balanced"))
 
-    residual_sym = residual_num = phase = None
-    status = 0
-    if not args.no_verify:
-        residual_sym = verify_symbolic(seq, target.generator(), target.strength)
-        report.residual_symbolic = residual_sym
-        if residual_sym > SYMBOLIC_THRESHOLD:
-            status = EXIT_VERIFY
-        if args.numeric_cutoff:
-            ctx = FockContext(args.numeric_cutoff, args.subspace, args.tolerance)
-            try:
-                residual_num, phase = verify_numeric(
-                    seq, target.generator(), target.strength, ctx)
-                report.residual_numeric = residual_num
-                if residual_num > ctx.tolerance:
-                    status = EXIT_VERIFY
-            except DimensionTooLarge as exc:
-                print(f"numeric check skipped: {exc}", file=sys.stderr)
-
-    if args.format == "json":
-        print(_report_json(report, residual_sym, residual_num, phase))
-    else:
-        print(f"target:              {format_spec(target)}")
-        for line in _report_lines(report, residual_sym, residual_num, phase):
-            print(line)
-    if args.out:
-        with open(args.out, "w") as fh:
+def _save(path, seq) -> None:
+    if path:
+        with open(path, "w") as fh:
             fh.write(serialize_json(seq))
-    if status == EXIT_VERIFY:
-        print("verification failed: residual above threshold", file=sys.stderr)
-    return status
 
 
 def cmd_compile(args) -> int:
-    try:
-        target = parse_spec(args.spec)
-    except (SpecError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return _compile_and_verify(target, args)
+    """compile and preset: the exact circuit, or a Trotter split with K steps."""
+    target = args.target
+    if args.trotter is not None:
+        seq = trotter_suzuki([target.generator()], target.strength, args.trotter)
+        print(f"trotter split with K={args.trotter}: "
+              f"{count_gates(seq, exclude_fourier=True)} non-Fourier gates")
+        _save(args.out, seq)
+        return 0
 
-
-def cmd_preset(args) -> int:
-    try:
-        spec = preset_spec(args.name, args.strength)
-        target = parse_spec(spec)
-    except (SpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return _compile_and_verify(target, args)
+    seq, report = compile(target, balanced=(args.param_split == "balanced"))
+    status, *residuals = ((0, None, None, None) if args.no_verify
+                          else _verify(seq, target, args.ctx))
+    if args.format == "json":
+        print(_report_json(report, *residuals))
+    else:
+        print(f"target:              {format_spec(target)}")
+        for line in _report_lines(report, *residuals):
+            print(line)
+    _save(args.out, seq)
+    return status
 
 
 def cmd_compare(args) -> int:
-    try:
-        target = parse_spec(args.spec)
-    except (SpecError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    verdict = check_eligibility(target)
-    if not verdict.eligible:
-        print(f"ineligible: {verdict.reason}", file=sys.stderr)
-        return EXIT_INELIGIBLE
-    seq, report = compile(target)
+    target = args.target
+    _, report = compile(target)
     exact = report.n_gates_nonfourier
     estimate, model = estimate_commutator_count(target, args.epsilon)
     print(f"target:              {format_spec(target)}")
@@ -246,50 +212,52 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        target = parse_spec(args.spec)
-        with open(args.circuit) as fh:
-            seq = deserialize(fh.read())
-    except (SpecError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (OSError, SchemaViolation) as exc:
-        print(f"cannot load circuit: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    residual = verify_symbolic(seq, target.generator(), target.strength)
-    print(f"symbolic residual:   {residual:.3e}")
-    status = 0 if residual <= SYMBOLIC_THRESHOLD else EXIT_VERIFY
-    if args.numeric_cutoff:
-        ctx = FockContext(args.numeric_cutoff, args.subspace, args.tolerance)
-        try:
-            err, phase = verify_numeric(seq, target.generator(),
-                                        target.strength, ctx)
-            print(f"numeric error:       {err:.3e}")
-            print(f"phase offset:        {phase:.3e}")
-            if err > ctx.tolerance:
-                status = EXIT_VERIFY
-        except DimensionTooLarge as exc:
-            print(f"numeric check skipped: {exc}", file=sys.stderr)
-    if status:
-        print("verification failed: residual above threshold", file=sys.stderr)
+    status, *residuals = _verify(args.seq, args.target, args.ctx)
+    for line in _residual_lines(*residuals):
+        print(line)
     return status
 
 
-def _add_common(p):
-    p.add_argument("--out", help="write circuit JSON to this path")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip verification")
+def _parse(args) -> None:
+    """The parse stage: check every input before any compile or verify call.
+
+    Sets args.target, args.ctx (a FockContext, or None without
+    --numeric-cutoff) and, for verify, args.seq. Raises SpecError or
+    ValueError for a bad spec, preset or flag, OSError or SchemaViolation
+    for a circuit file that cannot be loaded.
+    """
+    spec = (preset_spec(args.name, args.strength) if args.command == "preset"
+            else args.spec)
+    args.target = parse_spec(spec)
+    args.ctx = None
+    if getattr(args, "numeric_cutoff", 0):
+        args.ctx = FockContext(args.numeric_cutoff, args.subspace, args.tolerance)
+    if getattr(args, "trotter", None) is not None and args.trotter < 1:
+        raise SpecError("--trotter K must be at least 1")
+    if args.command == "verify":
+        with open(args.circuit) as fh:
+            args.seq = deserialize(fh.read())
+
+
+def _add_numeric(p):
     p.add_argument("--numeric-cutoff", type=int, default=0, metavar="D",
                    help="run the truncated-Fock check at this cutoff")
     p.add_argument("--subspace", type=int, default=5, metavar="d",
                    help="comparison subspace levels per mode")
     p.add_argument("--tolerance", type=float, default=1e-5,
                    help="numeric error threshold")
+
+
+def _add_common(p):
+    p.add_argument("--out", help="write circuit JSON to this path")
+    p.add_argument("--no-verify", action="store_true",
+                   help="skip verification")
+    _add_numeric(p)
     p.add_argument("--param-split", choices=["default", "balanced"],
                    default="default",
                    help="strength-split policy for the identity parameters")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--trotter", type=int, default=0, metavar="K",
+    p.add_argument("--trotter", type=int, metavar="K",
                    help="emit a K-step Trotter circuit instead of the exact one")
 
 
@@ -313,22 +281,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="|".join(list(PRESETS) + ["montecarlo:<n>"]))
     p.add_argument("--strength", "-t", type=float, default=1.0)
     _add_common(p)
-    p.set_defaults(func=cmd_preset)
+    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("verify", help="re-verify a saved circuit")
     p.add_argument("circuit", help="circuit JSON path")
     p.add_argument("spec")
-    p.add_argument("--numeric-cutoff", type=int, default=0, metavar="D")
-    p.add_argument("--subspace", type=int, default=5, metavar="d")
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    _add_numeric(p)
     p.set_defaults(func=cmd_verify)
 
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one command; every error-to-exit mapping is made here."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        _parse(args)
+    except (SpecError, ValueError) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (OSError, SchemaViolation) as exc:
+        print(f"cannot load circuit: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        status = args.func(args)
+    except Ineligible as exc:
+        print(f"ineligible: {exc}", file=sys.stderr)
+        return EXIT_INELIGIBLE
+    if status == EXIT_VERIFY:
+        print("verification failed: residual above threshold", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ class TargetGate:
     """e^{i * strength * H} with H a product of quadrature powers.
 
     exponents maps each mode to (power, basis); powers are positive
-    integers and each mode appears once.
+    integers, each mode appears once, and the strength is finite.
     """
 
     exponents: tuple[tuple[int, int, Basis], ...]  # (mode, power, basis)
@@ -66,6 +66,8 @@ class TargetGate:
             raise ValueError("each mode may appear only once")
         if any(n < 1 for _, n, _ in self.exponents):
             raise ValueError("powers must be positive integers")
+        if not math.isfinite(self.strength):
+            raise ValueError(f"strength {self.strength!r} is not finite")
         object.__setattr__(self, "exponents",
                            tuple(sorted(self.exponents, key=lambda e: e[0])))
 

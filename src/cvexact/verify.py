@@ -33,8 +33,10 @@ class FockContext:
     """Truncation parameters for numeric verification.
 
     cutoff: levels kept per mode when simulating the gates.
-    subspace: levels per mode on which the comparison is made.
-    tolerance: acceptance threshold for the subspace error.
+    subspace: levels per mode on which the comparison is made; at least 1
+        and at most cutoff // 3.
+    tolerance: acceptance threshold for the subspace error; finite and
+        positive.
 
     subspace <= cutoff/3 is necessary but not enough: the cutoff must also
     hold the circuit's intermediate states, or the state is cut back to
@@ -49,8 +51,12 @@ class FockContext:
     tolerance: float = 1e-5
 
     def __post_init__(self):
+        if self.subspace < 1:
+            raise ValueError("subspace must be at least 1")
         if self.subspace > self.cutoff // 3:
             raise ValueError("subspace must satisfy d <= D/3")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
 
 
 def fock_matrices(cutoff: int):

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
+from cvexact import cli
 from cvexact.algebra import Basis
 from cvexact.cli import (EXIT_INELIGIBLE, EXIT_PARSE, EXIT_VERIFY, SpecError,
-                         format_spec, main, parse_spec, parse_terms,
-                         preset_spec)
+                         format_spec, main, parse_spec, preset_spec)
 from cvexact.decompose import TargetGate
 
 
@@ -30,6 +30,9 @@ def test_parse_spec_momentum_factor():
     "t=1 X[0] X[0]^2",     # repeated mode
     "t=1",                 # no factors
     "t=1 X[0]^0",          # zero exponent
+    "t=nan X[0]",          # strengths that are not finite
+    "t=inf X[0]",
+    "t=-inf X[0]",
 ])
 def test_parse_spec_rejects(bad):
     with pytest.raises(SpecError):
@@ -45,13 +48,6 @@ def test_format_parse_round_trip():
         assert format_spec(parse_spec(s)) == s
 
 
-def test_parse_terms_splits_on_plus():
-    strength, terms = parse_terms("t=0.3 X[0]^2 + X[1] X[2]")
-    assert strength == 0.3
-    assert len(terms) == 2
-    assert terms[0].degree() == 2
-
-
 def test_preset_montecarlo():
     assert preset_spec("montecarlo:3", 0.5) == "t=0.5 X[0]^3 P[1] P[2] P[3]"
     assert preset_spec("montecarlo:1", 1.0).endswith("X[0] P[1] P[2] P[3]")
@@ -59,6 +55,11 @@ def test_preset_montecarlo():
         preset_spec("montecarlo:zero", 1.0)
     with pytest.raises(SpecError):
         preset_spec("no-such-kernel", 1.0)
+
+
+def test_preset_strength_is_exact():
+    assert parse_spec(preset_spec("cross-kerr", 0.123456789)).strength \
+        == 0.123456789
 
 
 def test_compile_success_exit_zero(capsys):
@@ -71,6 +72,12 @@ def test_compile_success_exit_zero(capsys):
 def test_compile_parse_error_exit(capsys):
     assert main(["compile", "t=oops X[0]"]) == EXIT_PARSE
     assert "parse error" in capsys.readouterr().err
+
+
+def test_non_finite_strength_exit(capsys):
+    assert main(["compile", "t=nan X[0]^4"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
 
 
 def test_compile_ineligible_exit(capsys):
@@ -143,8 +150,76 @@ def test_trotter_flag_emits_split_circuit(tmp_path, capsys):
     assert path.exists()
 
 
+def test_nan_residual_fails_verification(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_symbolic", lambda *a: float("nan"))
+    assert main(["compile", "t=0.3 X[0]^4"]) == EXIT_VERIFY
+    assert "verification failed" in capsys.readouterr().err
+
+
 def test_numeric_check_over_threshold_fails(capsys):
     # honest truncation error at this cutoff exceeds the default tolerance
     rc = main(["compile", "t=0.05 X[0]^4", "--numeric-cutoff", "24"])
     assert rc == EXIT_VERIFY
     assert "verification failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--numeric-cutoff", "24", "--subspace", "0"],      # empty comparison
+    ["--numeric-cutoff", "24", "--subspace", "-1"],
+    ["--numeric-cutoff", "24", "--tolerance", "nan"],   # never fails
+    ["--numeric-cutoff", "10"],                         # subspace 5 > 10/3
+])
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_bad_numeric_flags_exit_before_any_work(command, flags, tmp_path,
+                                                capsys, monkeypatch):
+    path = tmp_path / "circuit.json"
+    assert main(["compile", "t=0.3 X[0]^4", "--no-verify",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "compile", None)   # any call would raise
+    monkeypatch.setattr(cli, "verify_symbolic", None)
+    head = ["verify", str(path)] if command == "verify" else ["compile"]
+    assert main(head + ["t=0.3 X[0]^4"] + flags) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_trotter_steps_must_be_positive(k, capsys):
+    assert main(["compile", "t=0.2 X[0]^4", "--trotter", k]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_trotter_ineligible_exit(capsys):
+    assert main(["compile", "t=1 X[0]^5", "--trotter", "3"]) == EXIT_INELIGIBLE
+    assert "ineligible" in capsys.readouterr().err
+
+
+def test_commands_call_compile_and_verifiers_through_the_module(tmp_path,
+                                                                capsys,
+                                                                monkeypatch):
+    # a benchmark times these calls and holds them to a time limit by
+    # replacing the module attributes; the CLI must look them up per call
+    calls = []
+    for name in ("compile", "verify_symbolic", "verify_numeric"):
+        fn = getattr(cli, name)
+
+        def counted(*a, _fn=fn, _name=name, **kw):
+            calls.append(_name)
+            return _fn(*a, **kw)
+
+        monkeypatch.setattr(cli, name, counted)
+    path = tmp_path / "circuit.json"
+    main(["compile", "t=0.3 X[0] X[1]", "--numeric-cutoff", "6",
+          "--subspace", "2", "--out", str(path)])
+    assert calls == ["compile", "verify_symbolic", "verify_numeric"]
+    calls.clear()
+    assert main(["preset", "pca-rotation", "-t", "0.2"]) == 0
+    assert calls == ["compile", "verify_symbolic"]
+    calls.clear()
+    assert main(["compare", "t=1 X[0]^4"]) == 0
+    assert calls == ["compile"]
+    calls.clear()
+    main(["verify", str(path), "t=0.3 X[0] X[1]", "--numeric-cutoff", "6",
+          "--subspace", "2"])
+    assert calls == ["verify_symbolic", "verify_numeric"]

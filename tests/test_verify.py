@@ -30,6 +30,14 @@ def test_fock_context_validates_subspace():
         FockContext(cutoff=24, subspace=9)
 
 
+@pytest.mark.parametrize("subspace,tolerance", [
+    (0, 1e-5), (-1, 1e-5), (5, float("nan")), (5, float("inf")), (5, 0.0),
+    (5, -1e-5)])
+def test_fock_context_rejects_vacuous_checks(subspace, tolerance):
+    with pytest.raises(ValueError):
+        FockContext(cutoff=24, subspace=subspace, tolerance=tolerance)
+
+
 def test_dimension_guard():
     seq = GateSeq(tuple(Gate.x(m, 1, 0.1) for m in range(5)), 5)
     gen = NOPoly.monomial([(m, 1, 0) for m in range(5)], 1.0)
