@@ -11,7 +11,7 @@ from .algebra import (Basis, NOPoly, NonTerminatingSeries, adjoint_series,
 from .baseline import (commutator_approx, commutator_repeats,
                        estimate_commutator_count, target_from_poly,
                        trotter_suzuki)
-from .circuit import (Gate, GateSeq, heisenberg_conjugate, zassenhaus_split)
+from .circuit import Gate, GateSeq, heisenberg_conjugate
 from .circuit_tools import (DecompReport, SchemaViolation, count_gates,
                             deserialize, optimize, serialize, serialize_json)
 from .decompose import (CoeffSolution, EligibilityVerdict, Ineligible,
@@ -28,7 +28,7 @@ __all__ = [
     "commutator", "max_coeff_diff", "poly_mul",
     "commutator_approx", "commutator_repeats", "estimate_commutator_count",
     "target_from_poly", "trotter_suzuki",
-    "Gate", "GateSeq", "heisenberg_conjugate", "zassenhaus_split",
+    "Gate", "GateSeq", "heisenberg_conjugate",
     "DecompReport", "SchemaViolation", "count_gates", "deserialize",
     "optimize", "serialize", "serialize_json",
     "CoeffSolution", "EligibilityVerdict", "Ineligible", "NoUnitCentralMode",

@@ -105,20 +105,6 @@ class NOPoly:
         key = tuple(sorted((m, a, b) for m, a, b in factors if a or b))
         return self.terms.get(key, 0.0 + 0.0j)
 
-    def dagger(self) -> "NOPoly":
-        """Hermitian conjugate, re-normal-ordered."""
-        out = NOPoly.zero()
-        for key, coeff in self.terms.items():
-            # (prod X^a P^b)† = prod P^b X^a per mode; reorder mode by mode
-            term = NOPoly.constant(coeff.conjugate())
-            for m, a, b in key:
-                term = term * NOPoly.p(m, b) * NOPoly.x(m, a)
-            out = out + term
-        return out
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return max_coeff_diff(self, self.dagger()) <= tol
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "NOPoly") -> "NOPoly":
@@ -209,15 +195,14 @@ def commutator(a: NOPoly, b: NOPoly) -> NOPoly:
     return poly_mul(a, b) - poly_mul(b, a)
 
 
-def adjoint_series(a: NOPoly, b: NOPoly, max_terms: int | None = None) -> NOPoly:
+def adjoint_series(a: NOPoly, b: NOPoly) -> NOPoly:
     """e^a b e^{-a} = b + [a,b] + [a,[a,b]]/2! + ..., summed to termination.
 
-    Raises NonTerminatingSeries if no zero term appears within the bound
-    (default 2 + deg(b) * deg(a)); the conjugators used by the compiler all
-    terminate well inside it.
+    Raises NonTerminatingSeries if no zero term appears within
+    2 + deg(b) * deg(a) terms; the conjugators used by the compiler all
+    terminate well inside that bound.
     """
-    if max_terms is None:
-        max_terms = 2 + b.degree() * max(a.degree(), 1)
+    max_terms = 2 + b.degree() * max(a.degree(), 1)
     total = b
     term = b
     for n in range(1, max_terms + 1):

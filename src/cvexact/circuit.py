@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .algebra import (
-    NOPoly,
-    adjoint_series,
-    commutator,
-    max_coeff_diff,
-)
+from .algebra import NOPoly, adjoint_series, max_coeff_diff
 
 # gate kinds; the universal ones are the names of the saved-circuit format
 FOURIER = "fourier"
@@ -180,31 +175,3 @@ def _fourier_substitute(b: NOPoly, mode: int, forward: bool) -> NOPoly:
 
         out = out + term
     return out
-
-
-def zassenhaus_split(a: NOPoly, b: NOPoly, t: float, order: int) -> GateSeq:
-    """Leading factors of e^{it(a+b)} as a product of exponentials.
-
-    e^{it(A+B)} = e^{itA} e^{itB} e^{(t²/2)[A,B]}
-                  e^{(-it³/6)(2[B,[A,B]] + [A,[A,B]])} ...
-
-    Exact (two factors) when [a,b] = 0; otherwise returns the first `order`
-    factors, order between 2 and 4.
-    """
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    if order > 4:
-        raise NotImplementedError("Zassenhaus factors beyond fourth order")
-    gates = [Gate.exp_poly(a, t, "zassenhaus"), Gate.exp_poly(b, t, "zassenhaus")]
-    c1 = commutator(a, b)
-    if not c1.is_zero():
-        if order >= 3:
-            # e^{(t²/2)[A,B]} = e^{i(t²/2)(-i[A,B])}
-            gates.append(Gate.exp_poly(c1.scale(-1j), 0.5 * t * t, "zassenhaus"))
-        if order >= 4:
-            w = commutator(b, c1).scale(2.0) + commutator(a, c1)
-            # e^{(-it³/6) w} = e^{i(t³/6)(-w)}
-            gates.append(Gate.exp_poly(-w, t**3 / 6.0, "zassenhaus"))
-    modes = (a.modes() | b.modes()) or {0}
-    n = max(modes) + 1
-    return GateSeq(tuple(gates), n_target_modes=n)

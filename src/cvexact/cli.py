@@ -6,9 +6,9 @@ Target gates are written as a strength assignment followed by quadrature
 factors, e.g. `t=0.1 X[0] X[1] X[2]^2` or `t=1 P[0] X[1]^2`.
 
 Every command runs the same stages: the parse stage checks all inputs (spec,
-preset, numeric and Trotter flags, saved circuit) before any compile or verify
-call, `compile` alone judges eligibility, and `_verify` makes the symbolic and
-numeric checks. `main` maps the outcome to an exit code: 0 success, 2 bad
+preset, numeric, Trotter and epsilon flags, saved circuit) before any compile
+or verify call, `compile` alone judges eligibility, and `_verify` makes the
+symbolic and numeric checks. `main` maps the outcome to an exit code: 0 success, 2 bad
 input (parse error, unknown preset, bad flag, unreadable circuit),
 3 ineligible target, 4 verification failure above threshold.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -234,6 +235,9 @@ def _parse(args) -> None:
         args.ctx = FockContext(args.numeric_cutoff, args.subspace, args.tolerance)
     if getattr(args, "trotter", None) is not None and args.trotter < 1:
         raise SpecError("--trotter K must be at least 1")
+    epsilon = getattr(args, "epsilon", 1.0)
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise SpecError("--epsilon must be finite and positive")
     if args.command == "verify":
         with open(args.circuit) as fh:
             args.seq = deserialize(fh.read())

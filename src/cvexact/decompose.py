@@ -361,7 +361,7 @@ class _Compiler:
         self._leave()
         return gates
 
-    def x2x2(self, j: int, k: int, t: float, s: float | None = None) -> list[Gate]:
+    def x2x2(self, j: int, k: int, t: float) -> list[Gate]:
         """e^{itX_j²X_k²} from four X⁴ gates inside shift conjugations.
 
         The shift strengths (s, -2s, s) are free; s = 2 reproduces the
@@ -370,8 +370,7 @@ class _Compiler:
         if abs(t) < ZERO_STRENGTH:
             return []
         self._enter("twosquares")
-        if s is None:
-            s = min(2.0, (12.0 * abs(t)) ** (1.0 / 6.0)) if self.balanced else 2.0
+        s = min(2.0, (12.0 * abs(t)) ** (1.0 / 6.0)) if self.balanced else 2.0
         beta = t / (3.0 * s * s)
         shift = lambda q: self._px_unit(j, k, q)
         gates = (shift(s) + self.single_even(j, 4, beta) + shift(-2 * s)

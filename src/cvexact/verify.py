@@ -94,16 +94,23 @@ def target_action(generator: NOPoly, strength: float, b: NOPoly) -> NOPoly:
     return adjoint_series(generator.scale(-1j * strength), b)
 
 
+def _verified_modes(seq: GateSeq, generator: NOPoly) -> list[int]:
+    """The modes both verifiers check: the circuit's modes in their order,
+    then any mode of the target that the circuit lacks."""
+    modes = seq.all_modes()
+    return modes + sorted(generator.modes() - set(modes))
+
+
 def verify_symbolic(seq: GateSeq, generator: NOPoly, strength: float) -> float:
     """Worst-case Heisenberg residual of seq against e^{i*strength*generator}.
 
-    Compares the image of X_m and P_m for every mode the sequence touches;
-    ancilla modes must return to themselves (the target acts as identity
-    there). Returns the largest absolute coefficient deviation; exact
-    circuits give ~1e-12 (floating-point noise only).
+    Compares the image of X_m and P_m for every mode of the sequence or the
+    target; ancilla modes must return to themselves (the target acts as
+    identity there). Returns the largest absolute coefficient deviation;
+    exact circuits give ~1e-12 (floating-point noise only).
     """
     residual = 0.0
-    for m in seq.all_modes():
+    for m in _verified_modes(seq, generator):
         for b in (NOPoly.x(m), NOPoly.p(m)):
             got = heisenberg_action(seq, b)
             want = target_action(generator, strength, b)
@@ -376,7 +383,7 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
     maximises the overlap Re tr(e^{-iφ}B†A), which minimises the Frobenius
     norm of the difference, not in general its spectral norm.
     """
-    modes = seq.all_modes()
+    modes = _verified_modes(seq, generator)
     nmodes = len(modes)
     D, d = ctx.cutoff, ctx.subspace
     if D ** nmodes > MAX_FULL_DIM:

@@ -65,14 +65,6 @@ def test_product_associative():
     assert _close(left, right)
 
 
-def test_dagger_reverses_products():
-    a = NOPoly.monomial([(0, 2, 1)], 1 + 2j)
-    b = NOPoly.monomial([(0, 0, 3)], -0.5j)
-    lhs = poly_mul(a, b).dagger()
-    rhs = poly_mul(b.dagger(), a.dagger())
-    assert _close(lhs, rhs)
-
-
 def test_commutator_antisymmetry_and_jacobi():
     a = NOPoly.x(0, 3)
     b = NOPoly.monomial([(0, 1, 1)], 1.0)
@@ -131,10 +123,3 @@ def test_adjoint_series_raises_when_not_terminating():
     # [X^2, P^2] feeds back into itself: the series never truncates
     with pytest.raises(NonTerminatingSeries):
         adjoint_series(NOPoly.x(0, 2, 1j) + NOPoly.p(0, 2, 1j), NOPoly.x(0))
-
-
-def test_hermiticity_detection():
-    assert NOPoly.x(0, 2).is_hermitian()
-    assert not NOPoly.monomial([(0, 1, 1)], 1.0).is_hermitian()
-    sym = NOPoly.monomial([(0, 1, 1)], 1.0) + NOPoly.monomial([(0, 1, 1)], 1.0).dagger()
-    assert sym.is_hermitian()

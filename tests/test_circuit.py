@@ -1,4 +1,4 @@
-"""Gate and sequence semantics: Heisenberg rules, ordering, product splitting.
+"""Gate and sequence semantics: Heisenberg rules and ordering.
 
 The gate-list convention (first entry is the leftmost operator, i.e. applied
 last) and the conjugation rules are pinned down against dense truncated-Fock
@@ -8,11 +8,11 @@ matrices so that every later symbolic identity stands on checked ground.
 import numpy as np
 import pytest
 
-from cvexact.algebra import NOPoly, max_coeff_diff
+from cvexact.algebra import NOPoly, max_coeff_diff, poly_mul
 from cvexact.circuit import (EXPPOLY, FOURIER, Gate, GateSeq,
-                             heisenberg_conjugate, zassenhaus_split)
+                             heisenberg_conjugate)
 
-from util import block_distance, gate_matrix, seq_matrix
+from util import gate_matrix, seq_matrix
 
 
 def _close(a, b, tol=1e-10):
@@ -46,6 +46,42 @@ def test_fourier_period_four():
     for _ in range(4):
         img = heisenberg_conjugate(f, img)
     assert _close(img, b)
+
+
+def _fourier_by_products(b, mode, forward):
+    """X -> -P, P -> X (forward) or X -> P, P -> -X (inverse) on one mode,
+    built factor by factor from poly_mul products."""
+    out = NOPoly.zero()
+    for key, coeff in b.terms.items():
+        term = NOPoly.constant(coeff)
+        for m, a, p in key:
+            if m == mode:
+                sign = (-1) ** (a if forward else p)
+                sub = poly_mul(NOPoly.p(m, a), NOPoly.x(m, p)).scale(sign)
+            else:
+                sub = NOPoly.monomial([(m, a, p)])
+            term = poly_mul(term, sub)
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("mode", [0, 1])
+def test_fourier_substitution_beyond_degree_one(mode):
+    # X₀²P₀³X₁ + 0.5i·P₀X₂² + (-0.7+0.2i)·X₀³P₀³X₁P₁² + 0.25·X₁P₁
+    b = (NOPoly.monomial([(0, 2, 3), (1, 1, 0)])
+         + NOPoly.monomial([(0, 0, 1), (2, 2, 0)], 0.5j)
+         + NOPoly.monomial([(0, 3, 3), (1, 1, 2)], -0.7 + 0.2j)
+         + NOPoly.monomial([(1, 1, 1)], 0.25))
+    f = Gate.fourier(mode)
+    for gate, forward in ((f, True), (f.inverse(), False)):
+        got = heisenberg_conjugate(gate, b)
+        assert max_coeff_diff(got, _fourier_by_products(b, mode, forward)) < 1e-12
+    img = b
+    for _ in range(4):
+        img = heisenberg_conjugate(f, img)
+    assert max_coeff_diff(img, b) < 1e-12
+    back = heisenberg_conjugate(f.inverse(), heisenberg_conjugate(f, b))
+    assert max_coeff_diff(back, b) < 1e-12
 
 
 def test_exppoly_conjugation_shear():
@@ -92,40 +128,6 @@ def test_sequence_inverse():
     ui = seq_matrix(seq.inverse(), cutoff)
     blk = np.ix_(range(8), range(8))
     assert np.max(np.abs((u @ ui)[blk] - np.eye(cutoff)[blk])) < 1e-8
-
-
-def _exact_sum_exponential(a, b, t, cutoff):
-    from util import poly_matrix, expm_hermitian_times_i
-    h = poly_matrix(a + b, 1, cutoff)
-    return expm_hermitian_times_i(t * (h + h.conj().T) / 2.0)
-
-
-@pytest.mark.parametrize("order", [2, 3, 4])
-def test_zassenhaus_split_error_order(order):
-    # splitting e^{it(A+B)} into `order` factors leaves an O(t^order) defect
-    a = NOPoly.x(0, 2)
-    b = NOPoly.monomial([(0, 0, 2)], 1.0)
-    cutoff = 36
-    errs = []
-    for t in (0.08, 0.04):
-        seq = zassenhaus_split(a, b, t, order)
-        ref = _exact_sum_exponential(a, b, t, cutoff)
-        errs.append(block_distance(seq_matrix(seq, cutoff), ref, 6, 1, cutoff,
-                                   phase_free=False))
-    rate = np.log2(errs[0] / errs[1])
-    assert rate > order - 0.6
-
-
-def test_zassenhaus_commuting_terms_split_exactly():
-    a = NOPoly.x(0, 2)
-    b = NOPoly.x(0, 1, 0.7)
-    t = 0.3
-    seq = zassenhaus_split(a, b, t, 4)
-    assert len(seq.gates) == 2
-    cutoff = 36
-    ref = _exact_sum_exponential(a, b, t, cutoff)
-    assert block_distance(seq_matrix(seq, cutoff), ref, 6, 1, cutoff,
-                          phase_free=False) < 1e-9
 
 
 # generators that Gate.exp_poly turns into the record of Gate.x or Gate.xx

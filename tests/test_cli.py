@@ -111,6 +111,20 @@ def test_verify_detects_wrong_target(tmp_path, capsys):
                  "t=0.3 X[0]^4"]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("circuit,flags", [
+    ("t=0 X[0]^2", []),                          # empty circuit
+    ("t=1 X[0]^2", ["--numeric-cutoff", "15"]),
+], ids=["symbolic", "numeric"])
+def test_verify_checks_target_modes_the_circuit_lacks(circuit, flags, tmp_path,
+                                                      capsys):
+    path = tmp_path / "circuit.json"
+    assert main(["compile", circuit, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path), "t=1 X[3]^2"] + flags) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert ("numeric error" in out) == bool(flags)
+
+
 def test_verify_rejects_malformed_circuit(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 99, "gates": []}))
@@ -133,6 +147,14 @@ def test_compare_prints_ratio(capsys):
     out = capsys.readouterr().out
     assert "exact compilation:   29" in out
     assert "ratio:" in out
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+def test_bad_epsilon_exits_before_compile(epsilon, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "compile", None)   # any call would raise
+    assert main(["compare", "t=1 X[0]^4", "--epsilon", epsilon]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
 
 
 def test_preset_compiles(capsys):

@@ -9,8 +9,9 @@ from cvexact.algebra import Basis, NOPoly
 from cvexact.circuit import FOURIER, Gate, GateSeq
 from cvexact.decompose import TargetGate, compile
 from cvexact.verify import (INTERNAL_PAD, DimensionTooLarge, FockContext,
-                            _NumericEngine, _position_basis, fock_matrices,
-                            heisenberg_action, verify_numeric, verify_symbolic)
+                            _NumericEngine, _position_basis, _verified_modes,
+                            fock_matrices, heisenberg_action, verify_numeric,
+                            verify_symbolic)
 
 from util import gate_matrix, seq_matrix
 
@@ -52,11 +53,23 @@ def test_heisenberg_action_identity_sequence():
 
 
 def test_symbolic_accepts_correct_and_rejects_wrong():
-    tg = TargetGate.position({0: 4}, 0.3)
-    seq, _ = compile(tg)
-    assert verify_symbolic(seq, tg.generator(), tg.strength) < 1e-9
-    # same circuit against a slightly different strength must fail loudly
-    assert verify_symbolic(seq, tg.generator(), tg.strength * 1.01) > 1e-4
+    # P₀X₁³'s route runs through nested Fourier conjugations
+    for tg in (TargetGate.position({0: 4}, 0.3),
+               TargetGate(((0, 1, Basis.MOMENTUM), (1, 3, Basis.POSITION)), 0.3)):
+        seq, _ = compile(tg)
+        assert verify_symbolic(seq, tg.generator(), tg.strength) < 1e-9
+        # same circuit against a slightly different strength must fail loudly
+        assert verify_symbolic(seq, tg.generator(), tg.strength * 1.01) > 1e-4
+
+
+def test_target_modes_the_circuit_lacks_are_verified():
+    # an empty circuit on mode 0 is not e^{iX₃²}
+    gen, empty = NOPoly.x(3, 2), GateSeq((), 1)
+    assert _verified_modes(empty, gen) == [0, 3]
+    assert _verified_modes(GateSeq((), 2, (5,)), gen * NOPoly.x(0)) == [0, 1, 5, 3]
+    assert verify_symbolic(empty, gen, 1.0) > 0.5
+    err, _ = verify_numeric(empty, gen, 1.0, FockContext(cutoff=15, subspace=5))
+    assert err > 0.1
 
 
 def test_symbolic_detects_ancilla_disturbance():

@@ -70,18 +70,3 @@ def seq_matrix(seq, cutoff, n_modes=None):
     for g in seq.gates:
         u = u @ gate_matrix(g, n_modes, cutoff)
     return u
-
-
-def block_distance(u, v, d, n_modes, cutoff, phase_free=True):
-    """Spectral norm of the low-block difference, optionally mod global phase."""
-    idx = []
-    import itertools
-    for tup in itertools.product(range(d), repeat=n_modes):
-        idx.append(sum(c * cutoff ** (n_modes - 1 - i)
-                       for i, c in enumerate(tup)))
-    a = u[np.ix_(idx, idx)]
-    b = v[np.ix_(idx, idx)]
-    if phase_free:
-        phase = np.angle(np.trace(b.conj().T @ a))
-        b = np.exp(1j * phase) * b
-    return np.linalg.norm(a - b, 2)

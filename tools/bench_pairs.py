@@ -7,7 +7,9 @@ Pair i uses seed S+i on both sides; even pairs run the parent first, odd
 pairs the change first. Each run is `python3 perfbench/run.py --workload NAME
 --seed SEED --seconds SECONDS --trace 0` in that checkout, and its
 end-to-end metrics are read back from the checkout's
-`perfbench/out/result-NAME-seedSEED-trace0.json`. The output file keeps
+`perfbench/out/result-NAME-seedSEED-trace0.json`, which is deleted before
+the run; a run that exits non-zero or writes no result stops the script with
+an error. The output file keeps
 every run of every workload recorded so far, with a summary per metric:
 each side's median and quartiles, and the pairs the change won (lower is
 better for every gated metric; ties count for neither side).
@@ -29,8 +31,15 @@ METRICS = ("wall_s", "setup_s", "gates_nonfourier", "peak_rss_mb",
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     result = checkout / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    # a result left by an earlier run must not pass for this one
+    result.unlink(missing_ok=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0 or not result.exists():
+        raise SystemExit(
+            f"{checkout}: workload {workload} seed {seed} exited "
+            f"{proc.returncode}" + ("" if result.exists() else ", no result")
+            + f"\n{proc.stdout}{proc.stderr}")
     doc = json.loads(result.read_text())
     return {"seed": seed, "exit_code": proc.returncode,
             "git_sha": doc["environment"]["git_sha"],
