@@ -8,9 +8,9 @@ factors, e.g. `t=0.1 X[0] X[1] X[2]^2` or `t=1 P[0] X[1]^2`.
 Every command runs the same stages: the parse stage checks all inputs (spec,
 preset, numeric, Trotter and epsilon flags, saved circuit) before any compile
 or verify call, `compile` alone judges eligibility, and `_verify` makes the
-symbolic and numeric checks. `main` maps the outcome to an exit code: 0 success, 2 bad
-input (parse error, unknown preset, bad flag, unreadable circuit),
-3 ineligible target, 4 verification failure above threshold.
+symbolic and numeric checks. `main` maps the outcome to an exit code:
+0 success, 2 bad input (parse error, unknown preset, bad flag, unreadable
+circuit), 3 ineligible target, 4 verification failure above threshold.
 """
 
 from __future__ import annotations
