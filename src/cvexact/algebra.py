@@ -9,6 +9,7 @@ floating-point rounding of the i/2 correction cascade.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import Iterable, Mapping
@@ -30,15 +31,17 @@ class NonTerminatingSeries(Exception):
 TermKey = tuple[tuple[int, int, int], ...]
 
 
+@functools.lru_cache(maxsize=4096)
 def _mul_single_mode(a: int, b: int, c: int, d: int):
     """Normal-order (X^a P^b)(X^c P^d) for one mode.
 
-    Yields (coefficient, x_exp, p_exp) using
+    Returns the (coefficient, x_exp, p_exp) terms, using
     P^b X^c = sum_k (-i/2)^k k! C(b,k) C(c,k) X^(c-k) P^(b-k).
     """
-    for k in range(min(b, c) + 1):
-        coeff = ((-0.5j) ** k) * math.factorial(k) * math.comb(b, k) * math.comb(c, k)
-        yield coeff, a + c - k, b + d - k
+    return tuple(
+        (((-0.5j) ** k) * math.factorial(k) * math.comb(b, k) * math.comb(c, k),
+         a + c - k, b + d - k)
+        for k in range(min(b, c) + 1))
 
 
 class NOPoly:
@@ -167,15 +170,20 @@ def max_coeff_diff(a: NOPoly, b: NOPoly) -> float:
 def poly_mul(a: NOPoly, b: NOPoly) -> NOPoly:
     """Normal-ordered product a*b."""
     out: dict[TermKey, complex] = {}
+    b_terms = [({m: (x, p) for m, x, p in kb}, cb) for kb, cb in b.terms.items()]
     for ka, ca in a.terms.items():
-        da = dict((m, (x, p)) for m, x, p in ka)
-        for kb, cb in b.terms.items():
-            db = dict((m, (x, p)) for m, x, p in kb)
+        da = {m: (x, p) for m, x, p in ka}
+        for db, cb in b_terms:
             # per-mode reordering; modes only in one factor pass through
             partial: list[tuple[complex, list[tuple[int, int, int]]]] = [(ca * cb, [])]
             for m in sorted(set(da) | set(db)):
                 ax, ap = da.get(m, (0, 0))
                 bx, bp = db.get(m, (0, 0))
+                if not (ap and bx):  # already in order: one unit term
+                    factor = (m, ax + bx, ap + bp)
+                    partial = [(coeff, factors + [factor])
+                               for coeff, factors in partial]
+                    continue
                 expanded = []
                 for coeff, factors in partial:
                     for corr, xe, pe in _mul_single_mode(ax, ap, bx, bp):
@@ -187,6 +195,51 @@ def poly_mul(a: NOPoly, b: NOPoly) -> NOPoly:
             for coeff, factors in partial:
                 key = tuple(factors)
                 out[key] = out.get(key, 0.0) + coeff
+    return NOPoly(out)
+
+
+def substitute(b: NOPoly, images: Mapping[int, tuple[NOPoly, NOPoly]]) -> NOPoly:
+    """φ(b) for the algebra homomorphism φ given by its generators' images.
+
+    images maps a mode m to (φ(X_m), φ(P_m)); a mode it omits is left as it
+    is. Each term X_m^a P_m^b ... becomes the ordered product φ(X_m)^a
+    φ(P_m)^b ... of the images. That is φ(b) when the images keep the
+    canonical commutation relations, as those of a unitary conjugation do.
+    A b that is a single unit generator returns its image itself.
+    """
+    if len(b.terms) == 1:
+        (key, coeff), = b.terms.items()
+        if coeff == 1 and len(key) == 1 and key[0][0] in images:
+            m, a, p = key[0]
+            if (a, p) in ((1, 0), (0, 1)):
+                return images[m][p]
+    powers: dict[tuple[int, int, int], NOPoly] = {}
+
+    def power(m: int, which: int, n: int) -> NOPoly:
+        got = powers.get((m, which, n))
+        if got is None:
+            got = images[m][which]
+            if n > 1:
+                got = poly_mul(power(m, which, n - 1), got)
+            powers[(m, which, n)] = got
+        return got
+
+    out: dict[TermKey, complex] = {}
+    for key, coeff in b.terms.items():
+        factors = []
+        for m, a, p in key:
+            if m not in images:
+                factors.append(NOPoly({((m, a, p),): 1.0}))
+                continue
+            factors += [power(m, which, n) for which, n in ((0, a), (1, p)) if n]
+        if not factors:
+            out[()] = out.get((), 0.0) + coeff
+            continue
+        term = factors[0]
+        for f in factors[1:]:
+            term = poly_mul(term, f)
+        for k, c in term.terms.items():
+            out[k] = out.get(k, 0.0) + coeff * c
     return NOPoly(out)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .algebra import NOPoly, adjoint_series, max_coeff_diff
+from .algebra import NOPoly, adjoint_series, max_coeff_diff, substitute
 
 # gate kinds; the universal ones are the names of the saved-circuit format
 FOURIER = "fourier"
@@ -142,36 +142,39 @@ class GateSeq:
         return replace(self, gates=tuple(g.inverse() for g in reversed(self.gates)))
 
 
-def heisenberg_conjugate(g: Gate, b: NOPoly) -> NOPoly:
-    """Image of b under conjugation by g.
+def gate_images(g: Gate) -> dict[int, tuple[NOPoly, NOPoly]]:
+    """Images of X_m and P_m for each mode m of g under heisenberg_conjugate.
 
-    For an exponential gate this is e^{A} b e^{-A} with A = i*strength*generator,
-    summed via the terminating adjoint series. A forward Fourier acts as
-    X -> -P, P -> X on its mode; the inverse Fourier undoes it.
+    A forward Fourier sends (X, P) to (−P, X) and its inverse to (P, −X).
+    e^{isf(X)} for an x1/x2/x3/xx gate fixes every X and sends P_j to
+    P_j − (s/2)∂_j f. An exppoly gate's images are its adjoint series on
+    each generator. A gate of strength at most ZERO_STRENGTH has none.
     """
-    if g.kind != FOURIER:
-        if abs(g.strength) <= ZERO_STRENGTH:
-            return b
-        return adjoint_series(g.generator.scale(1j * g.strength), b)
-    return _fourier_substitute(b, g.mode, forward=(g.power == 1))
+    if g.kind == FOURIER:
+        m = g.mode
+        if g.power == 1:
+            return {m: (NOPoly.p(m, 1, -1.0), NOPoly.x(m))}
+        return {m: (NOPoly.p(m), NOPoly.x(m, 1, -1.0))}
+    s = g.strength
+    if abs(s) <= ZERO_STRENGTH:
+        return {}
+    if g.kind == EXPPOLY:
+        a = g.poly.scale(1j * s)
+        return {m: (adjoint_series(a, NOPoly.x(m)), adjoint_series(a, NOPoly.p(m)))
+                for m in g.modes}
+    if g.kind == XX:
+        j, k = g.modes
+        return {j: (NOPoly.x(j), NOPoly.p(j) + NOPoly.x(k, 1, -s / 2)),
+                k: (NOPoly.x(k), NOPoly.p(k) + NOPoly.x(j, 1, -s / 2))}
+    m, n = g.mode, X_POWER[g.kind]
+    return {m: (NOPoly.x(m), NOPoly.p(m) + NOPoly.x(m, n - 1, -s * n / 2))}
 
 
-def _fourier_substitute(b: NOPoly, mode: int, forward: bool) -> NOPoly:
-    """Apply X->-P, P->X (forward) or X->P, P->-X (inverse) on one mode."""
-    out = NOPoly.zero()
-    for key, coeff in b.terms.items():
-        term = NOPoly.constant(coeff)
-        for m, a, p in key:
-            if m != mode:
-                term = term * NOPoly.monomial([(m, a, p)])
-                continue
-            if forward:
-                # X^a P^p -> (-P)^a X^p, re-normal-ordered
-                sub = ((-1) ** a) * (NOPoly.p(m, a) * NOPoly.x(m, p))
-            else:
-                # X^a P^p -> P^a (-X)^p
-                sub = ((-1) ** p) * (NOPoly.p(m, a) * NOPoly.x(m, p))
-            term = term * sub
+def heisenberg_conjugate(g: Gate, b: NOPoly) -> NOPoly:
+    """Image of b under conjugation by g: b with gate_images(g) substituted.
 
-        out = out + term
-    return out
+    For an exponential gate this is e^{A} b e^{-A} with A = i*strength*generator.
+    A forward Fourier acts as X -> -P, P -> X on its mode; the inverse
+    Fourier undoes it.
+    """
+    return substitute(b, gate_images(g))

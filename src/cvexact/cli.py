@@ -10,7 +10,8 @@ preset, numeric, Trotter and epsilon flags, saved circuit) before any compile
 or verify call, `compile` alone judges eligibility, and `_verify` makes the
 symbolic and numeric checks. `main` maps the outcome to an exit code:
 0 success, 2 bad input (parse error, unknown preset, bad flag, unreadable
-circuit), 3 ineligible target, 4 verification failure above threshold.
+circuit, --out in a missing directory or not writable), 3 ineligible target,
+4 verification failure above threshold.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -224,8 +226,9 @@ def _parse(args) -> None:
 
     Sets args.target, args.ctx (a FockContext, or None without
     --numeric-cutoff) and, for verify, args.seq. Raises SpecError or
-    ValueError for a bad spec, preset or flag, OSError or SchemaViolation
-    for a circuit file that cannot be loaded.
+    ValueError for a bad spec, preset or flag (an --out whose directory
+    does not exist among them), OSError or SchemaViolation for a circuit
+    file that cannot be loaded.
     """
     spec = (preset_spec(args.name, args.strength) if args.command == "preset"
             else args.spec)
@@ -238,6 +241,9 @@ def _parse(args) -> None:
     epsilon = getattr(args, "epsilon", 1.0)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise SpecError("--epsilon must be finite and positive")
+    out_dir = os.path.dirname(getattr(args, "out", None) or "") or "."
+    if not os.path.isdir(out_dir):
+        raise SpecError(f"--out directory {out_dir!r} does not exist")
     if args.command == "verify":
         with open(args.circuit) as fh:
             args.seq = deserialize(fh.read())
@@ -312,6 +318,9 @@ def main(argv=None) -> int:
     except Ineligible as exc:
         print(f"ineligible: {exc}", file=sys.stderr)
         return EXIT_INELIGIBLE
+    except OSError as exc:  # only writing --out opens a file here
+        print(f"cannot write circuit: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     if status == EXIT_VERIFY:
         print("verification failed: residual above threshold", file=sys.stderr)
     return status

@@ -1,10 +1,10 @@
 """Two independent checks that a gate sequence implements its target.
 
 The symbolic check compares Heisenberg images of every quadrature operator,
-computed exactly through terminating adjoint series; it is blind to global
-phase. The numeric check multiplies truncated-Fock gate matrices and compares
-against the exact exponential on a low-lying subspace, which also pins down
-the phase.
+computed exactly by composing one substitution map per gate; it is blind to
+global phase. The numeric check multiplies truncated-Fock gate matrices and
+compares against the exact exponential on a low-lying subspace, which also
+pins down the phase.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NOPoly, adjoint_series
+from .algebra import NOPoly, adjoint_series, substitute
 from .circuit import FOURIER, X_POWER, Gate, GateSeq, heisenberg_conjugate
 
 
@@ -73,20 +73,30 @@ def fock_matrices(cutoff: int):
     return x, p, a
 
 
-def heisenberg_action(seq: GateSeq, b: NOPoly) -> NOPoly:
-    """Exact image U† b U for the unitary U described by seq.
+def heisenberg_action(seq: GateSeq,
+                      modes: list[int]) -> dict[int, tuple[NOPoly, NOPoly]]:
+    """Exact images U† X_m U and U† P_m U, by mode m of modes, for the
+    unitary U described by seq.
 
-    Folding runs through the gate list front to back: the leftmost (last
-    applied) gate conjugates first. Exponential gates enter daggered so each
-    step is g† b g; the Fourier rule of heisenberg_conjugate is already in
-    that orientation.
+    Conjugation by U is the composition of one algebra automorphism per
+    gate, so the images of all generators are kept together and composed
+    gate by gate, rightmost (first applied) gate first: each gate replaces
+    the images of its own modes with its own images of them, g† X_m g and
+    g† P_m g from heisenberg_conjugate, evaluated on the images so far
+    (substitute). Every mode of seq is tracked; modes may add modes seq
+    lacks, whose images stay X_m and P_m.
     """
-    for g in seq.gates:
-        if g.kind != FOURIER:
-            b = heisenberg_conjugate(g.inverse(), b)
-        else:
-            b = heisenberg_conjugate(g, b)
-    return b
+    generators = {m: (NOPoly.x(m), NOPoly.p(m))
+                  for m in [*seq.all_modes(), *modes]}
+    images = dict(generators)
+    for g in reversed(seq.gates):
+        # each step is b -> g† b g; the Fourier rule of heisenberg_conjugate
+        # already has that orientation
+        h = g if g.kind == FOURIER else g.inverse()
+        images.update({m: tuple(substitute(heisenberg_conjugate(h, b), images)
+                                for b in generators[m])
+                       for m in g.modes})
+    return {m: images[m] for m in modes}
 
 
 def target_action(generator: NOPoly, strength: float, b: NOPoly) -> NOPoly:
@@ -105,16 +115,16 @@ def verify_symbolic(seq: GateSeq, generator: NOPoly, strength: float) -> float:
     """Worst-case Heisenberg residual of seq against e^{i*strength*generator}.
 
     Compares the image of X_m and P_m for every mode of the sequence or the
-    target; ancilla modes must return to themselves (the target acts as
-    identity there). Returns the largest absolute coefficient deviation;
-    exact circuits give ~1e-12 (floating-point noise only).
+    target, all computed in one heisenberg_action; ancilla modes must
+    return to themselves (the target acts as identity there). Returns the
+    largest absolute coefficient deviation; exact circuits give ~1e-12
+    (floating-point noise only).
     """
+    modes = _verified_modes(seq, generator)
     residual = 0.0
-    for m in _verified_modes(seq, generator):
-        for b in (NOPoly.x(m), NOPoly.p(m)):
-            got = heisenberg_action(seq, b)
-            want = target_action(generator, strength, b)
-            diff = got - want
+    for m, got in heisenberg_action(seq, modes).items():
+        for b, image in zip((NOPoly.x(m), NOPoly.p(m)), got):
+            diff = image - target_action(generator, strength, b)
             residual = max(residual,
                            max((abs(c) for c in diff.terms.values()), default=0.0))
     return residual

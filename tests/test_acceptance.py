@@ -8,7 +8,6 @@ self-explanatory in the log.
 import itertools
 import math
 import time
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
@@ -22,6 +21,8 @@ from cvexact.decompose import (TargetGate, _Compiler, check_eligibility,
                                compile, solve_pascal_coeffs)
 from cvexact.verify import (MAX_FULL_DIM, FockContext, verify_numeric,
                             verify_symbolic)
+
+from util import negate_last_exp
 
 
 def _verdict(name, ok, detail):
@@ -234,13 +235,6 @@ def _resolve(seq, generator, strength):
     return rows, err_hi < 1e-5 and abs(phase_hi) < 1e-4 and err_hi < err_lo
 
 
-def _negate_last_exp(seq):
-    """seq with the strength of its last non-Fourier gate negated."""
-    i = max(i for i, g in enumerate(seq.gates) if g.kind != FOURIER)
-    return replace(seq, gates=(seq.gates[:i] + (seq.gates[i].inverse(),)
-                               + seq.gates[i + 1:]))
-
-
 def test_criterion_4_numeric_corpus():
     corpus = [({0: 4}, 0.05), ({0: 1, 1: 1, 2: 1}, 0.02), ({0: 2, 1: 2}, 0.05)]
     t0 = time.perf_counter()
@@ -268,7 +262,7 @@ def test_criterion_4_numeric_corpus():
     rows, ok = [], True
     for label, seq, tg in pieces:
         checks, resolved = _resolve(seq, tg.generator(), tg.strength)
-        ctrl, ctrl_resolved = _resolve(_negate_last_exp(seq), tg.generator(),
+        ctrl, ctrl_resolved = _resolve(negate_last_exp(seq), tg.generator(),
                                        tg.strength)
         rows.append((label, checks, ctrl[-1][1], resolved, ctrl_resolved))
         ok &= resolved and not ctrl_resolved
@@ -369,3 +363,20 @@ def test_criterion_7_eligibility_contract():
     ok &= dt < 1.0
     detail = f"3 rejected with cited restrictions, 7 accepted, {dt:.2f}s"
     assert _verdict("criterion 7 eligibility contract", ok, detail), detail
+
+
+# ------------------------------------------------------------ large routes
+
+def test_large_routes_verified_symbolically():
+    # the odd-power route, 16,503 non-Fourier gates: about 11 s for both
+    # checks on a 2-core machine, against a budget of 60 s
+    t0 = time.perf_counter()
+    tg = TargetGate.position({0: 9}, 0.3)
+    seq, rep = compile(tg)
+    res = verify_symbolic(seq, tg.generator(), tg.strength)
+    ctrl = verify_symbolic(negate_last_exp(seq), tg.generator(), tg.strength)
+    dt = time.perf_counter() - t0
+    ok = res < 1e-9 and ctrl > 1e-2 and dt < 60.0
+    detail = (f"X⁹ at t=0.3, {rep.n_gates_nonfourier} non-Fourier gates: "
+              f"residual {res:.1e}, negated-gate control {ctrl:.2g}, {dt:.1f}s")
+    assert _verdict("large routes verified symbolically", ok, detail), detail

@@ -35,3 +35,22 @@ def test_run_without_a_result_stops_and_records_nothing(body, code, tmp_path):
         f"{checkout}: workload symbolic seed 3 exited {code}, no result\n")
     assert not stale.exists()
     assert not out.exists()
+
+
+def _pair(parent, change):
+    return {side: {"metrics": {name: value[name] if name in value else 1.0
+                               for name in bench_pairs.METRICS}}
+            for side, value in (("parent", parent), ("change", change))}
+
+
+def test_decided_frac_is_recorded_and_won_by_the_higher_side():
+    runs = [_pair({"decided_frac": 0.9, "wall_s": 30.0},
+                  {"decided_frac": 1.0, "wall_s": 2.0}),
+            _pair({"decided_frac": 0.9, "wall_s": 31.0},
+                  {"decided_frac": 0.9, "wall_s": 2.1}),
+            _pair({"decided_frac": 1.0, "wall_s": 29.0},
+                  {"decided_frac": 0.9, "wall_s": 29.5})]
+    summary = bench_pairs.summarize(runs)
+    assert summary["decided_frac"]["change_wins"] == 1   # a tie wins nothing
+    assert summary["decided_frac"]["change"]["median"] == 0.9
+    assert summary["wall_s"]["change_wins"] == 2         # lower wins here

@@ -8,11 +8,11 @@ matrices so that every later symbolic identity stands on checked ground.
 import numpy as np
 import pytest
 
-from cvexact.algebra import NOPoly, max_coeff_diff, poly_mul
+from cvexact.algebra import NOPoly, adjoint_series, max_coeff_diff
 from cvexact.circuit import (EXPPOLY, FOURIER, Gate, GateSeq,
                              heisenberg_conjugate)
 
-from util import gate_matrix, seq_matrix
+from util import fourier_by_products, gate_matrix, seq_matrix
 
 
 def _close(a, b, tol=1e-10):
@@ -48,40 +48,49 @@ def test_fourier_period_four():
     assert _close(img, b)
 
 
-def _fourier_by_products(b, mode, forward):
-    """X -> -P, P -> X (forward) or X -> P, P -> -X (inverse) on one mode,
-    built factor by factor from poly_mul products."""
-    out = NOPoly.zero()
-    for key, coeff in b.terms.items():
-        term = NOPoly.constant(coeff)
-        for m, a, p in key:
-            if m == mode:
-                sign = (-1) ** (a if forward else p)
-                sub = poly_mul(NOPoly.p(m, a), NOPoly.x(m, p)).scale(sign)
-            else:
-                sub = NOPoly.monomial([(m, a, p)])
-            term = poly_mul(term, sub)
-        out = out + term
-    return out
+# X₀²P₀³X₁ + 0.5i·P₀X₂² + (-0.7+0.2i)·X₀³P₀³X₁P₁² + 0.25·X₁P₁ - P₀X₁³P₂
+MIXED_B = (NOPoly.monomial([(0, 2, 3), (1, 1, 0)])
+           + NOPoly.monomial([(0, 0, 1), (2, 2, 0)], 0.5j)
+           + NOPoly.monomial([(0, 3, 3), (1, 1, 2)], -0.7 + 0.2j)
+           + NOPoly.monomial([(1, 1, 1)], 0.25)
+           - NOPoly.monomial([(0, 0, 1), (1, 3, 0), (2, 0, 1)]))
 
 
 @pytest.mark.parametrize("mode", [0, 1])
 def test_fourier_substitution_beyond_degree_one(mode):
-    # X₀²P₀³X₁ + 0.5i·P₀X₂² + (-0.7+0.2i)·X₀³P₀³X₁P₁² + 0.25·X₁P₁
-    b = (NOPoly.monomial([(0, 2, 3), (1, 1, 0)])
-         + NOPoly.monomial([(0, 0, 1), (2, 2, 0)], 0.5j)
-         + NOPoly.monomial([(0, 3, 3), (1, 1, 2)], -0.7 + 0.2j)
-         + NOPoly.monomial([(1, 1, 1)], 0.25))
+    b = MIXED_B
     f = Gate.fourier(mode)
     for gate, forward in ((f, True), (f.inverse(), False)):
         got = heisenberg_conjugate(gate, b)
-        assert max_coeff_diff(got, _fourier_by_products(b, mode, forward)) < 1e-12
+        assert max_coeff_diff(got, fourier_by_products(b, mode, forward)) < 1e-12
     img = b
     for _ in range(4):
         img = heisenberg_conjugate(f, img)
     assert max_coeff_diff(img, b) < 1e-12
     back = heisenberg_conjugate(f.inverse(), heisenberg_conjugate(f, b))
     assert max_coeff_diff(back, b) < 1e-12
+
+
+@pytest.mark.parametrize("s", [0.7, -1.3])
+@pytest.mark.parametrize("kind,gate", [
+    ("x1", lambda s: Gate.x(0, 1, s)),
+    ("x2", lambda s: Gate.x(1, 2, s)),
+    ("x3", lambda s: Gate.x(0, 3, s)),
+    ("xx", lambda s: Gate.xx(0, 1, s)),
+    ("xx", lambda s: Gate.xx(2, 1, s)),
+    ("exppoly", lambda s: Gate.exp_poly(NOPoly.x(0, 4), s)),
+    ("exppoly", lambda s: Gate.exp_poly(
+        NOPoly.monomial([(0, 0, 1), (1, 2, 0)]), s)),
+], ids=["x1", "x2", "x3", "xx01", "xx12", "exppoly-X0^4", "exppoly-P0X1^2"])
+def test_exponential_conjugation_matches_adjoint_series(kind, gate, s):
+    # the closed-form images substituted into b against e^{A} b e^{-A}
+    # summed as nested commutators of the whole of b
+    g = gate(s)
+    assert g.kind == kind
+    want = adjoint_series(g.generator.scale(1j * s), MIXED_B)
+    got = heisenberg_conjugate(g, MIXED_B)
+    scale = max(abs(c) for c in want.terms.values())
+    assert max_coeff_diff(got, want) < 1e-12 * scale
 
 
 def test_exppoly_conjugation_shear():

@@ -206,6 +206,30 @@ def test_bad_numeric_flags_exit_before_any_work(command, flags, tmp_path,
     assert err.startswith("parse error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["compile", "t=0.3 X[0]^4"],
+    ["compile", "t=0.2 X[0]^4", "--trotter", "2"],
+    ["preset", "cross-kerr", "-t", "0.5"],
+], ids=["compile", "trotter", "preset"])
+def test_out_in_missing_directory_exits_before_compile(argv, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(cli, "compile", None)   # any call would raise
+    monkeypatch.setattr(cli, "trotter_suzuki", None)
+    out = tmp_path / "missing" / "c.json"
+    assert main(argv + ["--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert "missing" in err
+    assert not out.parent.exists()
+
+
+def test_unwritable_out_exits_with_one_line(tmp_path, capsys):
+    # the directory exists, but the path names a directory, not a file
+    assert main(["compile", "t=0.3 X[0]^4", "--out", str(tmp_path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write circuit:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_trotter_steps_must_be_positive(k, capsys):
     assert main(["compile", "t=0.2 X[0]^4", "--trotter", k]) == EXIT_PARSE

@@ -15,6 +15,8 @@ from cvexact.circuit_tools import count_gates
 from cvexact.cli import parse_spec
 from cvexact.verify import verify_symbolic
 
+from util import negate_last_exp
+
 TOL = 1e-9
 X, P = Basis.POSITION, Basis.MOMENTUM
 
@@ -177,15 +179,19 @@ def test_x2x2_identity(t):
     _check(seq, gen, t)
 
 
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_single_even_identity(n):
-    # n = 8 and the odd-power route produce degree-8+ Heisenberg images
-    # whose full folding is too slow for the unit suite; the underlying
-    # five- and nine-factor identities are verified from raw factors in the
-    # acceptance suite instead
     t = 0.9
     seq = _compiled(t, (0, n, X))
     _check(seq, NOPoly.x(0, n), t)
+
+
+def test_x8_at_unit_strength_is_exact():
+    # the per-operator fold never finished this row; the composed map
+    # decides it, and a circuit with its last gate negated is rejected
+    seq = _compiled(1.0, (0, 8, X))
+    _check(seq, NOPoly.x(0, 8), 1.0)
+    assert verify_symbolic(negate_last_exp(seq), NOPoly.x(0, 8), 1.0) > 1e-2
 
 
 def test_single_odd_nine_compiles_to_universal_gates():

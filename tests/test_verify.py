@@ -5,15 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from cvexact.algebra import Basis, NOPoly
+from cvexact.algebra import Basis, NOPoly, max_coeff_diff
 from cvexact.circuit import FOURIER, Gate, GateSeq
+from cvexact.cli import parse_spec
 from cvexact.decompose import TargetGate, compile
 from cvexact.verify import (INTERNAL_PAD, DimensionTooLarge, FockContext,
                             _NumericEngine, _position_basis, _verified_modes,
                             fock_matrices, heisenberg_action, verify_numeric,
                             verify_symbolic)
 
-from util import gate_matrix, seq_matrix
+from test_decompose import ROUTE_PINS
+from util import gate_matrix, heisenberg_fold, seq_matrix
 
 
 def test_fock_matrices_commutator():
@@ -48,8 +50,39 @@ def test_dimension_guard():
 
 def test_heisenberg_action_identity_sequence():
     seq = GateSeq((Gate.x(0, 2, 0.5), Gate.x(0, 2, -0.5)), 1)
-    b = NOPoly.p(0)
-    assert (heisenberg_action(seq, b) - b).is_zero()
+    (x, p), = heisenberg_action(seq, [0]).values()
+    assert (x - NOPoly.x(0)).is_zero()
+    assert (p - NOPoly.p(0)).is_zero()
+
+
+def _mono(*factors):
+    return NOPoly.monomial(list(factors))
+
+
+# every gate kind, both Fourier powers, momentum and mixed exppoly
+# generators, and an untouched fourth mode
+HAND_BUILT = GateSeq((
+    Gate.xx(0, 1, 0.3), Gate.fourier(1), Gate.x(2, 3, 0.15),
+    Gate.exp_poly(NOPoly.p(1, 2), 0.2), Gate.fourier(0, -1),
+    Gate.exp_poly(_mono((0, 1, 0), (1, 0, 1), (2, 1, 0)), 0.12),
+    Gate.x(0, 1, -0.7), Gate.exp_poly(NOPoly.x(2, 4), -0.05),
+    Gate.xx(2, 0, -0.35), Gate.x(1, 2, 0.4), Gate.fourier(2),
+    Gate.x(2, 3, -0.25)), 4)
+
+
+@pytest.mark.parametrize("body", [b for b, *_ in ROUTE_PINS] + [None],
+                         ids=[b.translate({ord(c): None for c in "[] "})
+                              for b, *_ in ROUTE_PINS] + ["hand-built"])
+def test_heisenberg_action_matches_per_operator_fold(body):
+    # the composed map against each operator folded through every gate on
+    # its own, on circuits of up to 1,681 gates
+    seq = HAND_BUILT if body is None else compile(parse_spec(f"t=0.3 {body}"))[0]
+    modes = seq.all_modes()
+    images = heisenberg_action(seq, modes)
+    assert list(images) == modes
+    for m in modes:
+        for b, got in zip((NOPoly.x(m), NOPoly.p(m)), images[m]):
+            assert max_coeff_diff(got, heisenberg_fold(seq, b)) < 1e-12
 
 
 def test_symbolic_accepts_correct_and_rejects_wrong():

@@ -1,11 +1,21 @@
-"""Small dense-matrix helpers used as an independent oracle in the tests.
+"""Independent oracles used only by the tests.
 
-Everything here is built directly from ladder matrices and eigendecompositions,
-on purpose not reusing the package's own numeric verifier, so that symbolic
-results can be cross-checked against straightforward linear algebra.
+The dense-matrix helpers are built directly from ladder matrices and
+eigendecompositions, on purpose not reusing the package's own numeric
+verifier, so that symbolic results can be cross-checked against
+straightforward linear algebra. The symbolic references (the Fourier rule
+by products and the per-operator Heisenberg fold) use only poly_mul and
+adjoint_series, not the package's substitution maps.
 """
 
+from dataclasses import replace
+
+import math
+
 import numpy as np
+
+from cvexact.algebra import NOPoly, adjoint_series, poly_mul
+from cvexact.circuit import FOURIER
 
 
 def ladder(cutoff):
@@ -47,8 +57,6 @@ def expm_hermitian_times_i(h):
 
 def gate_matrix(g, n_modes, cutoff):
     """Dense unitary of one gate on the full n_modes space."""
-    from cvexact.circuit import FOURIER
-
     if g.kind == FOURIER:
         n = np.arange(cutoff)
         diag = np.exp(1j * g.power * np.pi / 2 * (n + 0.5))
@@ -70,3 +78,63 @@ def seq_matrix(seq, cutoff, n_modes=None):
     for g in seq.gates:
         u = u @ gate_matrix(g, n_modes, cutoff)
     return u
+
+
+def poly_mul_by_loops(a, b):
+    """Normal-ordered product a*b, every factor reordered term by term with
+    P^b X^c = sum_k (-i/2)^k k! C(b,k) C(c,k) X^(c-k) P^(b-k), caching and
+    skipping nothing; the same arithmetic as poly_mul, in the same order."""
+    out = {}
+    for ka, ca in a.terms.items():
+        da = {m: (x, p) for m, x, p in ka}
+        for kb, cb in b.terms.items():
+            db = {m: (x, p) for m, x, p in kb}
+            partial = [(ca * cb, [])]
+            for m in sorted(set(da) | set(db)):
+                (ax, ap), (bx, bp) = da.get(m, (0, 0)), db.get(m, (0, 0))
+                partial = [
+                    (coeff * (((-0.5j) ** k) * math.factorial(k)
+                              * math.comb(ap, k) * math.comb(bx, k)),
+                     factors + [(m, ax + bx - k, ap + bp - k)]
+                     if ax + bx + ap + bp - 2 * k else factors)
+                    for coeff, factors in partial
+                    for k in range(min(ap, bx) + 1)]
+            for coeff, factors in partial:
+                out[tuple(factors)] = out.get(tuple(factors), 0.0) + coeff
+    return NOPoly(out)
+
+
+def fourier_by_products(b, mode, forward):
+    """X -> -P, P -> X (forward) or X -> P, P -> -X (inverse) on one mode,
+    built factor by factor from poly_mul products."""
+    out = NOPoly.zero()
+    for key, coeff in b.terms.items():
+        term = NOPoly.constant(coeff)
+        for m, a, p in key:
+            if m == mode:
+                sign = (-1) ** (a if forward else p)
+                sub = poly_mul(NOPoly.p(m, a), NOPoly.x(m, p)).scale(sign)
+            else:
+                sub = NOPoly.monomial([(m, a, p)])
+            term = poly_mul(term, sub)
+        out = out + term
+    return out
+
+
+def heisenberg_fold(seq, b):
+    """U† b U by the per-operator fold: the whole image of b is conjugated
+    by one gate after another, leftmost (last applied) gate first, through
+    the adjoint series of g† · g or the Fourier product rule."""
+    for g in seq.gates:
+        if g.kind == FOURIER:
+            b = fourier_by_products(b, g.mode, forward=g.power == 1)
+        else:
+            b = adjoint_series(g.generator.scale(-1j * g.strength), b)
+    return b
+
+
+def negate_last_exp(seq):
+    """seq with the strength of its last non-Fourier gate negated."""
+    i = max(i for i, g in enumerate(seq.gates) if g.kind != FOURIER)
+    return replace(seq, gates=(seq.gates[:i] + (seq.gates[i].inverse(),)
+                               + seq.gates[i + 1:]))

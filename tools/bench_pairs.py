@@ -11,8 +11,9 @@ end-to-end metrics are read back from the checkout's
 the run; a run that exits non-zero or writes no result stops the script with
 an error. The output file keeps
 every run of every workload recorded so far, with a summary per metric:
-each side's median and quartiles, and the pairs the change won (lower is
-better for every gated metric; ties count for neither side).
+each side's median and quartiles, and the pairs the change won (higher is
+better for decided_frac and lower for every other metric; ties count for
+neither side).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import sys
 from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "gates_nonfourier", "peak_rss_mb",
-           "wall_raw_s", "numeric_err_gmean", "failed_frac")
+           "wall_raw_s", "numeric_err_gmean", "decided_frac", "failed_frac")
+HIGHER_IS_BETTER = {"decided_frac"}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -60,9 +62,10 @@ def summarize(runs: list[dict]) -> dict:
             sides[side] = {"median": statistics.median(vals), "q1": q1,
                            "q3": q3}
         else:
+            sign = -1 if name in HIGHER_IS_BETTER else 1
             sides["change_wins"] = sum(
-                r["change"]["metrics"][name] < r["parent"]["metrics"][name]
-                for r in runs)
+                sign * r["change"]["metrics"][name]
+                < sign * r["parent"]["metrics"][name] for r in runs)
             sides["pairs"] = len(runs)
             out[name] = sides
     return out
