@@ -9,7 +9,6 @@ floating-point rounding of the i/2 correction cascade.
 
 from __future__ import annotations
 
-import functools
 import math
 from enum import Enum
 from typing import Iterable, Mapping
@@ -31,17 +30,15 @@ class NonTerminatingSeries(Exception):
 TermKey = tuple[tuple[int, int, int], ...]
 
 
-@functools.lru_cache(maxsize=4096)
 def _mul_single_mode(a: int, b: int, c: int, d: int):
     """Normal-order (X^a P^b)(X^c P^d) for one mode.
 
-    Returns the (coefficient, x_exp, p_exp) terms, using
+    Yields (coefficient, x_exp, p_exp) using
     P^b X^c = sum_k (-i/2)^k k! C(b,k) C(c,k) X^(c-k) P^(b-k).
     """
-    return tuple(
-        (((-0.5j) ** k) * math.factorial(k) * math.comb(b, k) * math.comb(c, k),
-         a + c - k, b + d - k)
-        for k in range(min(b, c) + 1))
+    for k in range(min(b, c) + 1):
+        coeff = ((-0.5j) ** k) * math.factorial(k) * math.comb(b, k) * math.comb(c, k)
+        yield coeff, a + c - k, b + d - k
 
 
 class NOPoly:
@@ -179,11 +176,6 @@ def poly_mul(a: NOPoly, b: NOPoly) -> NOPoly:
             for m in sorted(set(da) | set(db)):
                 ax, ap = da.get(m, (0, 0))
                 bx, bp = db.get(m, (0, 0))
-                if not (ap and bx):  # already in order: one unit term
-                    factor = (m, ax + bx, ap + bp)
-                    partial = [(coeff, factors + [factor])
-                               for coeff, factors in partial]
-                    continue
                 expanded = []
                 for coeff, factors in partial:
                     for corr, xe, pe in _mul_single_mode(ax, ap, bx, bp):
@@ -205,14 +197,7 @@ def substitute(b: NOPoly, images: Mapping[int, tuple[NOPoly, NOPoly]]) -> NOPoly
     is. Each term X_m^a P_m^b ... becomes the ordered product φ(X_m)^a
     φ(P_m)^b ... of the images. That is φ(b) when the images keep the
     canonical commutation relations, as those of a unitary conjugation do.
-    A b that is a single unit generator returns its image itself.
     """
-    if len(b.terms) == 1:
-        (key, coeff), = b.terms.items()
-        if coeff == 1 and len(key) == 1 and key[0][0] in images:
-            m, a, p = key[0]
-            if (a, p) in ((1, 0), (0, 1)):
-                return images[m][p]
     powers: dict[tuple[int, int, int], NOPoly] = {}
 
     def power(m: int, which: int, n: int) -> NOPoly:

@@ -47,6 +47,10 @@ class SpecError(Exception):
     pass
 
 
+class CircuitWriteError(Exception):
+    """The circuit could not be written to --out."""
+
+
 _FACTOR_RE = re.compile(r"([XP])\[(\d+)\](?:\^(\d+))?$")
 
 
@@ -174,8 +178,11 @@ def _verify(seq, target: TargetGate, ctx: FockContext | None):
 
 def _save(path, seq) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(serialize_json(seq))
+        try:
+            with open(path, "w") as fh:
+                fh.write(serialize_json(seq))
+        except OSError as exc:
+            raise CircuitWriteError(exc) from exc
 
 
 def cmd_compile(args) -> int:
@@ -189,6 +196,9 @@ def cmd_compile(args) -> int:
         return 0
 
     seq, report = compile(target, balanced=(args.param_split == "balanced"))
+    # saved before the check: a circuit that fails it is still written, and
+    # a write error ends the command before any verify call
+    _save(args.out, seq)
     status, *residuals = ((0, None, None, None) if args.no_verify
                           else _verify(seq, target, args.ctx))
     if args.format == "json":
@@ -197,7 +207,6 @@ def cmd_compile(args) -> int:
         print(f"target:              {format_spec(target)}")
         for line in _report_lines(report, *residuals):
             print(line)
-    _save(args.out, seq)
     return status
 
 
@@ -241,9 +250,9 @@ def _parse(args) -> None:
     epsilon = getattr(args, "epsilon", 1.0)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise SpecError("--epsilon must be finite and positive")
-    out_dir = os.path.dirname(getattr(args, "out", None) or "") or "."
-    if not os.path.isdir(out_dir):
-        raise SpecError(f"--out directory {out_dir!r} does not exist")
+    out = getattr(args, "out", None)
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise SpecError(f"--out directory {os.path.dirname(out)!r} does not exist")
     if args.command == "verify":
         with open(args.circuit) as fh:
             args.seq = deserialize(fh.read())
@@ -318,7 +327,7 @@ def main(argv=None) -> int:
     except Ineligible as exc:
         print(f"ineligible: {exc}", file=sys.stderr)
         return EXIT_INELIGIBLE
-    except OSError as exc:  # only writing --out opens a file here
+    except CircuitWriteError as exc:
         print(f"cannot write circuit: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if status == EXIT_VERIFY:

@@ -12,7 +12,7 @@ import pytest
 from cvexact.algebra import (NOPoly, NonTerminatingSeries, adjoint_series,
                              commutator, max_coeff_diff, poly_mul)
 
-from util import poly_matrix, poly_mul_by_loops
+from util import poly_matrix
 
 CUTOFF = 40
 BLOCK = 10  # compare only the lowest 10 levels per mode
@@ -54,27 +54,6 @@ def test_product_against_fock_matrices_two_modes():
     prod = poly_mul(a, b)
     ref = poly_matrix(a, 2, CUTOFF) @ poly_matrix(b, 2, CUTOFF)
     assert _matrix_close(prod, 2, ref)
-
-
-def test_product_matches_the_plain_loops_bit_for_bit():
-    # poly_mul caches the one-mode reordering and skips it for factors
-    # already in order; neither may change a single bit or the term order
-    rng = np.random.default_rng(11)
-
-    def poly():
-        terms = {}
-        for _ in range(rng.integers(1, 9)):
-            modes = sorted(rng.choice(4, size=rng.integers(0, 4), replace=False))
-            key = tuple((int(m), int(rng.integers(0, 4)), int(rng.integers(0, 4)))
-                        for m in modes)
-            key = tuple(f for f in key if f[1] or f[2])
-            terms[key] = complex(*rng.normal(size=2)) * 10.0 ** rng.integers(-11, 3)
-        return NOPoly(terms)
-
-    for _ in range(300):
-        a, b = poly(), poly()
-        got, want = poly_mul(a, b).terms, poly_mul_by_loops(a, b).terms
-        assert got == want and list(got) == list(want)
 
 
 def test_product_associative():

@@ -230,6 +230,39 @@ def test_unwritable_out_exits_with_one_line(tmp_path, capsys):
     assert err.startswith("cannot write circuit:") and err.count("\n") == 1
 
 
+def test_write_error_ends_compile_before_verification(tmp_path, capsys,
+                                                       monkeypatch):
+    # a check that would fail is never reached: one line, exit 2
+    calls = []
+    monkeypatch.setattr(cli, "verify_symbolic",
+                        lambda *a: calls.append(a) or float("nan"))
+    assert main(["compile", "t=0.3 X[0]^4", "--out", str(tmp_path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write circuit:")
+    assert captured.err.count("\n") == 1
+    assert not calls and captured.out == ""
+
+
+def test_output_errors_are_not_write_errors(monkeypatch):
+    # only writing --out maps to "cannot write circuit"; a broken stdout
+    # is not caught
+    def broken(*args, **kwargs):
+        raise BrokenPipeError("stdout closed")
+    monkeypatch.setattr("builtins.print", broken)
+    with pytest.raises(BrokenPipeError):
+        main(["compile", "t=0.3 X[0]^4", "--no-verify"])
+
+
+def test_commands_without_out_skip_the_directory_check(tmp_path, monkeypatch,
+                                                       capsys):
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    assert main(["compile", "t=0.3 X[0]^4"]) == 0
+    assert main(["compare", "t=0.3 X[0]^4"]) == 0
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_trotter_steps_must_be_positive(k, capsys):
     assert main(["compile", "t=0.2 X[0]^4", "--trotter", k]) == EXIT_PARSE

@@ -10,8 +10,6 @@ adjoint_series, not the package's substitution maps.
 
 from dataclasses import replace
 
-import math
-
 import numpy as np
 
 from cvexact.algebra import NOPoly, adjoint_series, poly_mul
@@ -78,30 +76,6 @@ def seq_matrix(seq, cutoff, n_modes=None):
     for g in seq.gates:
         u = u @ gate_matrix(g, n_modes, cutoff)
     return u
-
-
-def poly_mul_by_loops(a, b):
-    """Normal-ordered product a*b, every factor reordered term by term with
-    P^b X^c = sum_k (-i/2)^k k! C(b,k) C(c,k) X^(c-k) P^(b-k), caching and
-    skipping nothing; the same arithmetic as poly_mul, in the same order."""
-    out = {}
-    for ka, ca in a.terms.items():
-        da = {m: (x, p) for m, x, p in ka}
-        for kb, cb in b.terms.items():
-            db = {m: (x, p) for m, x, p in kb}
-            partial = [(ca * cb, [])]
-            for m in sorted(set(da) | set(db)):
-                (ax, ap), (bx, bp) = da.get(m, (0, 0)), db.get(m, (0, 0))
-                partial = [
-                    (coeff * (((-0.5j) ** k) * math.factorial(k)
-                              * math.comb(ap, k) * math.comb(bx, k)),
-                     factors + [(m, ax + bx - k, ap + bp - k)]
-                     if ax + bx + ap + bp - 2 * k else factors)
-                    for coeff, factors in partial
-                    for k in range(min(ap, bx) + 1)]
-            for coeff, factors in partial:
-                out[tuple(factors)] = out.get(tuple(factors), 0.0) + coeff
-    return NOPoly(out)
 
 
 def fourier_by_products(b, mode, forward):
