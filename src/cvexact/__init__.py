@@ -15,9 +15,8 @@ from .circuit import Gate, GateSeq, heisenberg_conjugate
 from .circuit_tools import (DecompReport, SchemaViolation, count_gates,
                             deserialize, optimize, serialize, serialize_json)
 from .decompose import (CoeffSolution, EligibilityVerdict, Ineligible,
-                        NoUnitCentralMode, TargetGate, check_eligibility,
-                        compile, decompose_poly_power, expand_general_d,
-                        solve_pascal_coeffs)
+                        TargetGate, check_eligibility, compile,
+                        expand_general_d, solve_pascal_coeffs)
 from .verify import (DimensionTooLarge, FockContext, fock_matrices,
                      heisenberg_action, verify_numeric, verify_symbolic)
 
@@ -31,9 +30,8 @@ __all__ = [
     "Gate", "GateSeq", "heisenberg_conjugate",
     "DecompReport", "SchemaViolation", "count_gates", "deserialize",
     "optimize", "serialize", "serialize_json",
-    "CoeffSolution", "EligibilityVerdict", "Ineligible", "NoUnitCentralMode",
-    "TargetGate", "check_eligibility", "compile", "decompose_poly_power",
-    "expand_general_d", "solve_pascal_coeffs",
+    "CoeffSolution", "EligibilityVerdict", "Ineligible", "TargetGate",
+    "check_eligibility", "compile", "expand_general_d", "solve_pascal_coeffs",
     "DimensionTooLarge", "FockContext", "fock_matrices", "heisenberg_action",
     "verify_numeric", "verify_symbolic",
 ]

@@ -98,12 +98,8 @@ class NOPoly:
     def modes(self) -> set[int]:
         return {m for key in self.terms for m, _, _ in key}
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
-
-    def coefficient(self, factors: Iterable[tuple[int, int, int]]) -> complex:
-        key = tuple(sorted((m, a, b) for m, a, b in factors if a or b))
-        return self.terms.get(key, 0.0 + 0.0j)
+    def is_zero(self) -> bool:
+        return not self.terms  # __init__ prunes every zero coefficient
 
     # -- arithmetic --------------------------------------------------------
 

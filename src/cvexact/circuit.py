@@ -124,8 +124,14 @@ class GateSeq:
     ancilla_modes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        allowed = set(range(self.n_target_modes)) | set(self.ancilla_modes)
-        undeclared = {m for g in self.gates for m in g.modes} - allowed
+        n, ancillas = self.n_target_modes, self.ancilla_modes
+        if n < 0:
+            raise ValueError(f"negative mode count {n}")
+        if len(set(ancillas)) != len(ancillas) or any(a < n for a in ancillas):
+            raise ValueError(f"ancilla modes {list(ancillas)} must be distinct "
+                             f"and at least the mode count {n}")
+        used = {m for g in self.gates for m in g.modes}
+        undeclared = {m for m in used if not 0 <= m < n} - set(ancillas)
         if undeclared:
             raise ValueError(f"gate references undeclared modes {undeclared}")
 
@@ -173,8 +179,11 @@ def gate_images(g: Gate) -> dict[int, tuple[NOPoly, NOPoly]]:
 def heisenberg_conjugate(g: Gate, b: NOPoly) -> NOPoly:
     """Image of b under conjugation by g: b with gate_images(g) substituted.
 
-    For an exponential gate this is e^{A} b e^{-A} with A = i*strength*generator.
-    A forward Fourier acts as X -> -P, P -> X on its mode; the inverse
-    Fourier undoes it.
+    The orientation differs by kind. For an exponential gate this is
+    g b g† = e^{A} b e^{-A} with A = i*strength*generator. For a Fourier
+    gate it is g† b g: a forward Fourier acts as X -> -P, P -> X on its
+    mode (F X F† = P), and the inverse Fourier undoes it. That is why
+    heisenberg_action, which needs g† b g throughout, passes the inverse of
+    each exponential gate and each Fourier gate as it is.
     """
     return substitute(b, gate_images(g))

@@ -29,10 +29,9 @@ class DecompReport:
     route: str = ""
 
 
-def count_gates(seq: GateSeq, exclude_fourier: bool) -> int:
-    if exclude_fourier:
-        return sum(1 for g in seq.gates if g.kind != FOURIER)
-    return len(seq.gates)
+def count_gates(seq: GateSeq) -> int:
+    """The number of non-Fourier gates of seq."""
+    return sum(1 for g in seq.gates if g.kind != FOURIER)
 
 
 def optimize(seq: GateSeq) -> GateSeq:

@@ -6,8 +6,8 @@ Target gates are written as a strength assignment followed by quadrature
 factors, e.g. `t=0.1 X[0] X[1] X[2]^2` or `t=1 P[0] X[1]^2`.
 
 Every command runs the same stages: the parse stage checks all inputs (spec,
-preset, numeric, Trotter and epsilon flags, saved circuit) before any compile
-or verify call, `compile` alone judges eligibility, and `_verify` makes the
+preset, numeric and epsilon flags, saved circuit) before any compile or
+verify call, `compile` alone judges eligibility, and `_verify` makes the
 symbolic and numeric checks. `main` maps the outcome to an exit code:
 0 success, 2 bad input (parse error, unknown preset, bad flag, unreadable
 circuit, --out in a missing directory or not writable), 3 ineligible target,
@@ -24,9 +24,8 @@ import re
 import sys
 
 from .algebra import Basis
-from .baseline import estimate_commutator_count, trotter_suzuki
-from .circuit_tools import (SchemaViolation, count_gates, deserialize,
-                            serialize_json)
+from .baseline import estimate_commutator_count
+from .circuit_tools import SchemaViolation, deserialize, serialize_json
 from .decompose import Ineligible, TargetGate, compile
 from .verify import (DimensionTooLarge, FockContext, verify_numeric,
                      verify_symbolic)
@@ -186,15 +185,8 @@ def _save(path, seq) -> None:
 
 
 def cmd_compile(args) -> int:
-    """compile and preset: the exact circuit, or a Trotter split with K steps."""
+    """compile and preset: the exact circuit, its report and its checks."""
     target = args.target
-    if args.trotter is not None:
-        seq = trotter_suzuki([target.generator()], target.strength, args.trotter)
-        print(f"trotter split with K={args.trotter}: "
-              f"{count_gates(seq, exclude_fourier=True)} non-Fourier gates")
-        _save(args.out, seq)
-        return 0
-
     seq, report = compile(target, balanced=(args.param_split == "balanced"))
     # saved before the check: a circuit that fails it is still written, and
     # a write error ends the command before any verify call
@@ -245,8 +237,6 @@ def _parse(args) -> None:
     args.ctx = None
     if getattr(args, "numeric_cutoff", 0):
         args.ctx = FockContext(args.numeric_cutoff, args.subspace, args.tolerance)
-    if getattr(args, "trotter", None) is not None and args.trotter < 1:
-        raise SpecError("--trotter K must be at least 1")
     epsilon = getattr(args, "epsilon", 1.0)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise SpecError("--epsilon must be finite and positive")
@@ -276,8 +266,6 @@ def _add_common(p):
                    default="default",
                    help="strength-split policy for the identity parameters")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--trotter", type=int, metavar="K",
-                   help="emit a K-step Trotter circuit instead of the exact one")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,10 +45,6 @@ class Ineligible(Exception):
     """Target admits no exact route; carries the verdict reason."""
 
 
-class NoUnitCentralMode(Exception):
-    """Polynomial-power sandwich needs a summand with exponent one."""
-
-
 @dataclass(frozen=True)
 class TargetGate:
     """e^{i * strength * H} with H a product of quadrature powers.
@@ -244,7 +240,6 @@ class _Compiler:
     """One compilation run: ancilla allocation plus recursion tracing."""
 
     def __init__(self, n_modes: int, balanced: bool = False):
-        self.n_modes = n_modes
         self.next_anc = n_modes
         self.ancillas: list[int] = []
         self.trace: list[tuple[str, int]] = []
@@ -436,28 +431,15 @@ class _Compiler:
         self._leave()
         return gates
 
-    def single_power(self, mode: int, n: int, t: float) -> list[Gate]:
-        if abs(t) < ZERO_STRENGTH:
-            return []
-        if n <= 3:
-            return [Gate.x(mode, n, t, "primitive")]
-        if n % 2 == 0:
-            return self.single_even(mode, n, t)
-        if n % 3 == 0:
-            return self.single_odd3(mode, n, t)
-        raise Ineligible(f"single-mode power {n} divisible by neither 2 nor 3")
-
     def poly_power(self, summands: list[tuple[int, int]], N: int,
                    t: float) -> list[Gate]:
         """e^{it(Σ X_i^{n_i})^N} by shifting everything onto one unit mode."""
         if abs(t) < ZERO_STRENGTH:
             return []
-        units = [m for m, n in summands if n == 1]
-        if not units:
-            raise NoUnitCentralMode(
-                "every mode-sum power needs a summand with exponent one")
         self._enter("poly-power")
-        c = min(units)
+        # a general target has at most one exponent above one, so every
+        # mode sum of two or more modes has a unit summand
+        c = min(m for m, n in summands if n == 1)
         conj: list[Gate] = []
         for m, n in sorted(summands, key=lambda e: -e[0]):
             if m == c:
@@ -466,7 +448,8 @@ class _Compiler:
                 conj += self._px_unit(c, m, 2.0)
             else:
                 conj += self.px_n(m, c, n, 2.0)
-        gates = conj + self.single_power(c, N, t) + self._inverse(conj)
+        gates = (conj + self.run(TargetGate.position({c: N}, t))[1]
+                 + self._inverse(conj))
         self._leave()
         return gates
 
@@ -478,7 +461,8 @@ class _Compiler:
             strength = target.strength * coeff
             if len(base) == 1:
                 m, n = base[0]
-                gates += self.single_power(m, n * len(target.exponents), strength)
+                gates += self.run(TargetGate.position(
+                    {m: n * len(target.exponents)}, strength))[1]
             else:
                 gates += self.poly_power(base, len(target.exponents), strength)
         self._leave()
@@ -506,7 +490,7 @@ def compile(target: TargetGate, balanced: bool = False
     seq = optimize(raw)
     report = DecompReport(
         n_gates_total=len(seq.gates),
-        n_gates_nonfourier=count_gates(seq, exclude_fourier=True),
+        n_gates_nonfourier=count_gates(seq),
         n_gates_preopt=len(raw.gates),
         n_ancillas=len(seq.ancilla_modes),
         recursion_trace=comp.trace,
@@ -514,11 +498,3 @@ def compile(target: TargetGate, balanced: bool = False
     )
     return seq, report
 
-
-def decompose_poly_power(summands: list[tuple[int, int]], N: int, t: float,
-                         balanced: bool = False) -> GateSeq:
-    """e^{it(Σ X_i^{n_i})^N} for summands [(mode, n_i), ...]."""
-    n_modes = max(m for m, _ in summands) + 1
-    comp = _Compiler(n_modes, balanced)
-    gates = comp.poly_power(summands, N, t)
-    return optimize(GateSeq(tuple(gates), n_modes, tuple(comp.ancillas)))

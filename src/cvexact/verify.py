@@ -83,11 +83,11 @@ def heisenberg_action(seq: GateSeq,
     gate by gate, rightmost (first applied) gate first: each gate replaces
     the images of its own modes with its own images of them, g† X_m g and
     g† P_m g from heisenberg_conjugate, evaluated on the images so far
-    (substitute). Every mode of seq is tracked; modes may add modes seq
-    lacks, whose images stay X_m and P_m.
+    (substitute). The modes a gate of seq touches are tracked, and those
+    of modes; a mode no gate touches keeps the images X_m and P_m.
     """
     generators = {m: (NOPoly.x(m), NOPoly.p(m))
-                  for m in [*seq.all_modes(), *modes]}
+                  for m in [*_touched(seq), *modes]}
     images = dict(generators)
     for g in reversed(seq.gates):
         # each step is b -> g† b g; the Fourier rule of heisenberg_conjugate
@@ -104,21 +104,32 @@ def target_action(generator: NOPoly, strength: float, b: NOPoly) -> NOPoly:
     return adjoint_series(generator.scale(-1j * strength), b)
 
 
+def _touched(seq: GateSeq) -> set[int]:
+    return {m for g in seq.gates for m in g.modes}
+
+
 def _verified_modes(seq: GateSeq, generator: NOPoly) -> list[int]:
-    """The modes both verifiers check: the circuit's modes in their order,
-    then any mode of the target that the circuit lacks."""
-    modes = seq.all_modes()
-    return modes + sorted(generator.modes() - set(modes))
+    """The modes both verifiers check: those a gate or the target touches,
+    in the circuit's order (target modes, then ancillas), then any mode of
+    the target that the circuit does not declare. A declared mode nothing
+    touches is left out: every check on it would pass."""
+    touched = _touched(seq) | generator.modes()
+    n, ancillas = seq.n_target_modes, seq.ancilla_modes
+    declared = sorted(m for m in touched if 0 <= m < n)
+    declared += [a for a in ancillas if a in touched]
+    return declared + sorted(touched - set(declared))
 
 
 def verify_symbolic(seq: GateSeq, generator: NOPoly, strength: float) -> float:
     """Worst-case Heisenberg residual of seq against e^{i*strength*generator}.
 
-    Compares the image of X_m and P_m for every mode of the sequence or the
-    target, all computed in one heisenberg_action; ancilla modes must
-    return to themselves (the target acts as identity there). Returns the
-    largest absolute coefficient deviation; exact circuits give ~1e-12
-    (floating-point noise only).
+    Compares the image of X_m and P_m for every mode a gate or the target
+    touches (_verified_modes), all computed in one heisenberg_action; ancilla
+    modes must return to themselves (the target acts as identity there).
+    Declared modes that nothing touches are skipped, so the cost does not
+    grow with the declared mode count. Returns the largest absolute
+    coefficient deviation; exact circuits give ~1e-12 (floating-point noise
+    only).
     """
     modes = _verified_modes(seq, generator)
     residual = 0.0

@@ -125,6 +125,23 @@ def test_verify_checks_target_modes_the_circuit_lacks(circuit, flags, tmp_path,
     assert ("numeric error" in out) == bool(flags)
 
 
+def test_declared_modes_no_gate_touches_are_not_checked(tmp_path, capsys):
+    # X[3]² declares modes 0-2 as well; counted, they would push the numeric
+    # space past its bound
+    assert main(["compile", "t=0.3 X[3]^2", "--numeric-cutoff", "24"]) == 0
+    captured = capsys.readouterr()
+    assert "numeric error:       0.000e+00" in captured.out
+    assert "skipped" not in captured.err
+    # a billion declared modes and no gates is still e^{0.3iX₀²} checked on
+    # mode 0 alone, and fails at once
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"version": 1, "modes": 10 ** 9,
+                                "ancillas": [], "gates": []}))
+    assert main(["verify", str(path), "t=0.3 X[0]^2",
+                 "--numeric-cutoff", "24"]) == EXIT_VERIFY
+    assert "numeric error" in capsys.readouterr().out
+
+
 def test_verify_rejects_malformed_circuit(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 99, "gates": []}))
@@ -163,15 +180,6 @@ def test_preset_compiles(capsys):
     assert "gates (non-Fourier): 17" in capsys.readouterr().out
 
 
-def test_trotter_flag_emits_split_circuit(tmp_path, capsys):
-    path = tmp_path / "trotter.json"
-    rc = main(["compile", "t=0.2 X[0]^4", "--trotter", "3",
-               "--out", str(path)])
-    assert rc == 0
-    assert "trotter split with K=3" in capsys.readouterr().out
-    assert path.exists()
-
-
 def test_nan_residual_fails_verification(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_symbolic", lambda *a: float("nan"))
     assert main(["compile", "t=0.3 X[0]^4"]) == EXIT_VERIFY
@@ -208,13 +216,11 @@ def test_bad_numeric_flags_exit_before_any_work(command, flags, tmp_path,
 
 @pytest.mark.parametrize("argv", [
     ["compile", "t=0.3 X[0]^4"],
-    ["compile", "t=0.2 X[0]^4", "--trotter", "2"],
     ["preset", "cross-kerr", "-t", "0.5"],
-], ids=["compile", "trotter", "preset"])
+], ids=["compile", "preset"])
 def test_out_in_missing_directory_exits_before_compile(argv, tmp_path, capsys,
                                                       monkeypatch):
     monkeypatch.setattr(cli, "compile", None)   # any call would raise
-    monkeypatch.setattr(cli, "trotter_suzuki", None)
     out = tmp_path / "missing" / "c.json"
     assert main(argv + ["--out", str(out)]) == EXIT_PARSE
     err = capsys.readouterr().err
@@ -261,17 +267,6 @@ def test_commands_without_out_skip_the_directory_check(tmp_path, monkeypatch,
     gone.rmdir()
     assert main(["compile", "t=0.3 X[0]^4"]) == 0
     assert main(["compare", "t=0.3 X[0]^4"]) == 0
-
-
-@pytest.mark.parametrize("k", ["0", "-1"])
-def test_trotter_steps_must_be_positive(k, capsys):
-    assert main(["compile", "t=0.2 X[0]^4", "--trotter", k]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("parse error:")
-
-
-def test_trotter_ineligible_exit(capsys):
-    assert main(["compile", "t=1 X[0]^5", "--trotter", "3"]) == EXIT_INELIGIBLE
-    assert "ineligible" in capsys.readouterr().err
 
 
 def test_commands_call_compile_and_verifiers_through_the_module(tmp_path,

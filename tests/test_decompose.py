@@ -8,9 +8,10 @@ non-Fourier counting convention of the reports.
 import numpy as np
 import pytest
 
-from cvexact.algebra import Basis, NOPoly
-from cvexact.decompose import (Ineligible, NoUnitCentralMode, TargetGate,
-                               check_eligibility, compile, decompose_poly_power)
+from cvexact.algebra import Basis, NOPoly, poly_mul
+from cvexact.circuit import GateSeq
+from cvexact.decompose import (Ineligible, TargetGate, _Compiler,
+                               check_eligibility, compile)
 from cvexact.circuit_tools import count_gates
 from cvexact.cli import parse_spec
 from cvexact.verify import verify_symbolic
@@ -140,7 +141,7 @@ def test_px2_identity(s):
     seq = _compiled(s, (0, 1, P), (1, 2, X))
     gen = NOPoly.monomial([(0, 0, 1), (1, 2, 0)], 1.0)
     _check(seq, gen, s)
-    assert count_gates(seq, exclude_fourier=True) == 9
+    assert count_gates(seq) == 9
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -203,17 +204,11 @@ def test_single_odd_nine_compiles_to_universal_gates():
 def test_poly_power_expands_mode_sum():
     # e^{it(X_0 + X_1^2)^2}
     t = 0.4
-    seq = decompose_poly_power([(0, 1), (1, 2)], 2, t)
+    comp = _Compiler(2)
+    seq = GateSeq(tuple(comp.poly_power([(0, 1), (1, 2)], 2, t)), 2,
+                  tuple(comp.ancillas))
     base = NOPoly.x(0) + NOPoly.x(1, 2)
-    gen = NOPoly.zero()
-    from cvexact.algebra import poly_mul
-    gen = poly_mul(base, base)
-    _check(seq, gen, t)
-
-
-def test_poly_power_needs_unit_summand():
-    with pytest.raises(NoUnitCentralMode):
-        decompose_poly_power([(0, 2), (1, 2)], 4, 0.3)
+    _check(seq, poly_mul(base, base), t)
 
 
 # ------------------------------------------------------------ full routes ---

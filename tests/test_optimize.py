@@ -20,7 +20,7 @@ def test_fourier_pair_cancellation():
     seq = GateSeq((Gate.fourier(0), Gate.fourier(0, -1), Gate.x(0, 2, 0.5)), 1)
     opt = optimize(seq)
     assert len(opt.gates) == 1
-    assert count_gates(opt, exclude_fourier=False) == 1
+    assert len(opt.gates) == 1
 
 
 def test_same_generator_merge_and_zero_drop():
@@ -51,8 +51,8 @@ def test_optimize_preserves_heisenberg_action():
 
 def test_count_convention_excludes_fourier():
     seq = GateSeq((Gate.fourier(0), Gate.x(0, 3, 1.0), Gate.fourier(0, -1)), 1)
-    assert count_gates(seq, exclude_fourier=True) == 1
-    assert count_gates(seq, exclude_fourier=False) == 3
+    assert count_gates(seq) == 1
+    assert len(seq.gates) == 3
 
 
 def test_ancilla_reuse_packs_disjoint_live_ranges():
@@ -103,6 +103,15 @@ def test_deserialize_rejects_bad_documents():
         deserialize({"version": 1, "modes": 1, "ancillas": [], "gates": 5})
     with pytest.raises(SchemaViolation):
         deserialize(_doc(("x1", [2], 1.0, False)))
+    # declarations that make no sense: a negative mode count, and ancilla
+    # labels that are negative, repeated or below the mode count
+    x2 = {"kind": "x2", "modes": [-1], "strength": 1.0, "dagger": False}
+    for modes, ancillas, gates in [(-3, [-1, -1], [x2]), (-3, [], []),
+                                   (0, [-1], []), (2, [3, 3], []),
+                                   (2, [1], [])]:
+        with pytest.raises(SchemaViolation):
+            deserialize({"version": 1, "modes": modes, "ancillas": ancillas,
+                         "gates": gates})
 
 
 def _fields(seq):

@@ -98,8 +98,8 @@ def test_symbolic_accepts_correct_and_rejects_wrong():
 def test_target_modes_the_circuit_lacks_are_verified():
     # an empty circuit on mode 0 is not e^{iX₃²}
     gen, empty = NOPoly.x(3, 2), GateSeq((), 1)
-    assert _verified_modes(empty, gen) == [0, 3]
-    assert _verified_modes(GateSeq((), 2, (5,)), gen * NOPoly.x(0)) == [0, 1, 5, 3]
+    assert _verified_modes(empty, gen) == [3]
+    assert _verified_modes(GateSeq((), 2, (5,)), gen * NOPoly.x(0)) == [0, 3]
     assert verify_symbolic(empty, gen, 1.0) > 0.5
     err, _ = verify_numeric(empty, gen, 1.0, FockContext(cutoff=15, subspace=5))
     assert err > 0.1
