@@ -497,4 +497,3 @@ def compile(target: TargetGate, balanced: bool = False
         route=route,
     )
     return seq, report
-

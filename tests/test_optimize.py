@@ -20,7 +20,6 @@ def test_fourier_pair_cancellation():
     seq = GateSeq((Gate.fourier(0), Gate.fourier(0, -1), Gate.x(0, 2, 0.5)), 1)
     opt = optimize(seq)
     assert len(opt.gates) == 1
-    assert len(opt.gates) == 1
 
 
 def test_same_generator_merge_and_zero_drop():
