@@ -5,10 +5,10 @@
 Each line covers one (body, strength, parameter split) of BODIES x
 STRENGTHS x SPLITS: the route, the non-Fourier, total and pre-optimisation
 gate counts, the ancilla modes, the recursion trace (its length and a
-sha256 of its entries) and a sha256 over every gate's kind, modes, power,
-provenance and the exact repr of its strength. Two trees whose digests are
-equal emit the same circuits on these targets, gate for gate and bit for
-bit; tests/test_route_digest.py holds the expected digest.
+sha256 of its entries) and a sha256 over every gate's kind, modes, power
+and the exact repr of its strength. Two trees whose digests are equal emit
+the same circuits on these targets, gate for gate and bit for bit;
+tests/test_route_digest.py holds the expected digest.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ BODIES = (
     "P[0]^2 P[1]^2",
     "X[0]^6", "X[0]^8", "X[0]^2 X[1] X[2] X[3]", "montecarlo:3",
 )
-STRENGTHS = (0.3, -1.7)
+# 1e-13 puts the strengths of nested identities below ZERO_STRENGTH, so
+# those identities emit nothing
+STRENGTHS = (0.3, -1.7, 1e-13)
 SPLITS = ("default", "balanced")
 
 
@@ -44,7 +46,7 @@ def digest_line(body: str, t: float, split: str) -> str:
             else f"t={t!r} {body}")
     seq, rep = compile(parse_spec(spec), balanced=split == "balanced")
     gates = _sha([(seq.n_target_modes, seq.ancilla_modes)]
-                 + [(g.kind, g.modes, g.power, g.provenance, repr(g.strength))
+                 + [(g.kind, g.modes, g.power, repr(g.strength))
                     for g in seq.gates])
     return (f"{body} | t={t!r} | {split} | {rep.route} | "
             f"nonfourier={rep.n_gates_nonfourier} total={rep.n_gates_total} "
