@@ -39,41 +39,40 @@ class Gate:
     modes: tuple[int, ...]
     strength: float = 0.0
     power: int = 1
-    provenance: str = ""
     poly: NOPoly | None = None
 
     @staticmethod
-    def fourier(mode: int, power: int = 1, provenance: str = "") -> "Gate":
+    def fourier(mode: int, power: int = 1) -> "Gate":
         if power not in (1, -1):
             raise ValueError("Fourier power must be +1 or -1")
-        return Gate(FOURIER, (mode,), 0.0, power, provenance)
+        return Gate(FOURIER, (mode,), 0.0, power)
 
     @staticmethod
-    def exp_poly(generator: NOPoly, strength: float, provenance: str = "") -> "Gate":
+    def exp_poly(generator: NOPoly, strength: float) -> "Gate":
         """e^{i*strength*generator}; a unit monomial of the universal set
         gives the same record as Gate.x or Gate.xx."""
         if len(generator.terms) == 1:
             (key, coeff), = generator.terms.items()
             if coeff == 1.0 and not any(p for _, _, p in key):
                 if len(key) == 1 and key[0][1] <= 3:
-                    return Gate.x(key[0][0], key[0][1], strength, provenance)
+                    return Gate.x(key[0][0], key[0][1], strength)
                 if len(key) == 2 and key[0][1] == key[1][1] == 1:
-                    return Gate.xx(key[0][0], key[1][0], strength, provenance)
+                    return Gate.xx(key[0][0], key[1][0], strength)
         return Gate(EXPPOLY, tuple(sorted(generator.modes())), float(strength),
-                    1, provenance, generator)
+                    1, generator)
 
     @staticmethod
-    def x(mode: int, power: int, strength: float, provenance: str = "") -> "Gate":
+    def x(mode: int, power: int, strength: float) -> "Gate":
         kind = f"x{power}"
         if kind not in X_POWER:
-            return Gate.exp_poly(NOPoly.x(mode, power), strength, provenance)
-        return Gate(kind, (mode,), float(strength), 1, provenance)
+            return Gate.exp_poly(NOPoly.x(mode, power), strength)
+        return Gate(kind, (mode,), float(strength))
 
     @staticmethod
-    def xx(j: int, k: int, strength: float, provenance: str = "") -> "Gate":
+    def xx(j: int, k: int, strength: float) -> "Gate":
         if j == k:
             raise ValueError("XX gate needs two distinct modes")
-        return Gate(XX, (min(j, k), max(j, k)), float(strength), 1, provenance)
+        return Gate(XX, (min(j, k), max(j, k)), float(strength))
 
     @property
     def mode(self) -> int:
@@ -93,9 +92,8 @@ class Gate:
 
     def inverse(self) -> "Gate":
         if self.kind == FOURIER:
-            return Gate(FOURIER, self.modes, 0.0, -self.power, self.provenance)
-        return Gate(self.kind, self.modes, -self.strength, self.power,
-                    self.provenance, self.poly)
+            return Gate(FOURIER, self.modes, 0.0, -self.power)
+        return Gate(self.kind, self.modes, -self.strength, self.power, self.poly)
 
     def is_universal(self) -> bool:
         """True for the universal set: Fourier, X, X², X³, and X_j X_k."""

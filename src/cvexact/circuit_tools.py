@@ -110,13 +110,13 @@ def _remap_gate(g: Gate, mapping: dict[int, int]) -> Gate:
         for key, coeff in g.poly.terms.items():
             new_key = tuple(sorted((mapping.get(m, m), a, b) for m, a, b in key))
             terms[new_key] = coeff
-        return Gate.exp_poly(NOPoly(terms), g.strength, g.provenance)
+        return Gate.exp_poly(NOPoly(terms), g.strength)
     modes = tuple([mapping.get(m, m) for m in g.modes])
     if modes == g.modes:
         return g
     if g.kind == XX:
         modes = tuple(sorted(modes))
-    return Gate(g.kind, modes, g.strength, g.power, g.provenance)
+    return Gate(g.kind, modes, g.strength, g.power)
 
 
 # -- serialization ---------------------------------------------------------
@@ -125,7 +125,7 @@ def _gate_record(g: Gate) -> dict:
     if g.kind == EXPPOLY:
         raise SchemaViolation("only universal gates are serializable")
     return {"kind": g.kind, "modes": list(g.modes), "strength": g.strength,
-            "dagger": g.power == -1, "provenance": g.provenance}
+            "dagger": g.power == -1}
 
 
 def serialize(seq: GateSeq) -> dict:
@@ -155,7 +155,8 @@ def deserialize(doc: dict | str) -> GateSeq:
     Raises SchemaViolation for malformed input, including a gate record
     with the wrong number of modes for its kind, the same mode twice in an
     xx record, a mode the document does not declare, a strength that is
-    not finite, or dagger set on a non-Fourier record.
+    not finite, or dagger set on a non-Fourier record. Other keys of a
+    record, such as the "provenance" that older files carry, are ignored.
     """
     if isinstance(doc, str):
         try:
@@ -177,7 +178,6 @@ def deserialize(doc: dict | str) -> GateSeq:
             modes = tuple([int(m) for m in rec["modes"]])
             strength = float(rec["strength"])
             dagger = bool(rec["dagger"])
-            prov = rec.get("provenance", "")
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation(f"bad gate record {rec!r}: {exc}") from exc
         if kind not in X_POWER and kind not in (FOURIER, XX):
@@ -187,12 +187,12 @@ def deserialize(doc: dict | str) -> GateSeq:
         if not math.isfinite(strength):
             raise SchemaViolation(f"strength is not finite: {rec!r}")
         if kind == FOURIER:
-            gates.append(Gate(FOURIER, modes, 0.0, -1 if dagger else 1, prov))
+            gates.append(Gate(FOURIER, modes, 0.0, -1 if dagger else 1))
         elif dagger:
             raise SchemaViolation(f"dagger is set on a {kind} gate: {rec!r}")
         else:
             gates.append(Gate(kind, tuple(sorted(modes)) if kind == XX else modes,
-                              strength, 1, prov))
+                              strength))
     try:
         return GateSeq(tuple(reversed(gates)), n, ancillas)
     except ValueError as exc:

@@ -20,6 +20,7 @@ Route overview:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,7 +167,7 @@ def _classify(target: TargetGate
         if build is None:
             return verdict, None
         pmodes = [m for m, _ in ps]
-        return verdict, lambda c: _fourier_conj(pmodes, build(c), "intake")
+        return verdict, lambda c: _fourier_conj(pmodes, build(c))
 
     if len(xs) == 2:
         (u, n1), (j, n2) = sorted(xs, key=lambda e: e[1])
@@ -187,7 +188,7 @@ def _classify(target: TargetGate
         (m, n), = xs
         if n <= 3:
             return eligible(UNIVERSAL_PRIMITIVE, "single-mode power at most 3",
-                            lambda c: [Gate.x(m, n, t, "primitive")])
+                            lambda c: [Gate.x(m, n, t)])
         if n % 2 == 0:
             return eligible(SINGLE_EVEN, "even single-mode power",
                             lambda c: c.single_even(m, n, t))
@@ -203,12 +204,12 @@ def _classify(target: TargetGate
     if all(n == 1 for n in powers) and nmodes == 2:
         j, k = target.modes()
         return eligible(UNIVERSAL_PRIMITIVE, "bilinear coupling",
-                        lambda c: [Gate.xx(j, k, t, "primitive")])
+                        lambda c: [Gate.xx(j, k, t)])
     if nmodes % 2 != 0 and nmodes % 3 != 0:
         return ineligible(f"mode count {nmodes} is divisible by neither 2 nor 3")
     return eligible(GENERAL_MULTI_MODE,
                     f"{nmodes}-mode product, one exponent above one",
-                    lambda c: c.general(target))
+                    lambda c: c.general(dict(xs), t))
 
 
 def expand_general_d(target: TargetGate) -> list[tuple[float, list[tuple[int, int]]]]:
@@ -230,14 +231,41 @@ def expand_general_d(target: TargetGate) -> list[tuple[float, list[tuple[int, in
     return out
 
 
-def _fourier_conj(modes: list[int], gates: list[Gate], label: str) -> list[Gate]:
+def _fourier_conj(modes: list[int], gates: list[Gate]) -> list[Gate]:
     """F·gates·F†, with F the forward Fourier transform on each of modes."""
-    return ([Gate.fourier(m, 1, label) for m in modes] + gates
-            + [Gate.fourier(m, -1, label) for m in reversed(modes)])
+    return ([Gate.fourier(m, 1) for m in modes] + gates
+            + [Gate.fourier(m, -1) for m in reversed(modes)])
+
+
+def _identity(label: str, invert_negative: bool = False):
+    """Run a _Compiler method as one identity of the recursion trace.
+
+    The method's last argument is its strength s. Below ZERO_STRENGTH it
+    emits nothing; with invert_negative, s < 0 gives the inverse of the
+    circuit for −s. Otherwise (label, depth) joins the trace and the method
+    runs one level deeper.
+    """
+    def decorate(method):
+        @functools.wraps(method)
+        def call(self, *args):
+            *rest, s = args
+            if abs(s) < ZERO_STRENGTH:
+                return []
+            if invert_negative and s < 0:
+                return self._inverse(call(self, *rest, -s))
+            self.trace.append((label, self.depth))
+            self.depth += 1
+            try:
+                return method(self, *args)
+            finally:
+                self.depth -= 1
+        return call
+    return decorate
 
 
 class _Compiler:
-    """One compilation run: ancilla allocation plus recursion tracing."""
+    """One compilation run: ancilla allocation plus the recursion trace,
+    one (label, depth) entry per _identity call, in call order."""
 
     def __init__(self, n_modes: int, balanced: bool = False):
         self.next_anc = n_modes
@@ -252,13 +280,6 @@ class _Compiler:
         self.ancillas.append(a)
         return a
 
-    def _enter(self, label: str):
-        self.trace.append((label, self.depth))
-        self.depth += 1
-
-    def _leave(self):
-        self.depth -= 1
-
     # -- helpers -----------------------------------------------------------
 
     @staticmethod
@@ -268,25 +289,30 @@ class _Compiler:
     @staticmethod
     def _p3(k: int, q: float) -> list[Gate]:
         """e^{iqP_k³} = F_k e^{iqX_k³} F_k†."""
-        return _fourier_conj([k], [Gate.x(k, 3, q, "p-cubed")], "p-cubed")
+        return _fourier_conj([k], [Gate.x(k, 3, q)])
 
     @staticmethod
     def _px_unit(c: int, i: int, s: float) -> list[Gate]:
         """e^{isP_cX_i} = F_c e^{isX_cX_i} F_c†."""
-        return _fourier_conj([c], [Gate.xx(c, i, s, "shift")], "shift")
+        return _fourier_conj([c], [Gate.xx(c, i, s)])
+
+    def _px(self, j: int, k: int, n: int, s: float) -> list[Gate]:
+        """e^{isP_kX_jⁿ} for n ≥ 2: px2 when n = 2, else px_n."""
+        return self.px2(j, k, s) if n == 2 else self.px_n(j, k, n, s)
 
     def _x_xn(self, u: int, j: int, m: int, s: float) -> list[Gate]:
         """e^{isX_uX_j^m}: bilinear when m = 1, else Fourier-wrapped P·Xᵐ."""
         if m == 1:
-            return [Gate.xx(u, j, s, "coupling")]
-        return _fourier_conj([u], self.px_n(j, u, m, -s), "coupling")
+            return [Gate.xx(u, j, s)]
+        return _fourier_conj([u], self._px(j, u, m, -s))
 
     def _x2p2(self, j: int, k: int, s: float) -> list[Gate]:
         """e^{isX_j²P_k²} = F_k e^{isX_j²X_k²} F_k†."""
-        return _fourier_conj([k], self.x2x2(j, k, s), "squares")
+        return _fourier_conj([k], self.x2x2(j, k, s))
 
     # -- identity routes ---------------------------------------------------
 
+    @_identity("px2")
     def px2(self, j: int, k: int, s: float) -> list[Gate]:
         """e^{isP_kX_j²} as nine non-Fourier gates.
 
@@ -294,41 +320,27 @@ class _Compiler:
         strengths at ±1, the balanced split equalizes α and t, which is
         gentler on truncated-Fock simulation.
         """
-        if abs(s) < ZERO_STRENGTH:
-            return []
-        self._enter("px2")
         if self.balanced:
             al = (abs(s) / 3.0) ** (1.0 / 3.0)
             t = math.copysign(al, s)
         else:
             al = math.sqrt(abs(s) / 3.0)
             t = math.copysign(1.0, s)
-        xx = lambda q: Gate.xx(j, k, q, "px2")
-        gates = ([xx(2 * al)] + self._p3(k, t) + [xx(-al)] + self._p3(k, -t)
-                 + [xx(-2 * al)] + self._p3(k, t) + [xx(al)] + self._p3(k, -t)
-                 + [Gate.x(j, 3, 0.75 * al ** 3 * t, "px2")])
-        self._leave()
-        return gates
+        xx = lambda q: Gate.xx(j, k, q)
+        return ([xx(2 * al)] + self._p3(k, t) + [xx(-al)] + self._p3(k, -t)
+                + [xx(-2 * al)] + self._p3(k, t) + [xx(al)] + self._p3(k, -t)
+                + [Gate.x(j, 3, 0.75 * al ** 3 * t)])
 
+    @_identity("pxn", invert_negative=True)
     def px_n(self, j: int, k: int, n: int, s: float) -> list[Gate]:
-        """e^{isP_kX_jⁿ} via one strength-√(s/2) conjugation round."""
-        if abs(s) < ZERO_STRENGTH:
-            return []
-        if n == 1:
-            return self._px_unit(k, j, s)
-        if n == 2:
-            return self.px2(j, k, s)
-        if s < 0:
-            return self._inverse(self.px_n(j, k, n, -s))
-        self._enter("pxn")
+        """e^{isP_kX_jⁿ}, n ≥ 3, via one strength-√(s/2) conjugation round."""
         al = math.sqrt(s / 2.0)
         f1 = self._x_xn(k, j, n - 2, 2 * al)
         f2 = self._x2p2(j, k, -al)
         f5 = self.single_even(j, 2 * (n - 1), al ** 3)
-        gates = f1 + f2 + self._inverse(f1) + self._inverse(f2) + f5
-        self._leave()
-        return gates
+        return f1 + f2 + self._inverse(f1) + self._inverse(f2) + f5
 
+    @_identity("ppxn", invert_negative=True)
     def pp_xn(self, j: int, k: int, l: int, n: int, s: float) -> list[Gate]:
         """e^{isP_kP_lX_jⁿ}: the P·Xⁿ pattern with one more momentum mode.
 
@@ -339,42 +351,30 @@ class _Compiler:
         rotation of both momentum modes followed by the general multi-mode
         expansion of X_jⁿX_kX_l.
         """
-        if abs(s) < ZERO_STRENGTH:
-            return []
-        if s < 0:
-            return self._inverse(self.pp_xn(j, k, l, n, -s))
-        self._enter("ppxn")
-        if n == 2:
-            al = math.sqrt(s / 2.0)
-            f1 = _fourier_conj([l], [Gate.xx(k, l, 2 * al, "ppxn")], "ppxn")
-            f2 = self._x2p2(j, k, -al)
-            f5 = _fourier_conj([l], self.x2x2(j, l, al ** 3), "ppxn")
-            gates = f1 + f2 + self._inverse(f1) + self._inverse(f2) + f5
-        else:
-            inner = self.general(TargetGate.position({j: n, k: 1, l: 1}, s))
-            gates = _fourier_conj([k, l], inner, "ppxn")
-        self._leave()
-        return gates
+        if n > 2:
+            return _fourier_conj([k, l], self.general({j: n, k: 1, l: 1}, s))
+        al = math.sqrt(s / 2.0)
+        f1 = _fourier_conj([l], [Gate.xx(k, l, 2 * al)])
+        f2 = self._x2p2(j, k, -al)
+        f5 = _fourier_conj([l], self.x2x2(j, l, al ** 3))
+        return f1 + f2 + self._inverse(f1) + self._inverse(f2) + f5
 
+    @_identity("twosquares")
     def x2x2(self, j: int, k: int, t: float) -> list[Gate]:
         """e^{itX_j²X_k²} from four X⁴ gates inside shift conjugations.
 
         The shift strengths (s, -2s, s) are free; s = 2 reproduces the
         canonical constants, the balanced mode shrinks them for numerics.
         """
-        if abs(t) < ZERO_STRENGTH:
-            return []
-        self._enter("twosquares")
         s = min(2.0, (12.0 * abs(t)) ** (1.0 / 6.0)) if self.balanced else 2.0
         beta = t / (3.0 * s * s)
         shift = lambda q: self._px_unit(j, k, q)
-        gates = (shift(s) + self.single_even(j, 4, beta) + shift(-2 * s)
-                 + self.single_even(j, 4, beta) + shift(s)
-                 + self.single_even(j, 4, -2 * beta)
-                 + self.single_even(k, 4, -beta * s ** 4 / 8.0))
-        self._leave()
-        return gates
+        return (shift(s) + self.single_even(j, 4, beta) + shift(-2 * s)
+                + self.single_even(j, 4, beta) + shift(s)
+                + self.single_even(j, 4, -2 * beta)
+                + self.single_even(k, 4, -beta * s ** 4 / 8.0))
 
+    @_identity("single-even")
     def single_even(self, k: int, n: int, t: float) -> list[Gate]:
         """e^{itX_kⁿ} for even n ≥ 4, through a fresh ancilla.
 
@@ -383,22 +383,17 @@ class _Compiler:
         final coupling gate and the X_kⁿ term survives with strength
         t = t's²/4.
         """
-        if abs(t) < ZERO_STRENGTH:
-            return []
         if n <= 3:
             raise ValueError("even-power route needs n >= 4")
-        self._enter("single-even")
         a = self.fresh_ancilla()
         m = n // 2
         s = min(2.0, (4.0 * abs(t)) ** (1.0 / 3.0)) if self.balanced else 2.0
         tp = 4.0 * t / (s * s)
-        conj = self.px_n(k, a, m, s)
-        gates = (conj + [Gate.x(a, 2, tp, "single-even")] + self._inverse(conj)
-                 + [Gate.x(a, 2, -tp, "single-even")]
-                 + self._x_xn(a, k, m, -4.0 * t / s))
-        self._leave()
-        return gates
+        conj = self._px(k, a, m, s)
+        return (conj + [Gate.x(a, 2, tp)] + self._inverse(conj)
+                + [Gate.x(a, 2, -tp)] + self._x_xn(a, k, m, -4.0 * t / s))
 
+    @_identity("single-odd3")
     def single_odd3(self, k: int, n: int, t: float) -> list[Gate]:
         """e^{itX_kⁿ} for odd n divisible by 3, n ≥ 9, with two ancillas.
 
@@ -406,9 +401,6 @@ class _Compiler:
         and lower powers; each piece reduces to already-solved routes with
         maximum single-mode power strictly below n.
         """
-        if abs(t) < ZERO_STRENGTH:
-            return []
-        self._enter("single-odd3")
         al = t / 2.0
         j = self.fresh_ancilla()
         l = self.fresh_ancilla()
@@ -416,27 +408,23 @@ class _Compiler:
         cube_conj = self.px_n(k, j, m, 2.0)
         sq_conj_a = self.px_n(k, l, m, 2.0)
         sq_conj_b = self.px2(j, l, 2.0)
-        gates = (
-            cube_conj + [Gate.x(j, 3, 2 * al, "single-odd3")]
+        return (
+            cube_conj + [Gate.x(j, 3, 2 * al)]
             + self._inverse(cube_conj)
-            + sq_conj_a + sq_conj_b + [Gate.x(l, 2, -3 * al, "single-odd3")]
+            + sq_conj_a + sq_conj_b + [Gate.x(l, 2, -3 * al)]
             + self._inverse(sq_conj_b) + self._inverse(sq_conj_a)
-            + [Gate.x(j, 3, -2 * al, "single-odd3")]
+            + [Gate.x(j, 3, -2 * al)]
             + self.single_even(j, 4, 3 * al)
             + self.single_even(k, 2 * n // 3, 3 * al)
             + self._x_xn(j, k, 2 * m, -6 * al)
-            + _fourier_conj([l], self.px2(j, l, -6 * al), "single-odd3")
+            + _fourier_conj([l], self.px2(j, l, -6 * al))
             + self._x_xn(l, k, m, 6 * al)
-            + [Gate.x(l, 2, 3 * al, "single-odd3")])
-        self._leave()
-        return gates
+            + [Gate.x(l, 2, 3 * al)])
 
+    @_identity("poly-power")
     def poly_power(self, summands: list[tuple[int, int]], N: int,
                    t: float) -> list[Gate]:
         """e^{it(Σ X_i^{n_i})^N} by shifting everything onto one unit mode."""
-        if abs(t) < ZERO_STRENGTH:
-            return []
-        self._enter("poly-power")
         # a general target has at most one exponent above one, so every
         # mode sum of two or more modes has a unit summand
         c = min(m for m, n in summands if n == 1)
@@ -447,25 +435,22 @@ class _Compiler:
             if n == 1:
                 conj += self._px_unit(c, m, 2.0)
             else:
-                conj += self.px_n(m, c, n, 2.0)
-        gates = (conj + self.run(TargetGate.position({c: N}, t))[1]
-                 + self._inverse(conj))
-        self._leave()
-        return gates
+                conj += self._px(m, c, n, 2.0)
+        return (conj + self.run(TargetGate.position({c: N}, t))[1]
+                + self._inverse(conj))
 
-    def general(self, target: TargetGate) -> list[Gate]:
-        """Multi-mode product via the mode-sum power expansion."""
-        self._enter("general")
+    @_identity("general")
+    def general(self, powers: dict[int, int], t: float) -> list[Gate]:
+        """e^{itΠX_m^{n_m}}, powers mapping each mode m to n_m, via the
+        mode-sum power expansion."""
         gates: list[Gate] = []
-        for coeff, base in expand_general_d(target):
-            strength = target.strength * coeff
+        for coeff, base in expand_general_d(TargetGate.position(powers, t)):
             if len(base) == 1:
                 m, n = base[0]
                 gates += self.run(TargetGate.position(
-                    {m: n * len(target.exponents)}, strength))[1]
+                    {m: n * len(powers)}, t * coeff))[1]
             else:
-                gates += self.poly_power(base, len(target.exponents), strength)
-        self._leave()
+                gates += self.poly_power(base, len(powers), t * coeff)
         return gates
 
     # -- dispatch ----------------------------------------------------------

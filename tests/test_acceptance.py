@@ -201,7 +201,7 @@ class _NativeQuartics(_Compiler):
     x2x2 yields its bare two-squares splitting with X⁴ factors."""
 
     def single_even(self, k, n, t):
-        return [Gate.x(k, n, t, "native")]
+        return [Gate.x(k, n, t)]
 
 
 def _max_cutoff(n_modes):

@@ -114,7 +114,7 @@ def test_deserialize_rejects_bad_documents():
 
 
 def _fields(seq):
-    return ([(g.kind, g.modes, g.power, g.strength, g.provenance)
+    return ([(g.kind, g.modes, g.power, g.strength)
              for g in seq.gates], seq.n_target_modes, seq.ancilla_modes)
 
 
