@@ -95,10 +95,6 @@ class Gate:
             return Gate(FOURIER, self.modes, 0.0, -self.power)
         return Gate(self.kind, self.modes, -self.strength, self.power, self.poly)
 
-    def is_universal(self) -> bool:
-        """True for the universal set: Fourier, X, X², X³, and X_j X_k."""
-        return self.kind != EXPPOLY
-
     def same_generator(self, other: "Gate") -> bool:
         if self.kind == FOURIER or other.kind == FOURIER:
             return False
@@ -138,9 +134,6 @@ class GateSeq:
 
     def __iter__(self):
         return iter(self.gates)
-
-    def all_modes(self) -> list[int]:
-        return list(range(self.n_target_modes)) + list(self.ancilla_modes)
 
     def inverse(self) -> "GateSeq":
         return replace(self, gates=tuple(g.inverse() for g in reversed(self.gates)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from .algebra import NOPoly
@@ -149,51 +150,67 @@ def serialize_json(seq: GateSeq) -> str:
     return json.dumps(serialize(seq))
 
 
+def _integer(v) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _finite_number(v) -> bool:
+    """True for a finite int or float that is not a bool."""
+    return (isinstance(v, float) and math.isfinite(v)
+            or _integer(v) and abs(v) <= sys.float_info.max)
+
+
 def deserialize(doc: dict | str) -> GateSeq:
     """The GateSeq of a version-1 circuit document or its JSON text.
 
-    Raises SchemaViolation for malformed input, including a gate record
-    with the wrong number of modes for its kind, the same mode twice in an
-    xx record, a mode the document does not declare, a strength that is
-    not finite, or dagger set on a non-Fourier record. Other keys of a
-    record, such as the "provenance" that older files carry, are ignored.
+    Nothing is coerced. The version must be the integer 1, the mode count,
+    each ancilla and each gate mode an integer, a strength a finite int or
+    float, dagger a JSON boolean and kind a string; a bool is none of the
+    numbers. Raises SchemaViolation for a document that breaks any of this,
+    and for a gate record with the wrong number of modes for its kind, the
+    same mode twice in an xx record, a mode the document does not declare,
+    or dagger set on a non-Fourier record. Other keys of a record, such as
+    the "provenance" that older files carry, are ignored.
     """
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise SchemaViolation(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != 1:
+    if not isinstance(doc, dict) or not _integer(doc.get("version")) \
+            or doc["version"] != 1:
         raise SchemaViolation("expected a version-1 circuit document")
-    try:
-        n = int(doc["modes"])
-        ancillas = tuple(int(a) for a in doc["ancillas"])
-        records = list(doc["gates"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"bad document structure: {exc}") from exc
+    n, ancillas, records = doc.get("modes"), doc.get("ancillas"), doc.get("gates")
+    if not (_integer(n) and isinstance(ancillas, list)
+            and all(map(_integer, ancillas)) and isinstance(records, list)):
+        raise SchemaViolation("bad document structure: modes must be an "
+                              "integer, ancillas a list of integers and "
+                              "gates a list")
     gates = []
     for rec in records:
-        try:
-            kind = str(rec["kind"])
-            modes = tuple([int(m) for m in rec["modes"]])
-            strength = float(rec["strength"])
-            dagger = bool(rec["dagger"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"bad gate record {rec!r}: {exc}") from exc
+        if not (isinstance(rec, dict) and isinstance(rec.get("kind"), str)
+                and isinstance(rec.get("modes"), list)
+                and all(map(_integer, rec["modes"]))
+                and _finite_number(rec.get("strength"))
+                and isinstance(rec.get("dagger"), bool)):
+            raise SchemaViolation(
+                f"bad gate record {rec!r}: kind must be a string, modes a "
+                "list of integers, strength a finite number and dagger a "
+                "boolean")
+        kind, modes = rec["kind"], tuple(rec["modes"])
         if kind not in X_POWER and kind not in (FOURIER, XX):
             raise SchemaViolation(f"unknown gate kind {kind!r}")
         if len(modes) != (2 if kind == XX else 1) or len(set(modes)) != len(modes):
             raise SchemaViolation(f"wrong modes for a {kind} gate: {rec!r}")
-        if not math.isfinite(strength):
-            raise SchemaViolation(f"strength is not finite: {rec!r}")
         if kind == FOURIER:
-            gates.append(Gate(FOURIER, modes, 0.0, -1 if dagger else 1))
-        elif dagger:
+            gates.append(Gate(FOURIER, modes, 0.0, -1 if rec["dagger"] else 1))
+        elif rec["dagger"]:
             raise SchemaViolation(f"dagger is set on a {kind} gate: {rec!r}")
         else:
             gates.append(Gate(kind, tuple(sorted(modes)) if kind == XX else modes,
-                              strength))
+                              float(rec["strength"])))
     try:
-        return GateSeq(tuple(reversed(gates)), n, ancillas)
+        return GateSeq(tuple(reversed(gates)), n, tuple(ancillas))
     except ValueError as exc:
         raise SchemaViolation(str(exc)) from exc

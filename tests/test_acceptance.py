@@ -22,7 +22,7 @@ from cvexact.decompose import (TargetGate, _Compiler, check_eligibility,
 from cvexact.verify import (MAX_FULL_DIM, FockContext, verify_numeric,
                             verify_symbolic)
 
-from util import negate_last_exp
+from util import declared_modes, negate_last_exp
 
 
 def _verdict(name, ok, detail):
@@ -227,7 +227,7 @@ def _resolve(seq, generator, strength):
     Returns ([(D, err, phase), ...], resolved).
     """
     rows = []
-    for D in (24, _max_cutoff(len(seq.all_modes()))):
+    for D in (24, _max_cutoff(len(declared_modes(seq)))):
         err, phase = verify_numeric(seq, generator, strength,
                                     FockContext(cutoff=D, subspace=2))
         rows.append((D, err, phase))

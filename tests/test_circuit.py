@@ -171,8 +171,8 @@ def test_universal_flag_and_generator_match_on_the_table():
     # monomial of the set, and two gates merge when their generators agree
     universal = [g for _, g in UNIT_MONOMIALS] + [Gate.fourier(1, -1)]
     others = [Gate.exp_poly(p, 0.3) for p in OTHER_GENERATORS]
-    assert all(g.is_universal() for g in universal)
-    assert not any(g.is_universal() for g in others)
+    assert all(g.kind != EXPPOLY for g in universal)
+    assert all(g.kind == EXPPOLY for g in others)
     table = universal + others + [Gate.xx(0, 3, -1.0), Gate.x(1, 3, 2.0),
                                   Gate.exp_poly(NOPoly.x(0, 4), -0.1)]
     for g in table:

@@ -158,6 +158,28 @@ def test_verify_rejects_gate_record_with_too_few_modes(tmp_path, capsys):
     assert "cannot load circuit" in capsys.readouterr().err
 
 
+_X1 = {"kind": "x1", "modes": [0], "strength": 0.5, "dagger": False}
+_F = {"kind": "fourier", "modes": [0], "strength": 0.0, "dagger": False}
+
+
+@pytest.mark.parametrize("change", [
+    {"version": True}, {"version": 1.0}, {"modes": 2.9}, {"modes": True},
+    {"ancillas": [2.5]}, {"gates": [{**_F, "dagger": "false"}]},
+    {"gates": [{**_F, "dagger": 1}]}, {"gates": [{**_X1, "modes": [0.7]}]},
+    {"gates": [{**_X1, "modes": [True]}]},
+    {"gates": [{**_X1, "strength": True}]},
+    {"gates": [{**_X1, "strength": "1e-1"}]},
+], ids=["version-true", "version-float", "modes-float", "modes-true",
+        "ancilla-float", "dagger-string", "dagger-int", "gate-mode-float",
+        "gate-mode-true", "strength-true", "strength-string"])
+def test_verify_rejects_fields_of_the_wrong_type(change, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": 1, "modes": 2, "ancillas": [],
+                                "gates": [_X1], **change}))
+    assert main(["verify", str(path), "t=0.5 X[0]"]) == EXIT_PARSE
+    assert "cannot load circuit:" in capsys.readouterr().err
+
+
 def test_compare_prints_ratio(capsys):
     rc = main(["compare", "t=1 X[0]^4", "--epsilon", "1e-3"])
     assert rc == 0

@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cvexact.algebra import NOPoly
-from cvexact.circuit import Gate, GateSeq
+from cvexact.circuit import EXPPOLY, Gate, GateSeq
 from cvexact.circuit_tools import (SchemaViolation, count_gates, deserialize,
                                    optimize, serialize, serialize_json)
 from cvexact.cli import parse_spec
@@ -111,11 +110,37 @@ def test_deserialize_rejects_bad_documents():
         with pytest.raises(SchemaViolation):
             deserialize({"version": 1, "modes": modes, "ancillas": ancillas,
                          "gates": gates})
+    # nothing is coerced: a bool is no number, a float no integer
+    good = {"version": 1, "modes": 2, "ancillas": [2], "gates": []}
+    for key, value in [("version", True), ("version", 1.0), ("modes", 1.9),
+                       ("modes", True), ("ancillas", [2.5]),
+                       ("ancillas", [True])]:
+        for doc in ({**good, key: value}, json.dumps({**good, key: value})):
+            with pytest.raises(SchemaViolation):
+                deserialize(doc)
+    assert deserialize(good).ancilla_modes == (2,)
 
 
 def _fields(seq):
     return ([(g.kind, g.modes, g.power, g.strength)
              for g in seq.gates], seq.n_target_modes, seq.ancilla_modes)
+
+
+def test_saved_gate_records_hold_only_the_gate():
+    seq, _ = compile(parse_spec("t=0.3 P[0] X[1]^3"))
+    records = json.loads(serialize_json(seq))["gates"]
+    assert {"fourier", "x3", "xx"} <= {rec["kind"] for rec in records}
+    assert all(rec.keys() == {"kind", "modes", "strength", "dagger"}
+               for rec in records)
+
+
+def test_records_with_provenance_still_load():
+    # files written before gates lost their provenance strings
+    seq, _ = compile(parse_spec("t=-1.7 X[0] X[1]^3"))
+    doc = serialize(seq)
+    for rec in doc["gates"]:
+        rec["provenance"] = "shift"
+    assert _fields(deserialize(json.dumps(doc, indent=2))) == _fields(seq)
 
 
 def test_saved_route_circuits_load_gate_for_gate():
@@ -152,10 +177,19 @@ def _doc(*records):
     ("x3", [0], 1.0, True),
     ("xx", [0, 1], 1.0, True),
     (["x1"], [0], 1.0, False),
+    ("fourier", [0], 0.0, "false"),
+    ("fourier", [0], 0.0, 1),
+    ("x1", [0.7], 1.0, False),
+    ("x1", [True], 1.0, False),
+    ("x1", [0], True, False),
+    ("x1", [0], "1e-1", False),
+    ("x1", [0], 10 ** 400, False),
 ], ids=["xx-one-mode", "xx-same-mode", "xx-three-modes", "fourier-no-mode",
         "fourier-two-modes", "x2-two-modes", "x3-no-mode", "nan-strength",
         "inf-strength", "minus-inf-strength", "dagger-x3", "dagger-xx",
-        "kind-not-a-string"])
+        "kind-not-a-string", "dagger-string", "dagger-int", "float-mode",
+        "bool-mode", "bool-strength", "string-strength",
+        "strength-beyond-float"])
 def test_deserialize_rejects_malformed_gate_records(record):
     with pytest.raises(SchemaViolation):
         deserialize(_doc(record))
@@ -163,14 +197,8 @@ def test_deserialize_rejects_malformed_gate_records(record):
         deserialize(json.dumps(_doc(("x1", [0], 0.5, False), record)))
 
 
-def test_universal_gate_flag():
-    assert Gate.x(0, 3, 1.0).is_universal()
-    assert Gate.xx(0, 1, 0.5).is_universal()
-    assert not Gate.exp_poly(NOPoly.x(0, 4), 1.0).is_universal()
-
-
 def test_compiled_sequences_contain_only_universal_gates():
     for tg in (TargetGate.position({0: 4}, 1.0),
                TargetGate.position({0: 1, 1: 1, 2: 1, 3: 1}, 0.5)):
         seq, _ = compile(tg)
-        assert all(g.is_universal() for g in seq.gates)
+        assert all(g.kind != EXPPOLY for g in seq.gates)

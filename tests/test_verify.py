@@ -15,7 +15,7 @@ from cvexact.verify import (INTERNAL_PAD, DimensionTooLarge, FockContext,
                             verify_symbolic)
 
 from test_decompose import ROUTE_PINS
-from util import gate_matrix, heisenberg_fold, seq_matrix
+from util import declared_modes, gate_matrix, heisenberg_fold, seq_matrix
 
 
 def test_fock_matrices_commutator():
@@ -77,7 +77,7 @@ def test_heisenberg_action_matches_per_operator_fold(body):
     # the composed map against each operator folded through every gate on
     # its own, on circuits of up to 1,681 gates
     seq = HAND_BUILT if body is None else compile(parse_spec(f"t=0.3 {body}"))[0]
-    modes = seq.all_modes()
+    modes = declared_modes(seq)
     images = heisenberg_action(seq, modes)
     assert list(images) == modes
     for m in modes:

@@ -67,10 +67,15 @@ def gate_matrix(g, n_modes, cutoff):
     return expm_hermitian_times_i(h)
 
 
+def declared_modes(seq):
+    """The target modes of seq, then its ancillas."""
+    return list(range(seq.n_target_modes)) + list(seq.ancilla_modes)
+
+
 def seq_matrix(seq, cutoff, n_modes=None):
     """Dense unitary of a gate sequence (gates[0] applied last)."""
     if n_modes is None:
-        n_modes = max(seq.all_modes()) + 1 if seq.all_modes() else 1
+        n_modes = max(declared_modes(seq), default=0) + 1
     dim = cutoff ** n_modes
     u = np.eye(dim, dtype=complex)
     for g in seq.gates:
