@@ -161,7 +161,7 @@ def _finite_number(v) -> bool:
             or _integer(v) and abs(v) <= sys.float_info.max)
 
 
-def deserialize(doc: dict | str) -> GateSeq:
+def deserialize(doc: dict | str | bytes) -> GateSeq:
     """The GateSeq of a version-1 circuit document or its JSON text.
 
     Nothing is coerced. The version must be the integer 1, the mode count,
@@ -170,13 +170,15 @@ def deserialize(doc: dict | str) -> GateSeq:
     numbers. Raises SchemaViolation for a document that breaks any of this,
     and for a gate record with the wrong number of modes for its kind, the
     same mode twice in an xx record, a mode the document does not declare,
-    or dagger set on a non-Fourier record. Other keys of a record, such as
-    the "provenance" that older files carry, are ignored.
+    or dagger set on a non-Fourier record, and for text that is not JSON:
+    bytes that are not UTF-8 or nesting too deep to parse. Other keys of a
+    record, such as the "provenance" that older files carry, are ignored.
     """
-    if isinstance(doc, str):
+    if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:
             raise SchemaViolation(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not _integer(doc.get("version")) \
             or doc["version"] != 1:

@@ -57,8 +57,8 @@ def parse_spec(text: str) -> TargetGate:
     """Parse `t=<float> X[i](^n) P[j](^n) ...` into a TargetGate.
 
     The grammar is checked here; what TargetGate requires of the values
-    (finite strength, positive powers, distinct modes) is checked by
-    TargetGate and reported as a SpecError.
+    (at least one factor, finite strength, positive powers, distinct modes)
+    is checked by TargetGate and reported as a SpecError.
     """
     tokens = text.split()
     if not tokens or not tokens[0].startswith("t="):
@@ -75,8 +75,6 @@ def parse_spec(text: str) -> TargetGate:
         basis = Basis.POSITION if m.group(1) == "X" else Basis.MOMENTUM
         power = int(m.group(3)) if m.group(3) else 1
         exps.append((int(m.group(2)), power, basis))
-    if not exps:
-        raise SpecError("spec needs at least one quadrature factor")
     try:
         return TargetGate(tuple(exps), strength)
     except ValueError as exc:
@@ -244,7 +242,7 @@ def _parse(args) -> None:
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         raise SpecError(f"--out directory {os.path.dirname(out)!r} does not exist")
     if args.command == "verify":
-        with open(args.circuit) as fh:
+        with open(args.circuit, "rb") as fh:
             args.seq = deserialize(fh.read())
 
 

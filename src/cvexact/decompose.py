@@ -14,7 +14,7 @@ Route overview:
   - multi-mode products expand into powers of mode sums with rational
     coefficients fixed by a Pascal-matrix null vector, each power compiled
     by shift conjugations onto a single mode;
-  - a registry of special patterns (P·X², P·Xⁿ, P·P·Xⁿ, X²X², X·Xᵐ) is
+  - a registry of special patterns (P·X², P·Xⁿ, P·P·X², X²X², X·Xᵐ) is
     consulted first, since several of them beat the general route badly.
 """
 
@@ -50,8 +50,9 @@ class Ineligible(Exception):
 class TargetGate:
     """e^{i * strength * H} with H a product of quadrature powers.
 
-    exponents maps each mode to (power, basis); powers are positive
-    integers, each mode appears once, and the strength is finite.
+    exponents maps each mode to (power, basis); there is at least one
+    factor, powers are positive integers, each mode appears once, and the
+    strength is finite.
     """
 
     exponents: tuple[tuple[int, int, Basis], ...]  # (mode, power, basis)
@@ -59,6 +60,8 @@ class TargetGate:
 
     def __post_init__(self):
         modes = [m for m, _, _ in self.exponents]
+        if not modes:
+            raise ValueError("a target needs at least one quadrature factor")
         if len(set(modes)) != len(modes):
             raise ValueError("each mode may appear only once")
         if any(n < 1 for _, n, _ in self.exponents):
@@ -155,11 +158,11 @@ def _classify(target: TargetGate
                             "momentum times position power",
                             lambda c: c.px_n(j, k, n, t))
     if (len(ps) == 2 and all(n == 1 for _, n in ps)
-            and len(xs) == 1 and xs[0][1] >= 2):
-        (j, n), (k, _), (l, _) = xs[0], ps[0], ps[1]
+            and len(xs) == 1 and xs[0][1] == 2):
+        (j, _), (k, _), (l, _) = xs[0], ps[0], ps[1]
         return eligible(special_identity("ppxn"),
                         "two momenta times position power",
-                        lambda c: c.pp_xn(j, k, l, n, t))
+                        lambda c: c.pp_xn(j, k, l, t))
     if ps:
         # momentum factors are eliminated by an outer Fourier conjugation:
         # the all-position form decides the route and emits the gates
@@ -341,18 +344,15 @@ class _Compiler:
         return f1 + f2 + self._inverse(f1) + self._inverse(f2) + f5
 
     @_identity("ppxn", invert_negative=True)
-    def pp_xn(self, j: int, k: int, l: int, n: int, s: float) -> list[Gate]:
-        """e^{isP_kP_lX_jⁿ}: the P·Xⁿ pattern with one more momentum mode.
+    def pp_xn(self, j: int, k: int, l: int, s: float) -> list[Gate]:
+        """e^{isP_kP_lX_j²}: the P·X² pattern with one more momentum mode.
 
-        For n = 2 this is the five-factor conjugation round with a
-        two-squares compensation gate e^{iα³X_j²P_l²}; for larger n that
-        compensation gate has two exponents above one and is itself not
-        exactly compilable, so the target is handled instead by Fourier
-        rotation of both momentum modes followed by the general multi-mode
-        expansion of X_jⁿX_kX_l.
+        The five-factor conjugation round of px_n with a two-squares
+        compensation gate e^{iα³X_j²P_l²}. For a higher power of X_j that
+        gate would have two exponents above one, so P·P·Xⁿ (n ≥ 3) takes
+        the generic momentum route: the general expansion of X_jⁿX_kX_l
+        inside an intake Fourier conjugation of k and l.
         """
-        if n > 2:
-            return _fourier_conj([k, l], self.general({j: n, k: 1, l: 1}, s))
         al = math.sqrt(s / 2.0)
         f1 = _fourier_conj([l], [Gate.xx(k, l, 2 * al)])
         f2 = self._x2p2(j, k, -al)
@@ -468,7 +468,7 @@ class _Compiler:
 def compile(target: TargetGate, balanced: bool = False
             ) -> tuple[GateSeq, DecompReport]:
     """Full pipeline: route dispatch, recursion, then peephole optimization."""
-    n_modes = (max(target.modes()) + 1) if target.exponents else 0
+    n_modes = max(target.modes()) + 1
     comp = _Compiler(n_modes, balanced)
     route, gates = comp.run(target)
     raw = GateSeq(tuple(gates), n_modes, tuple(comp.ancillas))

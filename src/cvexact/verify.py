@@ -3,8 +3,8 @@
 The symbolic check compares Heisenberg images of every quadrature operator,
 computed exactly by composing one substitution map per gate; it is blind to
 global phase. The numeric check multiplies truncated-Fock gate matrices and
-compares against the exact exponential on a low-lying subspace, which also
-pins down the phase.
+compares on a low-lying subspace, which also pins down the phase. Both take
+the target as one more gate and send it down the circuit's own gate code.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NOPoly, adjoint_series, substitute
+from .algebra import NOPoly, substitute
 from .circuit import FOURIER, X_POWER, Gate, GateSeq, heisenberg_conjugate
 
 
@@ -85,6 +85,8 @@ def heisenberg_action(seq: GateSeq,
     g† P_m g from heisenberg_conjugate, evaluated on the images so far
     (substitute). The modes a gate of seq touches are tracked, and those
     of modes; a mode no gate touches keeps the images X_m and P_m.
+    verify_symbolic calls it twice: on the circuit, and on the target as
+    a one-gate circuit.
     """
     generators = {m: (NOPoly.x(m), NOPoly.p(m))
                   for m in [*_touched(seq), *modes]}
@@ -97,11 +99,6 @@ def heisenberg_action(seq: GateSeq,
                                 for b in generators[m])
                        for m in g.modes})
     return {m: images[m] for m in modes}
-
-
-def target_action(generator: NOPoly, strength: float, b: NOPoly) -> NOPoly:
-    """Exact image e^{-isG} b e^{isG} of the ideal target gate."""
-    return adjoint_series(generator.scale(-1j * strength), b)
 
 
 def _touched(seq: GateSeq) -> set[int]:
@@ -124,7 +121,8 @@ def verify_symbolic(seq: GateSeq, generator: NOPoly, strength: float) -> float:
     """Worst-case Heisenberg residual of seq against e^{i*strength*generator}.
 
     Compares the image of X_m and P_m for every mode a gate or the target
-    touches (_verified_modes), all computed in one heisenberg_action; ancilla
+    touches (_verified_modes) under seq with its image under the target's
+    one-gate circuit, each computed in one heisenberg_action; ancilla
     modes must return to themselves (the target acts as identity there).
     Declared modes that nothing touches are skipped, so the cost does not
     grow with the declared mode count. Returns the largest absolute
@@ -132,10 +130,13 @@ def verify_symbolic(seq: GateSeq, generator: NOPoly, strength: float) -> float:
     only).
     """
     modes = _verified_modes(seq, generator)
+    target = Gate.exp_poly(generator, strength)
+    want = heisenberg_action(
+        GateSeq((target,), 1 + max(target.modes, default=-1)), modes)
     residual = 0.0
     for m, got in heisenberg_action(seq, modes).items():
-        for b, image in zip((NOPoly.x(m), NOPoly.p(m)), got):
-            diff = image - target_action(generator, strength, b)
+        for image, ideal in zip(got, want[m]):
+            diff = image - ideal
             residual = max(residual,
                            max((abs(c) for c in diff.terms.values()), default=0.0))
     return residual
@@ -240,24 +241,20 @@ class _NumericEngine:
         the diagonal, and the k axes come back.
     Each gate takes the order with fewer multiplications, counted from the
     array shapes (_matrix_order). A single-mode gate always takes matrix
-    order; its D×D matrix is cached on the engine, by (kind, mode,
-    strength) for an x1/x2/x3 gate and by (generator terms, momentum modes,
-    strength) for any other. A momentum mode's Fourier rotations are folded
-    into its grid projections.
+    order; the D×D matrix of an x1/x2/x3 gate is cached on the engine by
+    (kind, mode, strength), and no other matrix is cached. A momentum
+    factor is applied as F·e^{isG(X)}·F†, the rule the compiler uses at
+    intake, with F the diagonal of the Fourier gate.
     """
 
     def __init__(self, modes: list[int], cutoff: int):
         self.axis_of = {m: i + 1 for i, m in enumerate(modes)}
         self.D = cutoff
         self.lam, v = _position_basis(cutoff + INTERNAL_PAD)
-        proj = v[:cutoff, :]  # Fock (D) <- grid
+        self.from_grid = v[:cutoff, :]  # Fock (D) <- grid
+        self.to_grid = self.from_grid.conj().T
         n = np.arange(cutoff)
         self.fourier_diag = np.exp(1j * np.pi / 2 * (n + 0.5))
-        # Fock -> grid and grid -> Fock, keyed by "is a momentum mode":
-        # e^{isG(P)} = F e^{isG(X)} F† with F diagonal in the Fock basis
-        f = self.fourier_diag
-        self.to_grid = {False: proj.conj().T, True: proj.conj().T * f.conj()}
-        self.from_grid = {False: proj, True: f[:, None] * proj}
         self.single_mode: dict = {}
 
     def _grid_phase(self, xgen: NOPoly, gmodes: list[int]):
@@ -286,44 +283,43 @@ class _NumericEngine:
         matrix = G ** (k - 1) * D * G * (D + 1) + size * D  # build, apply
         return matrix < grid
 
-    def _single_mode_matrix(self, strength, xgen: NOPoly, mode: int,
-                            momentum: bool):
-        """The D×D matrix of e^{i*strength*xgen} on one mode, rotated to
-        momentum when momentum is set."""
+    def _single_mode_matrix(self, strength, xgen: NOPoly, mode: int):
+        """The D×D matrix of e^{i*strength*xgen} on one mode."""
         diag = np.exp(1j * strength * self._grid_phase(xgen, [mode]))
-        return (self.from_grid[momentum] * diag) @ self.to_grid[momentum]
+        return (self.from_grid * diag) @ self.to_grid
 
-    def _apply_position_exp(self, state, strength, xgen: NOPoly, pmodes):
-        """state <- e^{i*strength*xgen} state for a position-diagonal xgen,
-        with the modes in pmodes rotated to momentum."""
+    def _fourier(self, state, mode: int, power: int):
+        """F (power 1) or F† (power −1) on mode, in place."""
+        diag = self.fourier_diag if power == 1 else self.fourier_diag.conj()
+        shape = [1] * state.ndim
+        shape[self.axis_of[mode]] = self.D
+        state *= diag.reshape(shape)
+        return state
+
+    def _apply_position_exp(self, state, strength, xgen: NOPoly):
+        """state <- e^{i*strength*xgen} state for a position-diagonal xgen."""
         gmodes = sorted(xgen.modes(), key=self.axis_of.get)
         if not gmodes:
             return state * np.exp(1j * strength * self._grid_phase(xgen, []))
         axes = [self.axis_of[m] for m in gmodes]
-        fwd = [self.to_grid[m in pmodes] for m in gmodes]
-        back = [self.from_grid[m in pmodes] for m in gmodes]
         if len(gmodes) == 1:
-            key = (frozenset(xgen.terms.items()), frozenset(pmodes), strength)
-            mat = self.single_mode.get(key)
-            if mat is None:
-                mat = self.single_mode[key] = self._single_mode_matrix(
-                    strength, xgen, gmodes[0], gmodes[0] in pmodes)
+            mat = self._single_mode_matrix(strength, xgen, gmodes[0])
             return _apply_axis(state, mat, axes[0])
-        for ax, f in zip(axes[:-1], fwd[:-1]):
-            state = _apply_axis(state, f, ax)
+        for ax in axes[:-1]:
+            state = _apply_axis(state, self.to_grid, ax)
         diag = np.exp(1j * strength * self._grid_phase(xgen, gmodes))
         if self._matrix_order(state.shape, len(gmodes)):
-            stack = (back[-1] * diag[..., None, :]) @ fwd[-1]
+            stack = (self.from_grid * diag[..., None, :]) @ self.to_grid
             state = _apply_axis(state, stack, axes[-1], axes[:-1])
         else:
-            state = _apply_axis(state, fwd[-1], axes[-1])
+            state = _apply_axis(state, self.to_grid, axes[-1])
             bshape = [1] * state.ndim
             for ax in axes:
                 bshape[ax] = len(self.lam)
             state *= diag.reshape(bshape)
-            state = _apply_axis(state, back[-1], axes[-1])
-        for ax, b in zip(axes[:-1], back[:-1]):
-            state = _apply_axis(state, b, ax)
+            state = _apply_axis(state, self.from_grid, axes[-1])
+        for ax in axes[:-1]:
+            state = _apply_axis(state, self.from_grid, ax)
         return state
 
     def _apply_dense_exp(self, state, strength, generator: NOPoly):
@@ -360,30 +356,28 @@ class _NumericEngine:
         return np.einsum(u.reshape([D] * (2 * r)), new + axes, state, idx, out,
                          order="C")
 
-    def apply_exp(self, state, strength, generator: NOPoly):
-        split = _mode_split(generator)
-        if split is None:
-            return self._apply_dense_exp(state, strength, generator)
-        pmodes, xgen = split
-        return self._apply_position_exp(state, strength, xgen, set(pmodes))
-
     def apply_gate(self, state, g: Gate):
-        """The state after g; a Fourier gate overwrites state in place."""
+        """The state after g; a Fourier gate, and an exponential with a
+        momentum factor, overwrite state in place."""
         if g.kind == FOURIER:
-            diag = (self.fourier_diag if g.power == 1
-                    else self.fourier_diag.conj())
-            shape = [1] * state.ndim
-            shape[self.axis_of[g.mode]] = self.D
-            state *= diag.reshape(shape)
-            return state
+            return self._fourier(state, g.mode, g.power)
         if g.kind in X_POWER:
             key = (g.kind, g.mode, g.strength)
             mat = self.single_mode.get(key)
             if mat is None:
                 mat = self.single_mode[key] = self._single_mode_matrix(
-                    g.strength, g.generator, g.mode, False)
+                    g.strength, g.generator, g.mode)
             return _apply_axis(state, mat, self.axis_of[g.mode])
-        return self.apply_exp(state, g.strength, g.generator)
+        split = _mode_split(g.generator)
+        if split is None:
+            return self._apply_dense_exp(state, g.strength, g.generator)
+        pmodes, xgen = split
+        for m in pmodes:
+            state = self._fourier(state, m, -1)
+        state = self._apply_position_exp(state, g.strength, xgen)
+        for m in pmodes:
+            state = self._fourier(state, m, 1)
+        return state
 
 
 def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
@@ -394,7 +388,8 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
     lowest-d-levels subspace (gates are evaluated on an internally padded
     quadrature grid and projected back, so per-gate truncation artifacts
     stay far below the genuine circuit leakage), then compares the subspace
-    block of the result against the block of the target exponential.
+    block of the result against the block of the target exponential, which
+    the same engine applies as one more gate (apply_gate).
     The columns are held as one array of shape (cols, D, ..., D), column
     axis first; each gate is multiplied out in matrix or grid order,
     whichever takes fewer multiplications (see _NumericEngine).
@@ -420,7 +415,7 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
 
     for g in reversed(seq.gates):  # rightmost gate acts first
         state = eng.apply_gate(state, g)
-    ref = eng.apply_exp(ref, strength, generator)
+    ref = eng.apply_gate(ref, Gate.exp_poly(generator, strength))
 
     # row c of the block is column c of the operator
     sub = (slice(None),) + tuple(slice(0, d) for _ in range(nmodes))

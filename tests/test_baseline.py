@@ -24,6 +24,12 @@ def test_target_from_poly_rejects_sums_and_mixed_factors():
         target_from_poly(NOPoly.x(0) + NOPoly.x(1))
     with pytest.raises(Ineligible):
         target_from_poly(NOPoly.monomial([(0, 1, 1)], 1.0))
+    # a constant is the empty product, which no target may be
+    for empty in (lambda: target_from_poly(NOPoly.constant(2.0)),
+                  lambda: TargetGate((), 1.0),
+                  lambda: TargetGate.position({}, 1.0)):
+        with pytest.raises(ValueError, match="at least one quadrature factor"):
+            empty()
 
 
 def test_trotter_commuting_terms_is_exact():

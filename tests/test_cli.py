@@ -180,6 +180,17 @@ def test_verify_rejects_fields_of_the_wrong_type(change, tmp_path, capsys):
     assert "cannot load circuit:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    b'{"version": 1, "modes": 1, "ancillas": [], "gates": [], "x": "caf\xe9"}',
+    b"[" * 200_000,
+], ids=["not-utf8", "nested-too-deep"])
+def test_verify_rejects_unreadable_circuit_files(data, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main(["verify", str(path), "t=0.5 X[0]"]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("cannot load circuit:")
+
+
 def test_compare_prints_ratio(capsys):
     rc = main(["compare", "t=1 X[0]^4", "--epsilon", "1e-3"])
     assert rc == 0

@@ -166,11 +166,17 @@ def test_pp_xn_identity():
 
 
 def test_pp_xn_higher_power_compiles_to_universal_gates():
-    # the n >= 3 route goes through the general multi-mode expansion; full
-    # symbolic verification of that large circuit lives with the expansion
-    # tests, here we check the structure
-    seq = _compiled(0.6, (0, 3, X), (1, 1, P), (2, 1, P))
+    # n >= 3 takes the generic momentum route: the general multi-mode
+    # expansion inside the intake Fourier conjugation
+    seq, rep = compile(TargetGate(((0, 3, X), (1, 1, P), (2, 1, P)), 0.6))
+    assert rep.route == "GeneralMultiMode"
     assert all(g.kind != EXPPOLY for g in seq.gates)
+
+
+def test_pp_xn_higher_power_negative_strength_is_exact():
+    tg = parse_spec("t=-0.6 P[0] P[1] X[2]^3")
+    seq, _ = compile(tg)
+    _check(seq, tg.generator(), tg.strength)
 
 
 @pytest.mark.parametrize("t", [0.5, -1.2])

@@ -228,16 +228,24 @@ def _block_err_phase(u, v, cutoff, subspace):
     return np.linalg.norm(a_blk - np.exp(1j * phase) * b_blk, 2), phase
 
 
-@pytest.mark.parametrize("cutoff,subspace,matrix_order", [(6, 1, False),
-                                                          (6, 2, True)])
+_X0X1X2 = ((0, 1, 0), (1, 1, 0), (2, 1, 0))
+
+
+@pytest.mark.parametrize("cutoff,subspace,matrix_order,target", [
+    pytest.param(6, 1, False, _X0X1X2, id="6-1-False"),
+    pytest.param(6, 2, True, _X0X1X2, id="6-2-True"),
+    # a momentum factor: the target is applied by Fourier conjugation
+    pytest.param(6, 2, True, ((0, 1, 0), (1, 0, 1), (2, 2, 0)),
+                 id="6-2-True-X0P1X2^2"),
+])
 def test_numeric_matches_dense_kronecker_product(cutoff, subspace,
-                                                 matrix_order):
+                                                 matrix_order, target):
     # the three-mode gates take grid order at d=1 and matrix order at d=2
     grid = cutoff + INTERNAL_PAD
     eng = _NumericEngine([0, 1, 2], cutoff)
     assert eng._matrix_order((subspace ** 3, grid, grid, cutoff),
                              3) == matrix_order
-    x0x1x2 = NOPoly.monomial([(0, 1, 0), (1, 1, 0), (2, 1, 0)])
+    gen = NOPoly.monomial(list(target))
     mono = lambda *f: NOPoly.monomial(list(f))
     # unequal powers and momentum modes make the per-gate matrices and
     # phase grids asymmetric, so a swapped axis or transpose shows
@@ -253,12 +261,12 @@ def test_numeric_matches_dense_kronecker_product(cutoff, subspace,
              Gate.x(0, 2, -0.4), Gate.fourier(1, -1))
     seq = GateSeq(gates, 3)
     ctx = FockContext(cutoff=cutoff, subspace=subspace)
-    err, phase = verify_numeric(seq, x0x1x2, 0.2, ctx)
+    err, phase = verify_numeric(seq, gen, 0.2, ctx)
 
     u = np.eye(cutoff ** 3)
     for g in gates:  # gates[0] is the leftmost factor
         u = u @ _dense_gate(g, cutoff, 3)
-    want = _dense_gate(Gate.exp_poly(x0x1x2, 0.2), cutoff, 3)
+    want = _dense_gate(Gate.exp_poly(gen, 0.2), cutoff, 3)
     want_err, want_phase = _block_err_phase(u, want, cutoff, subspace)
     assert err > 1e-3  # the circuit is not the target: a real comparison
     assert abs(err - want_err) < 1e-12
