@@ -26,6 +26,10 @@ class DimensionTooLarge(Exception):
 
 # full many-mode dimension cap for numeric verification
 MAX_FULL_DIM = 200_000
+# cap on cols·Dⁿ, the entries of the numeric state (64 MB of complex); a
+# three-mode gate in grid order briefly holds ((D + INTERNAL_PAD)/D)³ times
+# as many on its grid
+MAX_STATE_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -245,6 +249,16 @@ class _NumericEngine:
     (kind, mode, strength), and no other matrix is cached. A momentum
     factor is applied as F·e^{isG(X)}·F†, the rule the compiler uses at
     intake, with F the diagonal of the Fourier gate.
+
+    run fuses the gates on one mode when the state holds more entries than
+    a D×D matrix (cols·Dⁿ > D²). A Fourier gate, or an exponential on one
+    mode, is then multiplied into a pending D×D factor P for its mode, a
+    diagonal vector while only Fourier gates joined it, and the state is
+    left alone. The next gate that acts on the mode and on others applies
+    P first, in one pass; in matrix order P on the last gate axis is folded
+    into the stack's right factor instead, projᴴ·P. What is still pending at the end
+    of run is applied then. On a smaller state the factor products cost
+    more than the passes they save, so every gate is applied as it comes.
     """
 
     def __init__(self, modes: list[int], cutoff: int):
@@ -253,9 +267,10 @@ class _NumericEngine:
         self.lam, v = _position_basis(cutoff + INTERNAL_PAD)
         self.from_grid = v[:cutoff, :]  # Fock (D) <- grid
         self.to_grid = self.from_grid.conj().T
-        n = np.arange(cutoff)
-        self.fourier_diag = np.exp(1j * np.pi / 2 * (n + 0.5))
+        f = np.exp(1j * np.pi / 2 * (np.arange(cutoff) + 0.5))
+        self.fourier = {1: f, -1: f.conj()}  # F and F† by power, diagonal
         self.single_mode: dict = {}
+        self.pending: dict | None = None  # mode -> factor, while run fuses
 
     def _grid_phase(self, xgen: NOPoly, gmodes: list[int]):
         """xgen on the joint position grid of gmodes, shape (G,)*len(gmodes)."""
@@ -288,12 +303,38 @@ class _NumericEngine:
         diag = np.exp(1j * strength * self._grid_phase(xgen, [mode]))
         return (self.from_grid * diag) @ self.to_grid
 
-    def _fourier(self, state, mode: int, power: int):
-        """F (power 1) or F† (power −1) on mode, in place."""
-        diag = self.fourier_diag if power == 1 else self.fourier_diag.conj()
+    def _on_mode(self, state, factor, mode: int):
+        """factor, a diagonal vector or a D×D matrix, on mode: multiplied
+        into the mode's pending factor while fusing, else applied now."""
+        if self.pending is None:
+            return self._apply_factor(state, factor, mode)
+        old = self.pending.get(mode)
+        if old is None:
+            self.pending[mode] = factor
+        elif factor.ndim == 2 and old.ndim == 2:
+            self.pending[mode] = factor @ old
+        elif factor.ndim == 1 and old.ndim == 2:
+            self.pending[mode] = factor[:, None] * old
+        else:  # entrywise, or a matrix after a diagonal scales its columns
+            self.pending[mode] = factor * old
+        return state
+
+    def _apply_factor(self, state, factor, mode: int):
+        """state <- factor on mode; a diagonal is multiplied in place."""
+        if factor.ndim == 2:
+            return _apply_axis(state, factor, self.axis_of[mode])
         shape = [1] * state.ndim
         shape[self.axis_of[mode]] = self.D
-        state *= diag.reshape(shape)
+        state *= factor.reshape(shape)
+        return state
+
+    def _flush(self, state, modes):
+        """state with the pending factors of modes applied and dropped."""
+        if self.pending:
+            for m in modes:
+                factor = self.pending.pop(m, None)
+                if factor is not None:
+                    state = self._apply_factor(state, factor, m)
         return state
 
     def _apply_position_exp(self, state, strength, xgen: NOPoly):
@@ -301,17 +342,25 @@ class _NumericEngine:
         gmodes = sorted(xgen.modes(), key=self.axis_of.get)
         if not gmodes:
             return state * np.exp(1j * strength * self._grid_phase(xgen, []))
-        axes = [self.axis_of[m] for m in gmodes]
         if len(gmodes) == 1:
             mat = self._single_mode_matrix(strength, xgen, gmodes[0])
-            return _apply_axis(state, mat, axes[0])
+            return self._on_mode(state, mat, gmodes[0])
+        axes = [self.axis_of[m] for m in gmodes]
+        state = self._flush(state, gmodes[:-1])
         for ax in axes[:-1]:
             state = _apply_axis(state, self.to_grid, ax)
         diag = np.exp(1j * strength * self._grid_phase(xgen, gmodes))
         if self._matrix_order(state.shape, len(gmodes)):
-            stack = (self.from_grid * diag[..., None, :]) @ self.to_grid
+            # the last mode's pending factor acts before the stack: fold
+            # it into the stack's right factor
+            right = self.to_grid
+            last = self.pending.pop(gmodes[-1], None) if self.pending else None
+            if last is not None:
+                right = right @ last if last.ndim == 2 else right * last
+            stack = (self.from_grid * diag[..., None, :]) @ right
             state = _apply_axis(state, stack, axes[-1], axes[:-1])
         else:
+            state = self._flush(state, gmodes[-1:])
             state = _apply_axis(state, self.to_grid, axes[-1])
             bshape = [1] * state.ndim
             for ax in axes:
@@ -357,26 +406,40 @@ class _NumericEngine:
                          order="C")
 
     def apply_gate(self, state, g: Gate):
-        """The state after g; a Fourier gate, and an exponential with a
-        momentum factor, overwrite state in place."""
+        """The state after g, but for the factors still pending while run
+        fuses: a gate on one mode may only join its mode's pending factor.
+        Any gate may overwrite state in place."""
         if g.kind == FOURIER:
-            return self._fourier(state, g.mode, g.power)
+            return self._on_mode(state, self.fourier[g.power], g.mode)
         if g.kind in X_POWER:
             key = (g.kind, g.mode, g.strength)
             mat = self.single_mode.get(key)
             if mat is None:
                 mat = self.single_mode[key] = self._single_mode_matrix(
                     g.strength, g.generator, g.mode)
-            return _apply_axis(state, mat, self.axis_of[g.mode])
+            return self._on_mode(state, mat, g.mode)
         split = _mode_split(g.generator)
         if split is None:
+            state = self._flush(state, g.modes)
             return self._apply_dense_exp(state, g.strength, g.generator)
         pmodes, xgen = split
         for m in pmodes:
-            state = self._fourier(state, m, -1)
+            state = self._on_mode(state, self.fourier[-1], m)
         state = self._apply_position_exp(state, g.strength, xgen)
         for m in pmodes:
-            state = self._fourier(state, m, 1)
+            state = self._on_mode(state, self.fourier[1], m)
+        return state
+
+    def run(self, state, gates):
+        """The state after gates, first gate first, with nothing left
+        pending: each gate goes through apply_gate, fused by mode when the
+        state is larger than a D×D matrix (see the class)."""
+        self.pending = {} if state.size > self.D ** 2 else None
+        apply = self.apply_gate
+        for g in gates:
+            state = apply(state, g)
+        state = self._flush(state, list(self.pending or ()))
+        self.pending = None
         return state
 
 
@@ -392,7 +455,12 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
     the same engine applies as one more gate (apply_gate).
     The columns are held as one array of shape (cols, D, ..., D), column
     axis first; each gate is multiplied out in matrix or grid order,
-    whichever takes fewer multiplications (see _NumericEngine).
+    whichever takes fewer multiplications, and runs of gates on one mode
+    are fused into one pass (see _NumericEngine). Both the circuit and the
+    target go through the engine's run, which returns them with every gate
+    applied, so the blocks are read with nothing pending. A state of more
+    than MAX_STATE_ENTRIES entries, cols·Dⁿ, or of Dⁿ > MAX_FULL_DIM is
+    refused with DimensionTooLarge before anything is allocated.
     Returns (subspace_error, phase_offset). phase_offset is the angle of
     tr(B†A), with A the circuit's block and B the target's; the error is
     the largest singular value of A - e^{i*phase_offset} B. That phase
@@ -405,17 +473,20 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
     if D ** nmodes > MAX_FULL_DIM:
         raise DimensionTooLarge(
             f"{nmodes} modes at cutoff {D} exceed the bound {MAX_FULL_DIM}")
+    cols = d ** nmodes
+    if cols * D ** nmodes > MAX_STATE_ENTRIES:
+        raise DimensionTooLarge(
+            f"{cols} columns of {nmodes} modes at cutoff {D} hold "
+            f"{cols * D ** nmodes} entries, over the bound {MAX_STATE_ENTRIES}")
     eng = _NumericEngine(modes, D)
 
-    cols = d ** nmodes
-    state = np.zeros([cols] + [D] * nmodes, dtype=complex)
+    ref = np.zeros([cols] + [D] * nmodes, dtype=complex)
     for c, tup in enumerate(itertools.product(range(d), repeat=nmodes)):
-        state[(c,) + tup] = 1.0
-    ref = state.copy()
-
-    for g in reversed(seq.gates):  # rightmost gate acts first
-        state = eng.apply_gate(state, g)
-    ref = eng.apply_gate(ref, Gate.exp_poly(generator, strength))
+        ref[(c,) + tup] = 1.0
+    # run holds the only reference to the circuit's copy, so each state is
+    # freed once the next gate has made its successor
+    state = eng.run(ref.copy(), reversed(seq.gates))  # rightmost gate first
+    ref = eng.run(ref, [Gate.exp_poly(generator, strength)])
 
     # row c of the block is column c of the operator
     sub = (slice(None),) + tuple(slice(0, d) for _ in range(nmodes))

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py records only results that the run itself wrote."""
+"""tools/bench_pairs.py records only results that the run itself wrote, and
+keeps every run it recorded."""
 
 import importlib.util
 import json
@@ -54,3 +55,67 @@ def test_decided_frac_is_recorded_and_won_by_the_higher_side():
     assert summary["decided_frac"]["change_wins"] == 1   # a tie wins nothing
     assert summary["decided_frac"]["change"]["median"] == 0.9
     assert summary["wall_s"]["change_wins"] == 2         # lower wins here
+
+
+# a stand-in for perfbench/run.py: logs its call and writes a result whose
+# wall_s is its seed
+FAKE_RUN = """\
+import argparse, json, pathlib
+ap = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    ap.add_argument(flag)
+a = ap.parse_args()
+with open("calls.log", "a") as fh:
+    fh.write(a.seed + "\\n")
+pathlib.Path(f"perfbench/out/result-{a.workload}-seed{a.seed}-trace0.json"
+             ).write_text(json.dumps({
+    "environment": {"git_sha": None}, "passes": 1, "problems": [],
+    "end_to_end": {"wall_s": float(a.seed)}}))
+"""
+
+
+def _fake_checkout(path):
+    (path / "perfbench" / "out").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    return path
+
+
+def _record(parent, change, out, first_seed, pairs, seconds="15"):
+    return bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "numeric", "--pairs", str(pairs),
+                             "--first-seed", str(first_seed),
+                             "--seconds", seconds, "--out", str(out)])
+
+
+def test_a_second_call_appends_and_summarises_every_pair(tmp_path):
+    parent = _fake_checkout(tmp_path / "parent")
+    change = _fake_checkout(tmp_path / "change")
+    out = tmp_path / "bench.json"
+    assert _record(parent, change, out, 1, 2) == 0
+    assert _record(parent, change, out, 3, 3) == 0
+    entry = json.loads(out.read_text())["workloads"]["numeric"]
+    assert entry["seeds"] == [1, 2, 3, 4, 5]
+    assert [r["first"] for r in entry["runs"]] == [
+        "parent", "change", "parent", "change", "parent"]
+    wall = entry["summary"]["wall_s"]
+    assert wall["pairs"] == 5
+    assert wall["parent"]["median"] == wall["change"]["median"] == 3.0
+    assert (parent / "calls.log").read_text().split() == list("12345")
+
+
+@pytest.mark.parametrize("first_seed,seconds,message", [
+    (2, "15", "numeric already has seeds [2, 3]"),
+    (9, "10", "numeric is recorded at --seconds 15.0, not 10.0"),
+], ids=["seed-reused", "seconds-changed"])
+def test_recorded_seeds_and_other_seconds_are_refused_before_any_run(
+        first_seed, seconds, message, tmp_path):
+    parent = _fake_checkout(tmp_path / "parent")
+    change = _fake_checkout(tmp_path / "change")
+    out = tmp_path / "bench.json"
+    assert _record(parent, change, out, 1, 3) == 0
+    before = out.read_text()
+    with pytest.raises(SystemExit) as exc:
+        _record(parent, change, out, first_seed, 2, seconds)
+    assert str(exc.value) == f"{out}: {message}"
+    assert out.read_text() == before
+    assert (parent / "calls.log").read_text().split() == list("123")

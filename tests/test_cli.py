@@ -142,6 +142,15 @@ def test_declared_modes_no_gate_touches_are_not_checked(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().out
 
 
+def test_numeric_state_too_large_is_skipped(capsys):
+    # 58³ is under MAX_FULL_DIM, but 19³ columns of it would be 21 GB
+    assert main(["compile", "t=0.1 X[0] X[1] X[2]", "--numeric-cutoff", "58",
+                 "--subspace", "19"]) == 0
+    captured = capsys.readouterr()
+    assert "numeric check skipped" in captured.err
+    assert "numeric error" not in captured.out
+
+
 def test_verify_rejects_malformed_circuit(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 99, "gates": []}))

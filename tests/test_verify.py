@@ -9,10 +9,10 @@ from cvexact.algebra import Basis, NOPoly, max_coeff_diff
 from cvexact.circuit import FOURIER, Gate, GateSeq
 from cvexact.cli import parse_spec
 from cvexact.decompose import TargetGate, compile
-from cvexact.verify import (INTERNAL_PAD, DimensionTooLarge, FockContext,
-                            _NumericEngine, _position_basis, _verified_modes,
-                            fock_matrices, heisenberg_action, verify_numeric,
-                            verify_symbolic)
+from cvexact.verify import (INTERNAL_PAD, MAX_FULL_DIM, MAX_STATE_ENTRIES,
+                            DimensionTooLarge, FockContext, _NumericEngine,
+                            _position_basis, _verified_modes, fock_matrices,
+                            heisenberg_action, verify_numeric, verify_symbolic)
 
 from test_decompose import ROUTE_PINS
 from util import declared_modes, gate_matrix, heisenberg_fold, seq_matrix
@@ -46,6 +46,21 @@ def test_dimension_guard():
     gen = NOPoly.monomial([(m, 1, 0) for m in range(5)], 1.0)
     with pytest.raises(DimensionTooLarge):
         verify_numeric(seq, gen, 0.1, FockContext(cutoff=24, subspace=2))
+
+
+def test_state_guard_refuses_before_allocating(monkeypatch):
+    # (19³, 58, 58, 58) would be 21 GB; Dⁿ = 195,112 passes MAX_FULL_DIM
+    seq = GateSeq((Gate.xx(0, 1, 0.1), Gate.xx(1, 2, 0.1)), 3)
+    gen = NOPoly.monomial([(m, 1, 0) for m in range(3)])
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("np.zeros called")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(DimensionTooLarge, match="over the bound"):
+        verify_numeric(seq, gen, 0.1, FockContext(cutoff=58, subspace=19))
+    assert 58 ** 3 <= MAX_FULL_DIM
+    assert 19 ** 3 * 58 ** 3 > MAX_STATE_ENTRIES
 
 
 def test_heisenberg_action_identity_sequence():
@@ -219,13 +234,25 @@ def _dense_gate(g, cutoff, n_modes):
 
 
 def _block_err_phase(u, v, cutoff, subspace):
-    """verify_numeric's (err, phase) for dense 3-mode matrices u (circuit)
-    and v (target), on the block where every mode is below subspace."""
-    idx = [(a * cutoff + b) * cutoff + c for a, b, c in
-           itertools.product(range(subspace), repeat=3)]
+    """verify_numeric's (err, phase) for dense many-mode matrices u
+    (circuit) and v (target), on the block where every mode is below
+    subspace."""
+    n_modes = round(np.log(len(u)) / np.log(cutoff))
+    idx = [np.ravel_multi_index(t, (cutoff,) * n_modes) for t in
+           itertools.product(range(subspace), repeat=n_modes)]
     a_blk, b_blk = u[np.ix_(idx, idx)], v[np.ix_(idx, idx)]
     phase = np.angle(np.trace(b_blk.conj().T @ a_blk))
     return np.linalg.norm(a_blk - np.exp(1j * phase) * b_blk, 2), phase
+
+
+def _dense_err_phase(gates, n_modes, gen, strength, cutoff, subspace):
+    """The dense oracle's (err, phase) for gates (leftmost first) against
+    e^{i*strength*gen}, one Kronecker product per gate."""
+    u = np.eye(cutoff ** n_modes)
+    for g in gates:
+        u = u @ _dense_gate(g, cutoff, n_modes)
+    want = _dense_gate(Gate.exp_poly(gen, strength), cutoff, n_modes)
+    return _block_err_phase(u, want, cutoff, subspace)
 
 
 _X0X1X2 = ((0, 1, 0), (1, 1, 0), (2, 1, 0))
@@ -262,12 +289,8 @@ def test_numeric_matches_dense_kronecker_product(cutoff, subspace,
     seq = GateSeq(gates, 3)
     ctx = FockContext(cutoff=cutoff, subspace=subspace)
     err, phase = verify_numeric(seq, gen, 0.2, ctx)
-
-    u = np.eye(cutoff ** 3)
-    for g in gates:  # gates[0] is the leftmost factor
-        u = u @ _dense_gate(g, cutoff, 3)
-    want = _dense_gate(Gate.exp_poly(gen, 0.2), cutoff, 3)
-    want_err, want_phase = _block_err_phase(u, want, cutoff, subspace)
+    want_err, want_phase = _dense_err_phase(gates, 3, gen, 0.2, cutoff,
+                                            subspace)
     assert err > 1e-3  # the circuit is not the target: a real comparison
     assert abs(err - want_err) < 1e-12
     assert abs(phase - want_phase) < 1e-12
@@ -288,6 +311,73 @@ def test_numeric_mixed_basis_on_two_modes_matches_dense():
     want = gate_matrix(Gate.exp_poly(gen, 0.2), 3, cutoff)
     want_err, want_phase = _block_err_phase(u, want, cutoff, subspace)
     assert err > 1e-3
+    assert abs(err - want_err) < 1e-12
+    assert abs(phase - want_phase) < 1e-12
+
+
+def _fusion_circuit(n_modes):
+    """Runs of single-mode gates on the grid axis (mode 0) and on the stack
+    axis (mode 1) of xx(0, 1): Fourier gates alone, a pending diagonal, and
+    Fourier and x gates mixed, a pending matrix; the first run applied
+    ends in a momentum exponential and the last is left for the final
+    flush. On three modes, mode 2 takes an xx gate and a run of its own."""
+    gates = (
+        Gate.fourier(1), Gate.x(1, 3, 0.2), Gate.fourier(1, -1),
+        Gate.xx(0, 1, 0.3),
+        Gate.fourier(0), Gate.fourier(0),
+        Gate.fourier(1, -1), Gate.x(1, 2, -0.4), Gate.fourier(1),
+        Gate.x(1, 1, 0.5),
+        Gate.xx(0, 1, -0.25),
+        Gate.x(0, 3, 0.15), Gate.fourier(0, -1), Gate.x(0, 2, 0.3),
+        Gate.fourier(1), Gate.fourier(1), Gate.fourier(1, -1),
+        Gate.xx(0, 1, 0.2),
+        Gate.fourier(0), Gate.exp_poly(NOPoly.p(0, 2), 0.1))
+    if n_modes == 3:
+        gates = (Gate.fourier(2), Gate.x(2, 3, -0.1), Gate.xx(1, 2, 0.15),
+                 Gate.x(2, 2, 0.35), Gate.fourier(2, -1)) + gates
+    return gates
+
+
+@pytest.mark.parametrize("n_modes,cutoff,subspace,fused,matrix_order", [
+    pytest.param(3, 6, 2, True, True, id="matrix-order"),
+    pytest.param(2, 9, 2, True, False, id="grid-order"),
+    pytest.param(2, 6, 1, False, False, id="unfused"),
+])
+def test_fused_runs_match_dense_kronecker_product(n_modes, cutoff, subspace,
+                                                  fused, matrix_order):
+    # the engine fuses when the state has more entries than a D×D matrix;
+    # xx gates take the order _matrix_order picks once mode 0 is on the grid
+    cols, grid = subspace ** n_modes, cutoff + INTERNAL_PAD
+    assert (cols * cutoff ** n_modes > cutoff ** 2) == fused
+    eng = _NumericEngine(list(range(n_modes)), cutoff)
+    shape = (cols, grid) + (cutoff,) * (n_modes - 1)
+    assert eng._matrix_order(shape, 2) == matrix_order
+    gates = _fusion_circuit(n_modes)
+    gen = NOPoly.monomial([(m, 1 + m % 2, 0) for m in range(n_modes)])
+    err, phase = verify_numeric(GateSeq(gates, n_modes), gen, 0.2,
+                                FockContext(cutoff=cutoff, subspace=subspace))
+    want_err, want_phase = _dense_err_phase(gates, n_modes, gen, 0.2,
+                                            cutoff, subspace)
+    assert err > 1e-3  # the circuit is not the target: a real comparison
+    assert abs(err - want_err) < 1e-12
+    assert abs(phase - want_phase) < 1e-12
+
+
+@pytest.mark.parametrize("target", [
+    pytest.param(((0, 3, 0),), id="X0^3"),
+    pytest.param(((0, 1, 0), (1, 1, 0)), id="X0X1"),
+])
+def test_fused_target_is_applied_before_the_blocks_are_read(target):
+    # a single-mode target joins the pending factors like any x3 gate; left
+    # pending, the reference would be the bare subspace columns
+    cutoff, subspace = 6, 2
+    gates = (Gate.fourier(0), Gate.x(0, 3, 0.3), Gate.xx(0, 1, 0.2),
+             Gate.fourier(1), Gate.x(1, 2, -0.3))
+    gen = NOPoly.monomial(list(target))
+    err, phase = verify_numeric(GateSeq(gates, 2), gen, 0.25,
+                                FockContext(cutoff=cutoff, subspace=subspace))
+    want_err, want_phase = _dense_err_phase(gates, 2, gen, 0.25, cutoff,
+                                            subspace)
     assert abs(err - want_err) < 1e-12
     assert abs(phase - want_phase) < 1e-12
 

@@ -3,8 +3,9 @@
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
         --pairs N --first-seed S [--seconds 15] --out BENCH_<n>.json
 
-Pair i uses seed S+i on both sides; even pairs run the parent first, odd
-pairs the change first. Each run is `python3 perfbench/run.py --workload NAME
+Pair i uses seed S+i on both sides; the pairs of a workload alternate,
+counted over its whole record: even pairs run the parent first, odd pairs
+the change first. Each run is `python3 perfbench/run.py --workload NAME
 --seed SEED --seconds SECONDS --trace 0` in that checkout, and its
 end-to-end metrics are read back from the checkout's
 `perfbench/out/result-NAME-seedSEED-trace0.json`, which is deleted before
@@ -13,7 +14,10 @@ an error. The output file keeps
 every run of every workload recorded so far, with a summary per metric:
 each side's median and quartiles, and the pairs the change won (higher is
 better for decided_frac and lower for every other metric; ties count for
-neither side).
+neither side). A second call for a recorded workload appends its pairs and
+summarises all of them; it is refused before any run when one of its seeds
+is already recorded for the workload, or when its --seconds differs. The
+file is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -86,10 +90,20 @@ def main(argv=None) -> int:
         "command": ("python3 perfbench/run.py --workload <name> --seed <seed> "
                     "--seconds <seconds> --trace 0, in each checkout"),
         "workloads": {}}
-    runs = []
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+    recorded = doc["workloads"].get(args.workload)
+    runs = recorded["runs"] if recorded else []
+    if recorded and recorded["seconds"] != args.seconds:
+        raise SystemExit(
+            f"{args.out}: {args.workload} is recorded at --seconds "
+            f"{recorded['seconds']}, not {args.seconds}")
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
+    reused = sorted(set(seeds) & {r["seed"] for r in runs})
+    if reused:
+        raise SystemExit(
+            f"{args.out}: {args.workload} already has seeds {reused}")
+    for seed in seeds:
+        order = (("parent", "change") if len(runs) % 2 == 0
+                 else ("change", "parent"))
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             checkout = args.parent if side == "parent" else args.change
@@ -97,13 +111,13 @@ def main(argv=None) -> int:
             print(f"{args.workload} seed {seed} {side}: "
                   f"{pair[side]['metrics']}", flush=True)
         runs.append(pair)
-    doc["workloads"][args.workload] = {
-        "seconds": args.seconds,
-        "seeds": [r["seed"] for r in runs],
-        "runs": runs,
-        "summary": summarize(runs),
-    }
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        doc["workloads"][args.workload] = {
+            "seconds": args.seconds,
+            "seeds": [r["seed"] for r in runs],
+            "runs": runs,
+            "summary": summarize(runs),
+        }
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
