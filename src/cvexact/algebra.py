@@ -9,6 +9,7 @@ floating-point rounding of the i/2 correction cascade.
 
 from __future__ import annotations
 
+import cmath
 import math
 from enum import Enum
 from typing import Iterable, Mapping
@@ -50,7 +51,8 @@ class NOPoly:
         pruned: dict[TermKey, complex] = {}
         if terms:
             for key, coeff in terms.items():
-                if abs(coeff) >= PRUNE_THRESHOLD:
+                # a NaN fails every comparison, so it is kept, not pruned
+                if not abs(coeff) < PRUNE_THRESHOLD:
                     pruned[key] = complex(coeff)
         object.__setattr__(self, "terms", pruned)
 
@@ -234,7 +236,9 @@ def adjoint_series(a: NOPoly, b: NOPoly) -> NOPoly:
 
     Raises NonTerminatingSeries if no zero term appears within
     2 + deg(b) * deg(a) terms; the conjugators used by the compiler all
-    terminate well inside that bound.
+    terminate well inside that bound. A term with a coefficient that is
+    not finite ends the series at once: every later term would carry
+    inf − inf, and the sum is not finite either way.
     """
     max_terms = 2 + b.degree() * max(a.degree(), 1)
     total = b
@@ -244,6 +248,8 @@ def adjoint_series(a: NOPoly, b: NOPoly) -> NOPoly:
         if term.is_zero():
             return total
         total = total + term
+        if not all(map(cmath.isfinite, term.terms.values())):
+            return total
     raise NonTerminatingSeries(
         f"adjoint series did not terminate within {max_terms} terms"
     )

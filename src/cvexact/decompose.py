@@ -16,6 +16,9 @@ Route overview:
     by shift conjugations onto a single mode;
   - a registry of special patterns (P·X², P·Xⁿ, P·P·X², X²X², X·Xᵐ) is
     consulted first, since several of them beat the general route badly.
+
+_classify is the one route table, for the top-level target and for every
+nested target an identity asks for through _Compiler._sub.
 """
 
 from __future__ import annotations
@@ -31,15 +34,7 @@ from .algebra import Basis, NOPoly
 from .circuit import ZERO_STRENGTH, Gate, GateSeq
 from .circuit_tools import DecompReport, count_gates, optimize
 
-# route identifiers
-UNIVERSAL_PRIMITIVE = "UniversalPrimitive"
-SINGLE_EVEN = "SingleEven"
-SINGLE_ODD3 = "SingleOdd3"
-GENERAL_MULTI_MODE = "GeneralMultiMode"
-
-
-def special_identity(label: str) -> str:
-    return f"SpecialIdentity({label})"
+_X, _P = Basis.POSITION, Basis.MOMENTUM
 
 
 class Ineligible(Exception):
@@ -93,6 +88,8 @@ class TargetGate:
 
 @dataclass(frozen=True)
 class EligibilityVerdict:
+    """route of an eligible target; reason is why none exists, else ""."""
+
     eligible: bool
     route: str
     reason: str
@@ -126,62 +123,50 @@ def solve_pascal_coeffs(N: int) -> CoeffSolution:
 
 def check_eligibility(target: TargetGate) -> EligibilityVerdict:
     """Decide the compilation route, or explain why none exists."""
-    return _classify(target)[0]
+    try:
+        route, _ = _classify(target)
+    except Ineligible as exc:
+        return EligibilityVerdict(False, "", str(exc))
+    return EligibilityVerdict(True, route, "")
 
 
 def _classify(target: TargetGate
-              ) -> tuple[EligibilityVerdict, Callable[[_Compiler], list[Gate]] | None]:
+              ) -> tuple[str, Callable[[_Compiler], list[Gate]]]:
     """The route of target together with the builder that emits it.
 
-    The builder takes the compiler of the run; it is None when no exact
-    route exists.
+    The builder takes the compiler of the run. Raises Ineligible, with
+    the reason, when no exact route exists.
     """
     t = target.strength
     xs = [(m, n) for m, n, b in target.exponents if b is Basis.POSITION]
     ps = [(m, n) for m, n, b in target.exponents if b is Basis.MOMENTUM]
 
-    def eligible(route, reason, build):
-        return EligibilityVerdict(True, route, reason), build
-
-    def ineligible(reason):
-        return EligibilityVerdict(False, "", reason), None
-
     # special-pattern registry, consulted before the general restrictions
     if len(ps) == 1 and ps[0][1] == 1 and len(xs) == 1:
         (j, n), (k, _) = xs[0], ps[0]
         if n == 2:
-            return eligible(special_identity("px2"),
-                            "momentum times squared position",
-                            lambda c: c.px2(j, k, t))
+            return "SpecialIdentity(px2)", lambda c: c.px2(j, k, t)
         if n >= 3:
-            return eligible(special_identity("pxn"),
-                            "momentum times position power",
-                            lambda c: c.px_n(j, k, n, t))
+            return "SpecialIdentity(pxn)", lambda c: c.px_n(j, k, n, t)
     if (len(ps) == 2 and all(n == 1 for _, n in ps)
             and len(xs) == 1 and xs[0][1] == 2):
         (j, _), (k, _), (l, _) = xs[0], ps[0], ps[1]
-        return eligible(special_identity("ppxn"),
-                        "two momenta times position power",
-                        lambda c: c.pp_xn(j, k, l, t))
+        return "SpecialIdentity(ppxn)", lambda c: c.pp_xn(j, k, l, t)
     if ps:
         # momentum factors are eliminated by an outer Fourier conjugation:
         # the all-position form decides the route and emits the gates
-        verdict, build = _classify(target.position_form())
-        if build is None:
-            return verdict, None
+        route, build = _classify(target.position_form())
         pmodes = [m for m, _ in ps]
-        return verdict, lambda c: _fourier_conj(pmodes, build(c))
+        return route, lambda c: _fourier_conj(pmodes, build(c))
 
     if len(xs) == 2:
         (u, n1), (j, n2) = sorted(xs, key=lambda e: e[1])
         if (n1, n2) == (2, 2):
-            return eligible(special_identity("twosquares"),
-                            "product of two squared positions",
-                            lambda c: c.x2x2(u, j, t))
+            return "SpecialIdentity(twosquares)", lambda c: c.x2x2(u, j, t)
         if n1 == 1 and n2 >= 2:
-            return eligible(special_identity("xxn"),
-                            "position times position power",
-                            lambda c: c._x_xn(u, j, n2, t))
+            # e^{itX_uX_jⁿ} = F_u e^{−itP_uX_jⁿ} F_u†
+            return "SpecialIdentity(xxn)", lambda c: _fourier_conj(
+                [u], c._sub(-t, (u, 1, _P), (j, n2, _X)))
 
     # general rules
     powers = [n for _, n in xs]
@@ -190,29 +175,23 @@ def _classify(target: TargetGate
     if nmodes == 1:
         (m, n), = xs
         if n <= 3:
-            return eligible(UNIVERSAL_PRIMITIVE, "single-mode power at most 3",
-                            lambda c: [Gate.x(m, n, t)])
+            return "UniversalPrimitive", lambda c: [Gate.x(m, n, t)]
         if n % 2 == 0:
-            return eligible(SINGLE_EVEN, "even single-mode power",
-                            lambda c: c.single_even(m, n, t))
+            return "SingleEven", lambda c: c.single_even(m, n, t)
         if n % 3 == 0:
-            return eligible(SINGLE_ODD3, "odd single-mode power divisible by 3",
-                            lambda c: c.single_odd3(m, n, t))
-        return ineligible(
+            return "SingleOdd3", lambda c: c.single_odd3(m, n, t)
+        raise Ineligible(
             f"single-mode power {n} is divisible by neither 2 nor 3")
     if len(nonunit) > 1:
-        return ineligible(
+        raise Ineligible(
             "at most one mode may carry an exponent larger than one "
             f"(found {len(nonunit)}) and no special identity applies")
     if all(n == 1 for n in powers) and nmodes == 2:
         j, k = target.modes()
-        return eligible(UNIVERSAL_PRIMITIVE, "bilinear coupling",
-                        lambda c: [Gate.xx(j, k, t)])
+        return "UniversalPrimitive", lambda c: [Gate.xx(j, k, t)]
     if nmodes % 2 != 0 and nmodes % 3 != 0:
-        return ineligible(f"mode count {nmodes} is divisible by neither 2 nor 3")
-    return eligible(GENERAL_MULTI_MODE,
-                    f"{nmodes}-mode product, one exponent above one",
-                    lambda c: c.general(dict(xs), t))
+        raise Ineligible(f"mode count {nmodes} is divisible by neither 2 nor 3")
+    return "GeneralMultiMode", lambda c: c.general(dict(xs), t)
 
 
 def expand_general_d(target: TargetGate) -> list[tuple[float, list[tuple[int, int]]]]:
@@ -268,7 +247,13 @@ def _identity(label: str, invert_negative: bool = False):
 
 class _Compiler:
     """One compilation run: ancilla allocation plus the recursion trace,
-    one (label, depth) entry per _identity call, in call order."""
+    one (label, depth) entry per _identity call, in call order.
+
+    Identities get their nested targets from _sub, never by calling
+    another identity; the exceptions are _x2p2's x2x2 and general's
+    poly_power (a mode-sum power, not a monomial). A subclass's _sub
+    decides what a nested target becomes, e.g. one ideal exppoly gate.
+    """
 
     def __init__(self, n_modes: int, balanced: bool = False):
         self.next_anc = n_modes
@@ -299,19 +284,17 @@ class _Compiler:
         """e^{isP_cX_i} = F_c e^{isX_cX_i} F_c†."""
         return _fourier_conj([c], [Gate.xx(c, i, s)])
 
-    def _px(self, j: int, k: int, n: int, s: float) -> list[Gate]:
-        """e^{isP_kX_jⁿ} for n ≥ 2: px2 when n = 2, else px_n."""
-        return self.px2(j, k, s) if n == 2 else self.px_n(j, k, n, s)
-
-    def _x_xn(self, u: int, j: int, m: int, s: float) -> list[Gate]:
-        """e^{isX_uX_j^m}: bilinear when m = 1, else Fourier-wrapped P·Xᵐ."""
-        if m == 1:
-            return [Gate.xx(u, j, s)]
-        return _fourier_conj([u], self._px(j, u, m, -s))
-
     def _x2p2(self, j: int, k: int, s: float) -> list[Gate]:
-        """e^{isX_j²P_k²} = F_k e^{isX_j²X_k²} F_k†."""
+        """e^{isX_j²P_k²} = F_k e^{isX_j²X_k²} F_k†; not through _sub, as
+        x2x2 is not symmetric in j and k and _classify orders them by mode."""
         return _fourier_conj([k], self.x2x2(j, k, s))
+
+    def _sub(self, s: float, *factors: tuple[int, int, Basis]) -> list[Gate]:
+        """Gates of the nested target e^{isΠ factors}, each factor
+        (mode, power, basis), by the route _classify picks for it."""
+        if not math.isfinite(s):
+            raise OverflowError(f"nested strength {s!r}")
+        return self.run(TargetGate(factors, s))[1]
 
     # -- identity routes ---------------------------------------------------
 
@@ -338,9 +321,9 @@ class _Compiler:
     def px_n(self, j: int, k: int, n: int, s: float) -> list[Gate]:
         """e^{isP_kX_jⁿ}, n ≥ 3, via one strength-√(s/2) conjugation round."""
         al = math.sqrt(s / 2.0)
-        f1 = self._x_xn(k, j, n - 2, 2 * al)
+        f1 = self._sub(2 * al, (k, 1, _X), (j, n - 2, _X))
         f2 = self._x2p2(j, k, -al)
-        f5 = self.single_even(j, 2 * (n - 1), al ** 3)
+        f5 = self._sub(al ** 3, (j, 2 * (n - 1), _X))
         return f1 + f2 + self._inverse(f1) + self._inverse(f2) + f5
 
     @_identity("ppxn", invert_negative=True)
@@ -354,9 +337,9 @@ class _Compiler:
         inside an intake Fourier conjugation of k and l.
         """
         al = math.sqrt(s / 2.0)
-        f1 = _fourier_conj([l], [Gate.xx(k, l, 2 * al)])
+        f1 = self._px_unit(l, k, 2 * al)
         f2 = self._x2p2(j, k, -al)
-        f5 = _fourier_conj([l], self.x2x2(j, l, al ** 3))
+        f5 = self._x2p2(j, l, al ** 3)
         return f1 + f2 + self._inverse(f1) + self._inverse(f2) + f5
 
     @_identity("twosquares")
@@ -369,10 +352,9 @@ class _Compiler:
         s = min(2.0, (12.0 * abs(t)) ** (1.0 / 6.0)) if self.balanced else 2.0
         beta = t / (3.0 * s * s)
         shift = lambda q: self._px_unit(j, k, q)
-        return (shift(s) + self.single_even(j, 4, beta) + shift(-2 * s)
-                + self.single_even(j, 4, beta) + shift(s)
-                + self.single_even(j, 4, -2 * beta)
-                + self.single_even(k, 4, -beta * s ** 4 / 8.0))
+        x4 = lambda m, q: self._sub(q, (m, 4, _X))
+        return (shift(s) + x4(j, beta) + shift(-2 * s) + x4(j, beta)
+                + shift(s) + x4(j, -2 * beta) + x4(k, -beta * s ** 4 / 8.0))
 
     @_identity("single-even")
     def single_even(self, k: int, n: int, t: float) -> list[Gate]:
@@ -389,9 +371,10 @@ class _Compiler:
         m = n // 2
         s = min(2.0, (4.0 * abs(t)) ** (1.0 / 3.0)) if self.balanced else 2.0
         tp = 4.0 * t / (s * s)
-        conj = self._px(k, a, m, s)
+        conj = self._sub(s, (a, 1, _P), (k, m, _X))
         return (conj + [Gate.x(a, 2, tp)] + self._inverse(conj)
-                + [Gate.x(a, 2, -tp)] + self._x_xn(a, k, m, -4.0 * t / s))
+                + [Gate.x(a, 2, -tp)]
+                + self._sub(-4.0 * t / s, (a, 1, _X), (k, m, _X)))
 
     @_identity("single-odd3")
     def single_odd3(self, k: int, n: int, t: float) -> list[Gate]:
@@ -405,20 +388,20 @@ class _Compiler:
         j = self.fresh_ancilla()
         l = self.fresh_ancilla()
         m = n // 3
-        cube_conj = self.px_n(k, j, m, 2.0)
-        sq_conj_a = self.px_n(k, l, m, 2.0)
-        sq_conj_b = self.px2(j, l, 2.0)
+        cube_conj = self._sub(2.0, (j, 1, _P), (k, m, _X))
+        sq_conj_a = self._sub(2.0, (l, 1, _P), (k, m, _X))
+        sq_conj_b = self._sub(2.0, (l, 1, _P), (j, 2, _X))
         return (
             cube_conj + [Gate.x(j, 3, 2 * al)]
             + self._inverse(cube_conj)
             + sq_conj_a + sq_conj_b + [Gate.x(l, 2, -3 * al)]
             + self._inverse(sq_conj_b) + self._inverse(sq_conj_a)
             + [Gate.x(j, 3, -2 * al)]
-            + self.single_even(j, 4, 3 * al)
-            + self.single_even(k, 2 * n // 3, 3 * al)
-            + self._x_xn(j, k, 2 * m, -6 * al)
-            + _fourier_conj([l], self.px2(j, l, -6 * al))
-            + self._x_xn(l, k, m, 6 * al)
+            + self._sub(3 * al, (j, 4, _X))
+            + self._sub(3 * al, (k, 2 * n // 3, _X))
+            + self._sub(-6 * al, (j, 1, _X), (k, 2 * m, _X))
+            + self._sub(6 * al, (l, 1, _X), (j, 2, _X))
+            + self._sub(6 * al, (l, 1, _X), (k, m, _X))
             + [Gate.x(l, 2, 3 * al)])
 
     @_identity("poly-power")
@@ -430,14 +413,9 @@ class _Compiler:
         c = min(m for m, n in summands if n == 1)
         conj: list[Gate] = []
         for m, n in sorted(summands, key=lambda e: -e[0]):
-            if m == c:
-                continue
-            if n == 1:
-                conj += self._px_unit(c, m, 2.0)
-            else:
-                conj += self._px(m, c, n, 2.0)
-        return (conj + self.run(TargetGate.position({c: N}, t))[1]
-                + self._inverse(conj))
+            if m != c:
+                conj += self._sub(2.0, (c, 1, _P), (m, n, _X))
+        return conj + self._sub(t, (c, N, _X)) + self._inverse(conj)
 
     @_identity("general")
     def general(self, powers: dict[int, int], t: float) -> list[Gate]:
@@ -447,8 +425,7 @@ class _Compiler:
         for coeff, base in expand_general_d(TargetGate.position(powers, t)):
             if len(base) == 1:
                 m, n = base[0]
-                gates += self.run(TargetGate.position(
-                    {m: n * len(powers)}, t * coeff))[1]
+                gates += self._sub(t * coeff, (m, n * len(powers), _X))
             else:
                 gates += self.poly_power(base, len(powers), t * coeff)
         return gates
@@ -457,22 +434,31 @@ class _Compiler:
 
     def run(self, target: TargetGate) -> tuple[str, list[Gate]]:
         """Route of target and the gates it emits; Ineligible if none."""
-        verdict, build = _classify(target)
-        if not verdict.eligible:
-            raise Ineligible(verdict.reason)
+        route, build = _classify(target)
         if abs(target.strength) < ZERO_STRENGTH:
-            return verdict.route, []
-        return verdict.route, build(self)
+            return route, []
+        return route, build(self)
 
 
 def compile(target: TargetGate, balanced: bool = False
             ) -> tuple[GateSeq, DecompReport]:
-    """Full pipeline: route dispatch, recursion, then peephole optimization."""
+    """Full pipeline: route dispatch, recursion, then peephole optimization.
+
+    Raises Ineligible when no exact route exists, or when a parameter of
+    the route's identities overflows: no returned gate strength is inf or NaN.
+    """
     n_modes = max(target.modes()) + 1
     comp = _Compiler(n_modes, balanced)
-    route, gates = comp.run(target)
-    raw = GateSeq(tuple(gates), n_modes, tuple(comp.ancillas))
-    seq = optimize(raw)
+    try:
+        route, gates = comp.run(target)
+        raw = GateSeq(tuple(gates), n_modes, tuple(comp.ancillas))
+        seq = optimize(raw)
+    except OverflowError:
+        seq = None
+    if seq is None or not all(map(math.isfinite,
+                                  [g.strength for g in seq.gates])):
+        raise Ineligible(f"strength {target.strength!r} overflows the "
+                         "parameters of its identities")
     report = DecompReport(
         n_gates_total=len(seq.gates),
         n_gates_nonfourier=count_gates(seq),

@@ -131,19 +131,18 @@ def verify_symbolic(seq: GateSeq, generator: NOPoly, strength: float) -> float:
     Declared modes that nothing touches are skipped, so the cost does not
     grow with the declared mode count. Returns the largest absolute
     coefficient deviation; exact circuits give ~1e-12 (floating-point noise
-    only).
+    only). The residual is not finite whenever a compared coefficient is
+    not (NaN once a NaN enters, e.g. from inf − inf).
     """
     modes = _verified_modes(seq, generator)
     target = Gate.exp_poly(generator, strength)
     want = heisenberg_action(
         GateSeq((target,), 1 + max(target.modes, default=-1)), modes)
-    residual = 0.0
-    for m, got in heisenberg_action(seq, modes).items():
-        for image, ideal in zip(got, want[m]):
-            diff = image - ideal
-            residual = max(residual,
-                           max((abs(c) for c in diff.terms.values()), default=0.0))
-    return residual
+    devs = [abs(c) for m, got in heisenberg_action(seq, modes).items()
+            for image, ideal in zip(got, want[m])
+            for c in (image - ideal).terms.values()]
+    # max drops a NaN that does not come first
+    return math.nan if any(map(math.isnan, devs)) else max(devs, default=0.0)
 
 
 # internal padding for per-gate exponentials: each gate is evaluated on a

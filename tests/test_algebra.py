@@ -6,6 +6,9 @@ independent oracle: truncated oscillator matrices at a generous cutoff, with
 comparisons restricted to low levels where truncation is irrelevant.
 """
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -123,3 +126,18 @@ def test_adjoint_series_raises_when_not_terminating():
     # [X^2, P^2] feeds back into itself: the series never truncates
     with pytest.raises(NonTerminatingSeries):
         adjoint_series(NOPoly.x(0, 2, 1j) + NOPoly.p(0, 2, 1j), NOPoly.x(0))
+
+
+@pytest.mark.parametrize("coeff", [math.nan, complex(0, math.nan), math.inf])
+def test_non_finite_coefficients_are_never_pruned(coeff):
+    assert not NOPoly.x(0, 2, coeff).is_zero()
+    assert NOPoly.x(0, 2, 1e-13).is_zero()
+
+
+def test_adjoint_series_stops_at_a_non_finite_term():
+    # the second term is [X⁴, X³] = 0, but at this scale the two products
+    # overflow and their difference is inf − inf: the series ends with that
+    # NaN term instead of running on to NonTerminatingSeries
+    big = NOPoly.x(0, 4, 1j * 1e200)
+    image = adjoint_series(big, NOPoly.p(0))
+    assert not all(map(cmath.isfinite, image.terms.values()))

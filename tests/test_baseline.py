@@ -9,7 +9,7 @@ from cvexact.algebra import NOPoly, commutator
 from cvexact.baseline import (COMMUTATOR_MODEL_C, commutator_approx,
                               commutator_repeats, estimate_commutator_count,
                               target_from_poly, trotter_suzuki)
-from cvexact.decompose import Ineligible, TargetGate
+from cvexact.decompose import Ineligible, TargetGate, compile
 from cvexact.verify import FockContext, verify_numeric, verify_symbolic
 
 
@@ -119,3 +119,12 @@ def test_trotter_compiled_factors_are_exact_per_step():
     seq = trotter_suzuki(terms, 0.2, 1)
     # both terms commute here, so even the full product is exact
     assert verify_symbolic(seq, terms[0] + terms[1], 0.2) < 1e-9
+
+
+def test_unit_product_on_three_modes_costs_more_as_epsilon_shrinks():
+    # the unit-product branch of the estimate: X₀X₁X₂ sheds one mode a level
+    tg = TargetGate.position({0: 1, 1: 1, 2: 1}, 1.0)
+    counts = [estimate_commutator_count(tg, eps)[0]
+              for eps in (1e-1, 1e-3, 1e-5)]
+    assert counts[1] == 361_000
+    assert compile(tg)[1].n_gates_nonfourier < counts[0] < counts[1] < counts[2]

@@ -1,6 +1,7 @@
 """Command-line interface: spec grammar, presets, exit codes, artifacts."""
 
 import json
+import math
 
 import pytest
 
@@ -8,7 +9,9 @@ from cvexact import cli
 from cvexact.algebra import Basis
 from cvexact.cli import (EXIT_INELIGIBLE, EXIT_PARSE, EXIT_VERIFY, SpecError,
                          format_spec, main, parse_spec, preset_spec)
-from cvexact.decompose import TargetGate
+from cvexact.decompose import TargetGate, compile
+
+from util import with_strength
 
 
 def test_parse_spec_basic():
@@ -83,6 +86,36 @@ def test_non_finite_strength_exit(capsys):
 def test_compile_ineligible_exit(capsys):
     assert main(["compile", "t=1 X[0]^5"]) == EXIT_INELIGIBLE
     assert "ineligible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["t=1e300 X[0]^4", "t=1e150 X[0]^8",
+                                  "t=1e308 X[0]^4"])
+def test_strength_that_overflows_the_identities_is_ineligible(spec, tmp_path,
+                                                              capsys):
+    # the first two overflowed in al ** 3, the last wrote Infinity to --out
+    out = tmp_path / "circuit.json"
+    assert main(["compile", spec, "--out", str(out)]) == EXIT_INELIGIBLE
+    strength = repr(parse_spec(spec).strength)
+    err = capsys.readouterr().err
+    assert err.startswith(f"ineligible: strength {strength} ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_huge_strength_with_finite_gates_fails_verification(capsys):
+    # every gate strength is finite (the largest 4.1e299), the images are not
+    assert main(["compile", "t=1e200 X[0]^4"]) == EXIT_VERIFY
+    assert "verification failed" in capsys.readouterr().err
+
+
+def test_gate_of_infinite_strength_fails_verification(capsys, monkeypatch):
+    seq, report = compile(parse_spec("t=0.7 X[0]^4"))
+    broken = with_strength(seq, 0, math.inf)
+    monkeypatch.setattr(cli, "compile", lambda *a, **k: (broken, report))
+    assert main(["compile", "t=0.7 X[0]^4"]) == EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert "symbolic residual:   nan" in out
+    assert err == "verification failed: residual above threshold\n"
 
 
 def test_json_format_reports_counts(capsys):

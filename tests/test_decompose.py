@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from cvexact.algebra import Basis, NOPoly, poly_mul
-from cvexact.circuit import EXPPOLY, GateSeq
-from cvexact.decompose import (Ineligible, TargetGate, _Compiler,
-                               check_eligibility, compile)
+from cvexact.circuit import EXPPOLY, Gate, GateSeq
+from cvexact.decompose import (EligibilityVerdict, Ineligible, TargetGate,
+                               _Compiler, check_eligibility, compile)
 from cvexact.circuit_tools import count_gates
 from cvexact.cli import parse_spec
 from cvexact.verify import verify_symbolic
@@ -120,6 +120,25 @@ def test_compile_raises_on_ineligible():
         compile(TargetGate.position({0: 5}, 1.0))
 
 
+@pytest.mark.parametrize("body,reason", [
+    ("X[0] X[1] X[2] X[3] X[4]",
+     "mode count 5 is divisible by neither 2 nor 3"),
+    # a momentum target whose all-position form has no route
+    ("P[0]^5", "single-mode power 5 is divisible by neither 2 nor 3"),
+])
+def test_ineligible_verdict_carries_the_reason_compile_raises(body, reason):
+    tg = parse_spec(f"t=0.3 {body}")
+    assert check_eligibility(tg) == EligibilityVerdict(False, "", reason)
+    with pytest.raises(Ineligible) as exc:
+        compile(tg)
+    assert str(exc.value) == reason
+
+
+def test_eligible_verdict_has_route_and_no_reason():
+    assert (check_eligibility(parse_spec("t=0.3 X[0] P[1]^2"))
+            == EligibilityVerdict(True, "SpecialIdentity(xxn)", ""))
+
+
 def test_mixed_quadrature_targets_compile():
     # momentum factors are absorbed by Fourier conjugation at intake
     tg = TargetGate(((0, 1, Basis.MOMENTUM), (1, 2, Basis.POSITION)), 0.3)
@@ -215,6 +234,47 @@ def test_poly_power_expands_mode_sum():
                   tuple(comp.ancillas))
     base = NOPoly.x(0) + NOPoly.x(1, 2)
     _check(seq, poly_mul(base, base), t)
+
+
+# ------------------------------------------------- one identity, one level ---
+
+class _OneLevel(_Compiler):
+    """Every nested target is one ideal gate, so a route emits the gates of
+    its own identity only (and of x2x2 where _x2p2 calls it)."""
+
+    def _sub(self, s, *factors):
+        return [Gate.exp_poly(TargetGate(factors, s).generator(), s)]
+
+
+# (body, strength, whether the identity asks for a nested target)
+ONE_LEVEL = [
+    ("X[0]^4", 0.7, True),                 # single_even
+    ("X[0]^6", -0.3, True),
+    ("X[0]^9", 0.3, True),                 # single_odd3
+    ("X[0]^2 X[1]^2", 0.5, True),          # x2x2
+    ("P[0] X[1]^2", 0.5, False),           # px2
+    ("P[0] X[1]^2", -0.8, False),
+    ("P[0] X[1]^3", 0.7, True),            # px_n
+    ("P[0] X[1]^4", -0.4, True),
+    ("X[0]^2 P[1] P[2]", 0.6, True),       # pp_xn
+    ("X[0]^2 X[1] X[2]", 0.4, True),       # general and poly_power
+    ("X[0] X[1] X[2] X[3]", -0.6, True),
+    ("X[0] X[1]^3", 0.3, True),            # the xxn row of _classify
+]
+
+
+@pytest.mark.parametrize("body,t,nests", ONE_LEVEL,
+                         ids=[f"{b}@{t}".translate({ord(c): None
+                                                    for c in "[] "})
+                              for b, t, _ in ONE_LEVEL])
+def test_each_identity_is_exact_with_ideal_nested_targets(body, t, nests):
+    tg = parse_spec(f"t={t} {body}")
+    comp = _OneLevel(max(tg.modes()) + 1)
+    _, gates = comp.run(tg)
+    seq = GateSeq(tuple(gates), max(tg.modes()) + 1, tuple(comp.ancillas))
+    assert verify_symbolic(seq, tg.generator(), t) <= 1e-12
+    assert verify_symbolic(negate_last_exp(seq), tg.generator(), t) > 1e-3
+    assert any(g.kind == EXPPOLY for g in gates) == nests
 
 
 # ------------------------------------------------------------ full routes ---

@@ -1,6 +1,7 @@
 """The two verifiers: exact Heisenberg comparison and truncated-Fock check."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from cvexact.verify import (INTERNAL_PAD, MAX_FULL_DIM, MAX_STATE_ENTRIES,
                             heisenberg_action, verify_numeric, verify_symbolic)
 
 from test_decompose import ROUTE_PINS
-from util import declared_modes, gate_matrix, heisenberg_fold, seq_matrix
+from util import (declared_modes, gate_matrix, heisenberg_fold, seq_matrix,
+                  with_strength)
 
 
 def test_fock_matrices_commutator():
@@ -108,6 +110,18 @@ def test_symbolic_accepts_correct_and_rejects_wrong():
         assert verify_symbolic(seq, tg.generator(), tg.strength) < 1e-9
         # same circuit against a slightly different strength must fail loudly
         assert verify_symbolic(seq, tg.generator(), tg.strength * 1.01) > 1e-4
+
+
+def test_gate_of_infinite_strength_is_never_accepted():
+    # each non-Fourier gate in turn given strength inf through its raw
+    # record; NaN terms pruned as zero once read 0.0 at six positions
+    tg = TargetGate.position({0: 4}, 0.7)
+    seq, _ = compile(tg)
+    for i, g in enumerate(seq.gates):
+        if g.kind != FOURIER:
+            residual = verify_symbolic(with_strength(seq, i, math.inf),
+                                       tg.generator(), tg.strength)
+            assert not math.isfinite(residual), (i, g.kind, residual)
 
 
 def test_target_modes_the_circuit_lacks_are_verified():

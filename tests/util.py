@@ -117,3 +117,10 @@ def negate_last_exp(seq):
     i = max(i for i, g in enumerate(seq.gates) if g.kind != FOURIER)
     return replace(seq, gates=(seq.gates[:i] + (seq.gates[i].inverse(),)
                                + seq.gates[i + 1:]))
+
+
+def with_strength(seq, i, strength):
+    """seq with gate i replaced by the same record at another strength."""
+    return replace(seq, gates=(seq.gates[:i]
+                               + (replace(seq.gates[i], strength=strength),)
+                               + seq.gates[i + 1:]))
