@@ -20,9 +20,6 @@ X_POWER = {"x1": 1, "x2": 2, "x3": 3}  # e^{isXⁿ} by kind
 XX = "xx"
 EXPPOLY = "exppoly"  # any other generator
 
-# |strength| below this is treated as the identity gate
-ZERO_STRENGTH = 1e-14
-
 
 @dataclass(frozen=True, slots=True)
 class Gate:
@@ -139,42 +136,36 @@ class GateSeq:
         return replace(self, gates=tuple(g.inverse() for g in reversed(self.gates)))
 
 
-def gate_images(g: Gate) -> dict[int, tuple[NOPoly, NOPoly]]:
-    """Images of X_m and P_m for each mode m of g under heisenberg_conjugate.
+def gate_images(g: Gate, m: int) -> tuple[NOPoly, NOPoly]:
+    """The images (g† X_m g, g† P_m g) of one mode m of g.
 
     A forward Fourier sends (X, P) to (−P, X) and its inverse to (P, −X).
-    e^{isf(X)} for an x1/x2/x3/xx gate fixes every X and sends P_j to
-    P_j − (s/2)∂_j f. An exppoly gate's images are its adjoint series on
-    each generator. A gate of strength at most ZERO_STRENGTH has none.
+    e^{isf(X)} for an x1/x2/x3/xx gate fixes every X and sends P_m to
+    P_m + (s/2)∂_m f. An exppoly gate's images are the adjoint series of
+    −i·s·G on X_m and P_m. A strength of 0.0 gives X_m and P_m.
     """
     if g.kind == FOURIER:
-        m = g.mode
         if g.power == 1:
-            return {m: (NOPoly.p(m, 1, -1.0), NOPoly.x(m))}
-        return {m: (NOPoly.p(m), NOPoly.x(m, 1, -1.0))}
+            return NOPoly.p(m, 1, -1.0), NOPoly.x(m)
+        return NOPoly.p(m), NOPoly.x(m, 1, -1.0)
     s = g.strength
-    if abs(s) <= ZERO_STRENGTH:
-        return {}
     if g.kind == EXPPOLY:
-        a = g.poly.scale(1j * s)
-        return {m: (adjoint_series(a, NOPoly.x(m)), adjoint_series(a, NOPoly.p(m)))
-                for m in g.modes}
+        a = g.poly.scale(-1j * s)
+        return adjoint_series(a, NOPoly.x(m)), adjoint_series(a, NOPoly.p(m))
     if g.kind == XX:
-        j, k = g.modes
-        return {j: (NOPoly.x(j), NOPoly.p(j) + NOPoly.x(k, 1, -s / 2)),
-                k: (NOPoly.x(k), NOPoly.p(k) + NOPoly.x(j, 1, -s / 2))}
-    m, n = g.mode, X_POWER[g.kind]
-    return {m: (NOPoly.x(m), NOPoly.p(m) + NOPoly.x(m, n - 1, -s * n / 2))}
+        other = g.modes[1] if m == g.modes[0] else g.modes[0]
+        return NOPoly.x(m), NOPoly.p(m) + NOPoly.x(other, 1, s / 2)
+    n = X_POWER[g.kind]
+    return NOPoly.x(m), NOPoly.p(m) + NOPoly.x(m, n - 1, s * n / 2)
 
 
 def heisenberg_conjugate(g: Gate, b: NOPoly) -> NOPoly:
-    """Image of b under conjugation by g: b with gate_images(g) substituted.
+    """g† b g for a gate of any kind: b with gate_images(g, m) substituted
+    for each mode m that b and g share.
 
-    The orientation differs by kind. For an exponential gate this is
-    g b g† = e^{A} b e^{-A} with A = i*strength*generator. For a Fourier
-    gate it is g† b g: a forward Fourier acts as X -> -P, P -> X on its
-    mode (F X F† = P), and the inverse Fourier undoes it. That is why
-    heisenberg_action, which needs g† b g throughout, passes the inverse of
-    each exponential gate and each Fourier gate as it is.
+    For an exponential gate this is e^{-A} b e^{A} with
+    A = i*strength*generator; a forward Fourier acts as X -> -P, P -> X on
+    its mode (F X F† = P), and the inverse Fourier undoes it.
     """
-    return substitute(b, gate_images(g))
+    shared = b.modes().intersection(g.modes)
+    return substitute(b, {m: gate_images(g, m) for m in shared})

@@ -13,7 +13,11 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from .algebra import NOPoly
-from .circuit import EXPPOLY, FOURIER, X_POWER, XX, ZERO_STRENGTH, Gate, GateSeq
+from .circuit import EXPPOLY, FOURIER, X_POWER, XX, Gate, GateSeq
+
+# |strength| below this is the identity gate: the compiler emits nothing for
+# it and optimize drops it. The verifiers apply every gate as written.
+ZERO_STRENGTH = 1e-14
 
 
 class SchemaViolation(Exception):
@@ -99,8 +103,6 @@ def _reuse_ancillas(seq: GateSeq) -> GateSeq:
         else:
             mapping[m] = n + len(regs)
             regs.append(hi)
-    if not mapping:
-        return replace(seq, ancilla_modes=())
     gates = tuple(_remap_gate(g, mapping) for g in seq.gates)
     return GateSeq(gates, n, tuple(n + r for r in range(len(regs))))
 
@@ -125,6 +127,8 @@ def _remap_gate(g: Gate, mapping: dict[int, int]) -> Gate:
 def _gate_record(g: Gate) -> dict:
     if g.kind == EXPPOLY:
         raise SchemaViolation("only universal gates are serializable")
+    if not math.isfinite(g.strength):  # JSON has none; deserialize refuses it
+        raise SchemaViolation(f"strength {g.strength} is not finite")
     return {"kind": g.kind, "modes": list(g.modes), "strength": g.strength,
             "dagger": g.power == -1}
 

@@ -146,11 +146,17 @@ def _report_json(report, residual_sym, residual_num, phase):
         "n_gates_preopt": report.n_gates_preopt,
         "n_ancillas": report.n_ancillas,
         "recursion_trace": [list(e) for e in report.recursion_trace],
-        "residual_symbolic": residual_sym,
-        "residual_numeric": residual_num,
-        "phase_offset": phase,
+        "residual_symbolic": _json_number(residual_sym),
+        "residual_numeric": _json_number(residual_num),
+        "phase_offset": _json_number(phase),
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def _json_number(v: float | None):
+    """v, or a non-finite v as its name, "NaN", "Infinity" or "-Infinity",
+    which float() reads back: JSON has no such numbers."""
+    return v if v is None or math.isfinite(v) else json.dumps(v)
 
 
 def _verify(seq, target: TargetGate, ctx: FockContext | None):

@@ -31,8 +31,8 @@ from itertools import combinations
 from typing import Callable
 
 from .algebra import Basis, NOPoly
-from .circuit import ZERO_STRENGTH, Gate, GateSeq
-from .circuit_tools import DecompReport, count_gates, optimize
+from .circuit import Gate, GateSeq
+from .circuit_tools import ZERO_STRENGTH, DecompReport, count_gates, optimize
 
 _X, _P = Basis.POSITION, Basis.MOMENTUM
 

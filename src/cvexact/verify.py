@@ -1,10 +1,11 @@
 """Two independent checks that a gate sequence implements its target.
 
 The symbolic check compares Heisenberg images of every quadrature operator,
-computed exactly by composing one substitution map per gate; it is blind to
-global phase. The numeric check multiplies truncated-Fock gate matrices and
+computed exactly by composing each gate's images g† X_m g and g† P_m g,
+one mode at a time; it is blind to global phase. The numeric check multiplies truncated-Fock gate matrices and
 compares on a low-lying subspace, which also pins down the phase. Both take
-the target as one more gate and send it down the circuit's own gate code.
+the target as one more gate and send it down the circuit's own gate code,
+and both apply every gate as written: no strength counts as zero.
 """
 
 from __future__ import annotations
@@ -83,23 +84,19 @@ def heisenberg_action(seq: GateSeq,
     unitary U described by seq.
 
     Conjugation by U is the composition of one algebra automorphism per
-    gate, so the images of all generators are kept together and composed
-    gate by gate, rightmost (first applied) gate first: each gate replaces
-    the images of its own modes with its own images of them, g† X_m g and
-    g† P_m g from heisenberg_conjugate, evaluated on the images so far
-    (substitute). The modes a gate of seq touches are tracked, and those
-    of modes; a mode no gate touches keeps the images X_m and P_m.
-    verify_symbolic calls it twice: on the circuit, and on the target as
-    a one-gate circuit.
+    gate, so the images of all generators are composed gate by gate,
+    rightmost (first applied) gate first. Each gate, as it is, replaces the
+    images of each of its modes m with g† X_m g and g† P_m g from
+    heisenberg_conjugate, evaluated on the images so far (substitute). The
+    modes a gate of seq touches are tracked, and those of modes; a mode no
+    gate touches keeps the images X_m and P_m. verify_symbolic calls it
+    twice: on the circuit, and on the target as a one-gate circuit.
     """
     generators = {m: (NOPoly.x(m), NOPoly.p(m))
                   for m in [*_touched(seq), *modes]}
     images = dict(generators)
     for g in reversed(seq.gates):
-        # each step is b -> g† b g; the Fourier rule of heisenberg_conjugate
-        # already has that orientation
-        h = g if g.kind == FOURIER else g.inverse()
-        images.update({m: tuple(substitute(heisenberg_conjugate(h, b), images)
+        images.update({m: tuple(substitute(heisenberg_conjugate(g, b), images)
                                 for b in generators[m])
                        for m in g.modes})
     return {m: images[m] for m in modes}

@@ -34,6 +34,11 @@ def _matrix_close(poly, n_modes, reference, tol=1e-9):
     return np.max(np.abs(got[blk] - reference[blk])) < tol
 
 
+def test_monomial_refuses_a_repeated_mode():
+    with pytest.raises(ValueError, match="duplicate mode"):
+        NOPoly.monomial([(0, 1, 0), (0, 0, 1)])
+
+
 def test_canonical_commutator():
     c = commutator(NOPoly.x(0), NOPoly.p(0))
     assert _close(c, NOPoly.constant(0.5j))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cvexact import baseline
 from cvexact.algebra import NOPoly, commutator
 from cvexact.baseline import (COMMUTATOR_MODEL_C, commutator_approx,
                               commutator_repeats, estimate_commutator_count,
@@ -30,6 +31,30 @@ def test_target_from_poly_rejects_sums_and_mixed_factors():
                   lambda: TargetGate.position({}, 1.0)):
         with pytest.raises(ValueError, match="at least one quadrature factor"):
             empty()
+
+
+def test_target_from_poly_rejects_complex_coefficient():
+    with pytest.raises(Ineligible, match="must be real"):
+        target_from_poly(NOPoly.x(0, 4, 2.0 + 0.5j))
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: commutator_approx(NOPoly.x(0, 3), NOPoly.p(0), 0.1, 0), "K must"),
+    (lambda: commutator_approx(NOPoly.x(0, 3), NOPoly.p(0), -0.1, 2), "t2 must"),
+    (lambda: trotter_suzuki([NOPoly.x(0, 2)], 0.4, 0), "K must"),
+    (lambda: commutator_repeats(1.0, 0.0), "epsilon must"),
+    (lambda: commutator_repeats(1.0, -1e-3), "epsilon must"),
+], ids=["commutator-K0", "commutator-negative-t2", "trotter-K0",
+        "repeats-epsilon-0", "repeats-negative-epsilon"])
+def test_baselines_refuse_bad_parameters(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_commutator_of_zero_strength_compiles_nothing(monkeypatch):
+    monkeypatch.setattr(baseline, "_compiled_gates", None)  # a call would raise
+    seq = commutator_approx(NOPoly.x(0, 3), NOPoly.p(1), 0.0, 3)
+    assert (seq.gates, seq.n_target_modes, seq.ancilla_modes) == ((), 2, ())
 
 
 def test_trotter_commuting_terms_is_exact():

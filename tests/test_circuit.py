@@ -8,9 +8,10 @@ matrices so that every later symbolic identity stands on checked ground.
 import numpy as np
 import pytest
 
-from cvexact.algebra import NOPoly, adjoint_series, max_coeff_diff
-from cvexact.circuit import (EXPPOLY, FOURIER, Gate, GateSeq,
+from cvexact.algebra import NOPoly, adjoint_series, max_coeff_diff, poly_mul
+from cvexact.circuit import (EXPPOLY, FOURIER, Gate, GateSeq, gate_images,
                              heisenberg_conjugate)
+from cvexact.circuit_tools import ZERO_STRENGTH
 
 from util import fourier_by_products, gate_matrix, seq_matrix
 
@@ -88,7 +89,7 @@ def test_exponential_conjugation_matches_adjoint_series(kind, gate, s):
     g = gate(s)
     assert g.kind == kind
     want = adjoint_series(g.generator.scale(1j * s), MIXED_B)
-    got = heisenberg_conjugate(g, MIXED_B)
+    got = heisenberg_conjugate(g.inverse(), MIXED_B)
     scale = max(abs(c) for c in want.terms.values())
     assert max_coeff_diff(got, want) < 1e-12 * scale
 
@@ -96,19 +97,46 @@ def test_exponential_conjugation_matches_adjoint_series(kind, gate, s):
 def test_exppoly_conjugation_shear():
     t = 0.4
     g = Gate.x(0, 2, t)
-    got = heisenberg_conjugate(g, NOPoly.p(0))
+    got = heisenberg_conjugate(g.inverse(), NOPoly.p(0))
     # g b g^dag for the quadratic phase: P picks up -tX
     assert _close(got, NOPoly.p(0) + NOPoly.x(0, 1, -t))
-    goti = heisenberg_conjugate(g.inverse(), NOPoly.p(0))
+    goti = heisenberg_conjugate(g, NOPoly.p(0))
     assert _close(goti, NOPoly.p(0) + NOPoly.x(0, 1, t))
 
 
 def test_coupling_gate_conjugation():
     tau = 0.8
     g = Gate.xx(0, 1, tau)
-    got = heisenberg_conjugate(g.inverse(), NOPoly.p(0))
+    got = heisenberg_conjugate(g, NOPoly.p(0))
     assert _close(got, NOPoly.p(0) + NOPoly.x(1, 1, tau / 2.0))
-    assert _close(heisenberg_conjugate(g.inverse(), NOPoly.x(0)), NOPoly.x(0))
+    assert _close(heisenberg_conjugate(g, NOPoly.x(0)), NOPoly.x(0))
+
+
+@pytest.mark.parametrize("s", [ZERO_STRENGTH, 0.0, -0.0])
+def test_gates_of_zero_strength_have_identity_images(s):
+    # no strength threshold of its own: the image terms of so weak a gate
+    # fall below the polynomial's pruning threshold
+    for g in (Gate.x(0, 1, s), Gate.x(0, 2, s), Gate.x(0, 3, s),
+              Gate.xx(0, 1, s)):
+        for m in g.modes:
+            assert gate_images(g, m) == (NOPoly.x(m), NOPoly.p(m)), (g, m)
+
+
+def test_conjugation_leaves_modes_the_gate_does_not_touch():
+    g = Gate.xx(0, 1, 0.8)
+    b = NOPoly.monomial([(0, 0, 1), (2, 1, 1)])
+    want = poly_mul(NOPoly.p(0) + NOPoly.x(1, 1, 0.4), NOPoly.monomial([(2, 1, 1)]))
+    assert heisenberg_conjugate(g, b) == want
+    assert heisenberg_conjugate(g, NOPoly.p(2, 3)) == NOPoly.p(2, 3)
+
+
+@pytest.mark.parametrize("make", [lambda: Gate.fourier(0, 2),
+                                  lambda: Gate.fourier(0, 0),
+                                  lambda: Gate.xx(1, 1, 0.3)],
+                         ids=["fourier-power-2", "fourier-power-0", "xx-same-mode"])
+def test_malformed_gates_are_refused(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_gate_inverse_roundtrip():

@@ -126,6 +126,35 @@ def test_json_format_reports_counts(capsys):
     assert doc["residual_symbolic"] < 1e-9
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_format_is_strict_json_for_a_nan_residual(capsys):
+    assert main(["compile", "t=1e200 X[0]^4", "--format", "json"]) == EXIT_VERIFY
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert doc["residual_symbolic"] == "NaN"
+    assert math.isnan(float(doc["residual_symbolic"]))
+    assert doc["residual_numeric"] is None and doc["phase_offset"] is None
+
+
+@pytest.mark.parametrize("residual,phase,names", [
+    (math.inf, -math.inf, ["Infinity", "Infinity", "-Infinity"]),
+    (math.nan, math.nan, ["NaN", "NaN", "NaN"])], ids=["inf", "nan"])
+def test_json_format_names_every_non_finite_number(residual, phase, names,
+                                                   capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_symbolic", lambda *a: residual)
+    monkeypatch.setattr(cli, "verify_numeric", lambda *a: (residual, phase))
+    assert main(["compile", "t=0.3 X[0]^3", "--format", "json",
+                 "--numeric-cutoff", "24"]) == EXIT_VERIFY
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    got = [doc[k] for k in ("residual_symbolic", "residual_numeric",
+                            "phase_offset")]
+    assert got == names
+    # float() reads each name back
+    assert [float(v) for v in got][2] == phase or math.isnan(phase)
+
+
 def test_artifact_round_trip(tmp_path, capsys):
     path = tmp_path / "circuit.json"
     assert main(["compile", "t=0.3 X[0]^4", "--out", str(path)]) == 0
@@ -191,6 +220,17 @@ def test_verify_rejects_malformed_circuit(tmp_path, capsys):
     assert "cannot load circuit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["x4", "exppoly"])
+def test_verify_rejects_gate_kinds_outside_the_saved_set(kind, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": 1, "modes": 1, "ancillas": [],
+                                "gates": [{"kind": kind, "modes": [0],
+                                           "strength": 0.5, "dagger": False}]}))
+    assert main(["verify", str(path), "t=0.5 X[0]^4"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("cannot load circuit:") and "unknown gate kind" in err
+
+
 def test_verify_rejects_gate_record_with_too_few_modes(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, "modes": 2, "ancillas": [],
@@ -253,6 +293,12 @@ def test_preset_compiles(capsys):
     rc = main(["preset", "pca-rotation", "-t", "0.2"])
     assert rc == 0
     assert "gates (non-Fourier): 17" in capsys.readouterr().out
+
+
+def test_preset_montecarlo_power_zero_exits_before_compile(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "compile", None)   # any call would raise
+    assert main(["preset", "montecarlo:0"]) == EXIT_PARSE
+    assert "montecarlo power must be positive" in capsys.readouterr().err
 
 
 def test_nan_residual_fails_verification(capsys, monkeypatch):

@@ -1,10 +1,12 @@
 """Circuit post-processing: peephole optimization, counting, serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from cvexact.algebra import NOPoly
 from cvexact.circuit import EXPPOLY, Gate, GateSeq
 from cvexact.circuit_tools import (SchemaViolation, count_gates, deserialize,
                                    optimize, serialize, serialize_json)
@@ -45,6 +47,25 @@ def test_optimize_preserves_heisenberg_action():
         seq, _ = compile(tg)
         res = verify_symbolic(seq, tg.generator(), tg.strength)
         assert res < 1e-9
+
+
+def test_ancilla_renumbering_moves_an_exppoly_generator():
+    # ancilla 5 is packed into register 1; the generator moves with it
+    seq = GateSeq((Gate.exp_poly(NOPoly.monomial([(0, 0, 1), (5, 4, 0)]), 0.3),
+                   Gate.x(5, 2, 0.1)), 1, (5,))
+    opt = optimize(seq)
+    assert opt.ancilla_modes == (1,)
+    g, h = opt.gates
+    assert (g.kind, g.modes) == (EXPPOLY, (0, 1))
+    assert g.generator == NOPoly.monomial([(0, 0, 1), (1, 4, 0)])
+    assert (h.kind, h.modes, h.strength) == ("x2", (1,), 0.1)
+
+
+def test_declared_ancillas_no_gate_uses_are_dropped():
+    seq = GateSeq((Gate.x(0, 2, 0.5), Gate.fourier(0)), 1, (1, 2))
+    opt = optimize(seq)
+    assert opt.ancilla_modes == ()
+    assert opt.gates == seq.gates
 
 
 def test_count_convention_excludes_fourier():
@@ -119,6 +140,26 @@ def test_deserialize_rejects_bad_documents():
             with pytest.raises(SchemaViolation):
                 deserialize(doc)
     assert deserialize(good).ancilla_modes == (2,)
+
+
+@pytest.mark.parametrize("seq", [
+    GateSeq((Gate.x(0, 4, 0.3),), 1),
+    GateSeq((Gate.x(0, 2, math.inf),), 1),
+    GateSeq((Gate.fourier(0), Gate.xx(0, 1, -math.inf)), 2),
+    GateSeq((Gate.x(0, 1, math.nan),), 1),
+], ids=["exppoly", "inf-strength", "minus-inf-strength", "nan-strength"])
+def test_serialize_refuses_what_deserialize_would_refuse(seq):
+    # every file serialize writes loads again
+    with pytest.raises(SchemaViolation):
+        serialize(seq)
+    with pytest.raises(SchemaViolation):
+        serialize_json(seq)
+
+
+@pytest.mark.parametrize("kind", ["x4", "exppoly"])
+def test_deserialize_refuses_kinds_outside_the_saved_set(kind):
+    with pytest.raises(SchemaViolation, match="unknown gate kind"):
+        deserialize(_doc((kind, [0], 0.5, False)))
 
 
 def _fields(seq):

@@ -26,6 +26,11 @@ def test_known_coefficient_vectors(N, expected):
     assert sol.coeffs == expected
 
 
+def test_solver_needs_two_modes():
+    with pytest.raises(ValueError, match="N >= 2"):
+        solve_pascal_coeffs(1)
+
+
 @pytest.mark.parametrize("N", range(2, 9))
 def test_pascal_system_annihilation(N):
     # row r of the binomial constraint system: sum_j C(r, j) c_{N-j} = 0

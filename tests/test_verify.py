@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cvexact import circuit
 from cvexact.algebra import Basis, NOPoly, max_coeff_diff
 from cvexact.circuit import FOURIER, Gate, GateSeq
 from cvexact.cli import parse_spec
@@ -102,6 +103,23 @@ def test_heisenberg_action_matches_per_operator_fold(body):
             assert max_coeff_diff(got, heisenberg_fold(seq, b)) < 1e-12
 
 
+def test_an_exppoly_gate_sums_two_series_per_generator(monkeypatch):
+    # each conjugation builds the images of one mode: the 4-mode target's
+    # 8 generators take 16 series, where images of all 4 modes per
+    # generator would take 64; the compiled circuit takes none
+    calls, series = [], circuit.adjoint_series
+
+    def counted(a, b):
+        calls.append(b)
+        return series(a, b)
+
+    monkeypatch.setattr(circuit, "adjoint_series", counted)
+    tg = parse_spec("t=0.4 X[0] X[1] X[2] X[3]")
+    seq, _ = compile(tg)
+    assert verify_symbolic(seq, tg.generator(), tg.strength) < 1e-9
+    assert len(calls) == 16
+
+
 def test_symbolic_accepts_correct_and_rejects_wrong():
     # P₀X₁³'s route runs through nested Fourier conjugations
     for tg in (TargetGate.position({0: 4}, 0.3),
@@ -183,6 +201,17 @@ def test_numeric_reports_global_phase():
     assert abs(phase - s * c) < 1e-10
 
 
+def test_constant_generator_is_a_global_phase():
+    # e^{isc} on no mode: the symbolic check cannot see it, the numeric
+    # one reads it as the phase offset −s·c of the empty circuit
+    s, c = 0.3, 0.5
+    seq, gen = GateSeq((), 1), NOPoly.constant(c)
+    err, phase = verify_numeric(seq, gen, s, FockContext(cutoff=12, subspace=4))
+    assert err < 1e-12
+    assert abs(phase + s * c) < 1e-12
+    assert verify_symbolic(seq, gen, s) == 0.0
+
+
 def test_numeric_momentum_generator_matches_fourier_rotation():
     # e^{isP^3} must equal F e^{isX^3} F^{-1}
     s = 0.15
@@ -199,6 +228,13 @@ def test_numeric_mixed_basis_generator_fallback():
     seq = GateSeq((Gate.exp_poly(gen, 0.3),), 1)
     err, _ = verify_numeric(seq, gen, 0.3, FockContext(cutoff=24, subspace=5))
     assert err < 1e-8
+
+
+def test_mixed_basis_generator_too_large_for_a_dense_exponential():
+    # X₀P₀X₁X₂ at cutoff 18: an 18³ = 5,832-dimensional dense matrix
+    gen = NOPoly.monomial([(0, 1, 1), (1, 1, 0), (2, 1, 0)])
+    with pytest.raises(DimensionTooLarge, match="mixed-basis generator"):
+        verify_numeric(GateSeq((), 3), gen, 0.1, FockContext(cutoff=18, subspace=1))
 
 
 # pinned: a change to the numeric engine that moves these verdicts fails here
