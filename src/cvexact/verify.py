@@ -2,10 +2,11 @@
 
 The symbolic check compares Heisenberg images of every quadrature operator,
 computed exactly by composing each gate's images g† X_m g and g† P_m g,
-one mode at a time; it is blind to global phase. The numeric check multiplies truncated-Fock gate matrices and
-compares on a low-lying subspace, which also pins down the phase. Both take
-the target as one more gate and send it down the circuit's own gate code,
-and both apply every gate as written: no strength counts as zero.
+one mode at a time; it is blind to global phase. The numeric check
+multiplies truncated-Fock gate matrices and compares on a low-lying
+subspace, which also pins down the phase. Both take the target as one more
+gate and send it down the circuit's own gate code, and both apply every
+gate as written: no strength counts as zero.
 """
 
 from __future__ import annotations

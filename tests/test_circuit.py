@@ -8,7 +8,7 @@ matrices so that every later symbolic identity stands on checked ground.
 import numpy as np
 import pytest
 
-from cvexact.algebra import NOPoly, adjoint_series, max_coeff_diff, poly_mul
+from cvexact.algebra import NOPoly, adjoint_series, max_coeff_diff
 from cvexact.circuit import (EXPPOLY, FOURIER, Gate, GateSeq, gate_images,
                              heisenberg_conjugate)
 from cvexact.circuit_tools import ZERO_STRENGTH
@@ -120,14 +120,6 @@ def test_gates_of_zero_strength_have_identity_images(s):
               Gate.xx(0, 1, s)):
         for m in g.modes:
             assert gate_images(g, m) == (NOPoly.x(m), NOPoly.p(m)), (g, m)
-
-
-def test_conjugation_leaves_modes_the_gate_does_not_touch():
-    g = Gate.xx(0, 1, 0.8)
-    b = NOPoly.monomial([(0, 0, 1), (2, 1, 1)])
-    want = poly_mul(NOPoly.p(0) + NOPoly.x(1, 1, 0.4), NOPoly.monomial([(2, 1, 1)]))
-    assert heisenberg_conjugate(g, b) == want
-    assert heisenberg_conjugate(g, NOPoly.p(2, 3)) == NOPoly.p(2, 3)
 
 
 @pytest.mark.parametrize("make", [lambda: Gate.fourier(0, 2),
