@@ -14,9 +14,8 @@ from .baseline import (commutator_approx, commutator_repeats,
 from .circuit import Gate, GateSeq, heisenberg_conjugate
 from .circuit_tools import (DecompReport, SchemaViolation, count_gates,
                             deserialize, optimize, serialize, serialize_json)
-from .decompose import (CoeffSolution, EligibilityVerdict, Ineligible,
-                        TargetGate, check_eligibility, compile,
-                        expand_general_d, solve_pascal_coeffs)
+from .decompose import (EligibilityVerdict, Ineligible, TargetGate,
+                        check_eligibility, compile, solve_pascal_coeffs)
 from .verify import (DimensionTooLarge, FockContext, fock_matrices,
                      heisenberg_action, verify_numeric, verify_symbolic)
 
@@ -30,8 +29,8 @@ __all__ = [
     "Gate", "GateSeq", "heisenberg_conjugate",
     "DecompReport", "SchemaViolation", "count_gates", "deserialize",
     "optimize", "serialize", "serialize_json",
-    "CoeffSolution", "EligibilityVerdict", "Ineligible", "TargetGate",
-    "check_eligibility", "compile", "expand_general_d", "solve_pascal_coeffs",
+    "EligibilityVerdict", "Ineligible", "TargetGate", "check_eligibility",
+    "compile", "solve_pascal_coeffs",
     "DimensionTooLarge", "FockContext", "fock_matrices", "heisenberg_action",
     "verify_numeric", "verify_symbolic",
 ]

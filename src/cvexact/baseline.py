@@ -23,11 +23,14 @@ def target_from_poly(p: NOPoly, strength: float = 1.0) -> TargetGate:
     """Interpret a single-monomial polynomial as a TargetGate.
 
     The monomial coefficient (which must be real) folds into the strength.
-    Mixed X·P factors on one mode are rejected: they are not gate targets.
+    Mixed X·P factors on one mode and constants (the empty product) are
+    rejected: they are not gate targets.
     """
     if len(p.terms) != 1:
         raise Ineligible("only single-monomial generators are compilable")
     (key, coeff), = p.terms.items()
+    if not key:
+        raise Ineligible("a constant generator has no quadrature factor")
     if abs(coeff.imag) > 1e-12:
         raise Ineligible("generator coefficient must be real")
     exps = []

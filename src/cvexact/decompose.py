@@ -12,13 +12,14 @@ Route overview:
   - even powers X^N reduce through an ancilla and two X^{N/2} conjugations;
   - odd powers divisible by 3 reduce through two ancillas;
   - multi-mode products expand into powers of mode sums with rational
-    coefficients fixed by a Pascal-matrix null vector, each power compiled
-    by shift conjugations onto a single mode;
+    coefficients fixed by a Pascal-matrix null vector; general shifts each
+    power onto a single mode by conjugation;
   - a registry of special patterns (P·X², P·Xⁿ, P·P·X², X²X², X·Xᵐ) is
     consulted first, since several of them beat the general route badly.
 
 _classify is the one route table, for the top-level target and for every
-nested target an identity asks for through _Compiler._sub.
+nested target an identity asks for through _Compiler._sub; only _x2p2
+calls another identity directly.
 """
 
 from __future__ import annotations
@@ -95,16 +96,9 @@ class EligibilityVerdict:
     reason: str
 
 
-@dataclass(frozen=True)
-class CoeffSolution:
-    """Null vector of the Pascal matrix: coefficients of the mode-sum powers."""
-
-    N: int
-    coeffs: tuple[Fraction, ...]  # (c_1, ..., c_N)
-
-
-def solve_pascal_coeffs(N: int) -> CoeffSolution:
-    """c_{N-k} = (-1)^k / N!, verified exactly against the Pascal system.
+def solve_pascal_coeffs(N: int) -> tuple[Fraction, ...]:
+    """(c_1, ..., c_N), the coefficients of the mode-sum powers by subset
+    size: c_{N-k} = (-1)^k / N!, verified exactly against the Pascal system.
 
     The system demands that, for every r in 1..N-1, the binomially-weighted
     sum over subset sizes vanishes; the alternating-sign solution does so
@@ -118,7 +112,7 @@ def solve_pascal_coeffs(N: int) -> CoeffSolution:
     for r in range(1, N):
         acc = sum(Fraction(math.comb(r, j)) * vec[j] for j in range(N))
         assert acc == 0, "Pascal system not satisfied"
-    return CoeffSolution(N, coeffs)
+    return coeffs
 
 
 def check_eligibility(target: TargetGate) -> EligibilityVerdict:
@@ -194,25 +188,6 @@ def _classify(target: TargetGate
     return "GeneralMultiMode", lambda c: c.general(dict(xs), t)
 
 
-def expand_general_d(target: TargetGate) -> list[tuple[float, list[tuple[int, int]]]]:
-    """Linear combination of mode-sum powers equal to the target monomial.
-
-    Returns (coefficient, [(mode, power), ...]) for every nonempty subset S
-    of the modes, largest subsets first, lexicographic within a size; the
-    combination sum_S c_|S| (sum_{i in S} X_i^{n_i})^N reproduces the target
-    product exactly.
-    """
-    exps = [(m, n) for m, n, _ in target.exponents]
-    N = len(exps)
-    sol = solve_pascal_coeffs(N)
-    out = []
-    for size in range(N, 0, -1):
-        c = float(sol.coeffs[size - 1])
-        for subset in combinations(exps, size):
-            out.append((c, list(subset)))
-    return out
-
-
 def _fourier_conj(modes: list[int], gates: list[Gate]) -> list[Gate]:
     """F·gates·F†, with F the forward Fourier transform on each of modes."""
     return ([Gate.fourier(m, 1) for m in modes] + gates
@@ -250,9 +225,8 @@ class _Compiler:
     one (label, depth) entry per _identity call, in call order.
 
     Identities get their nested targets from _sub, never by calling
-    another identity; the exceptions are _x2p2's x2x2 and general's
-    poly_power (a mode-sum power, not a monomial). A subclass's _sub
-    decides what a nested target becomes, e.g. one ideal exppoly gate.
+    another identity; the one exception is _x2p2's x2x2. A subclass's
+    _sub decides what a nested target becomes, e.g. one ideal exppoly gate.
     """
 
     def __init__(self, n_modes: int, balanced: bool = False):
@@ -294,7 +268,7 @@ class _Compiler:
         (mode, power, basis), by the route _classify picks for it."""
         if not math.isfinite(s):
             raise OverflowError(f"nested strength {s!r}")
-        return self.run(TargetGate(factors, s))[1]
+        return self._emit(TargetGate(factors, s))[1]
 
     # -- identity routes ---------------------------------------------------
 
@@ -404,40 +378,61 @@ class _Compiler:
             + self._sub(6 * al, (l, 1, _X), (k, m, _X))
             + [Gate.x(l, 2, 3 * al)])
 
-    @_identity("poly-power")
-    def poly_power(self, summands: list[tuple[int, int]], N: int,
-                   t: float) -> list[Gate]:
-        """e^{it(Σ X_i^{n_i})^N} by shifting everything onto one unit mode."""
-        # a general target has at most one exponent above one, so every
-        # mode sum of two or more modes has a unit summand
-        c = min(m for m, n in summands if n == 1)
-        conj: list[Gate] = []
-        for m, n in sorted(summands, key=lambda e: -e[0]):
-            if m != c:
-                conj += self._sub(2.0, (c, 1, _P), (m, n, _X))
-        return conj + self._sub(t, (c, N, _X)) + self._inverse(conj)
-
     @_identity("general")
     def general(self, powers: dict[int, int], t: float) -> list[Gate]:
-        """e^{itΠX_m^{n_m}}, powers mapping each mode m to n_m, via the
-        mode-sum power expansion."""
+        """e^{itΠX_m^{n_m}}, powers mapping each of its N modes m to n_m.
+
+        The product is Σ_S c_|S| (Σ_{m∈S} X_m^{n_m})^N over the nonempty
+        subsets S of the modes, largest first, lexicographic within a size.
+        A singleton is the power X_m^{N·n_m}. A larger subset has a unit
+        mode c, as at most one exponent exceeds one: shifts e^{2iP_cX_m^{n_m}}
+        of its other modes, highest first, carry X_c^N onto the mode sum.
+        """
+        N = len(powers)
+        coeffs = solve_pascal_coeffs(N)
         gates: list[Gate] = []
-        for coeff, base in expand_general_d(TargetGate.position(powers, t)):
-            if len(base) == 1:
-                m, n = base[0]
-                gates += self._sub(t * coeff, (m, n * len(powers), _X))
-            else:
-                gates += self.poly_power(base, len(powers), t * coeff)
+        for size in range(N, 0, -1):
+            s = t * float(coeffs[size - 1])
+            if abs(s) < ZERO_STRENGTH:
+                continue
+            for subset in combinations(sorted(powers.items()), size):
+                if size == 1:
+                    (m, n), = subset
+                    gates += self._sub(s, (m, N * n, _X))
+                    continue
+                c = min(m for m, n in subset if n == 1)
+                conj = [g for m, n in reversed(subset) if m != c
+                        for g in self._sub(2.0, (c, 1, _P), (m, n, _X))]
+                gates += conj + self._sub(s, (c, N, _X)) + self._inverse(conj)
         return gates
 
     # -- dispatch ----------------------------------------------------------
 
-    def run(self, target: TargetGate) -> tuple[str, list[Gate]]:
+    def _emit(self, target: TargetGate) -> tuple[str, list[Gate]]:
         """Route of target and the gates it emits; Ineligible if none."""
         route, build = _classify(target)
         if abs(target.strength) < ZERO_STRENGTH:
             return route, []
         return route, build(self)
+
+    def run(self, target: TargetGate) -> tuple[str, list[Gate]]:
+        """_emit for a caller outside the compiler: also Ineligible, never
+        OverflowError, when a parameter of the route's identities overflows,
+        so no returned gate strength is inf or NaN."""
+        try:
+            route, gates = self._emit(target)
+        except OverflowError:
+            route, gates = "", None
+        return route, _finite(target, gates)
+
+
+def _finite(target: TargetGate, gates: list[Gate] | None) -> list[Gate]:
+    """gates, unless a parameter of target's identities overflowed: gates
+    is None or holds a strength that is inf or NaN; then Ineligible."""
+    if gates is None or not all(math.isfinite(g.strength) for g in gates):
+        raise Ineligible(f"strength {target.strength!r} overflows the "
+                         "parameters of its identities")
+    return gates
 
 
 def compile(target: TargetGate, balanced: bool = False
@@ -449,16 +444,10 @@ def compile(target: TargetGate, balanced: bool = False
     """
     n_modes = max(target.modes()) + 1
     comp = _Compiler(n_modes, balanced)
-    try:
-        route, gates = comp.run(target)
-        raw = GateSeq(tuple(gates), n_modes, tuple(comp.ancillas))
-        seq = optimize(raw)
-    except OverflowError:
-        seq = None
-    if seq is None or not all(map(math.isfinite,
-                                  [g.strength for g in seq.gates])):
-        raise Ineligible(f"strength {target.strength!r} overflows the "
-                         "parameters of its identities")
+    route, gates = comp.run(target)
+    raw = GateSeq(tuple(gates), n_modes, tuple(comp.ancillas))
+    seq = optimize(raw)
+    _finite(target, seq.gates)  # merging two gates can overflow
     report = DecompReport(
         n_gates_total=len(seq.gates),
         n_gates_nonfourier=count_gates(seq),

@@ -20,6 +20,7 @@ import numpy as np
 
 from .algebra import NOPoly, substitute
 from .circuit import FOURIER, X_POWER, Gate, GateSeq, heisenberg_conjugate
+from .circuit_tools import _integer
 
 
 class DimensionTooLarge(Exception):
@@ -40,7 +41,8 @@ class FockContext:
 
     cutoff: levels kept per mode when simulating the gates.
     subspace: levels per mode on which the comparison is made; at least 1
-        and at most cutoff // 3.
+        and at most cutoff // 3. Both are ints; a bool or a float, even
+        24.0, is refused.
     tolerance: acceptance threshold for the subspace error; finite and
         positive.
 
@@ -57,6 +59,8 @@ class FockContext:
     tolerance: float = 1e-5
 
     def __post_init__(self):
+        if not (_integer(self.cutoff) and _integer(self.subspace)):
+            raise ValueError("cutoff and subspace must be integers")
         if self.subspace < 1:
             raise ValueError("subspace must be at least 1")
         if self.subspace > self.cutoff // 3:

@@ -10,7 +10,7 @@ import math
 import time
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from cvexact.decompose import (TargetGate, _Compiler, check_eligibility,
 from cvexact.verify import (MAX_FULL_DIM, FockContext, verify_numeric,
                             verify_symbolic)
 
-from util import declared_modes, negate_last_exp
+from util import declared_modes, multinomial_expand, negate_last_exp
 
 
 def _verdict(name, ok, detail):
@@ -281,38 +281,24 @@ def test_criterion_4_numeric_corpus():
 
 # ------------------------------------------------------------------------- 5
 
-def _multinomial_expand(subset, N):
-    out = {}
-    for combo in itertools.combinations_with_replacement(sorted(subset), N):
-        counts = {}
-        for i in combo:
-            counts[i] = counts.get(i, 0) + 1
-        coeff = Fraction(factorial(N))
-        for v in counts.values():
-            coeff /= factorial(v)
-        key = tuple(sorted(counts.items()))
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return out
-
-
 def test_criterion_5_coefficient_solver_exact():
     t0 = time.perf_counter()
     ok = True
     # brute-force expansion reproduces exactly the unit product, N <= 6
     for N in range(2, 7):
-        sol = solve_pascal_coeffs(N)
+        coeffs = solve_pascal_coeffs(N)
         total = {}
         for size in range(1, N + 1):
-            c = sol.coeffs[size - 1]
+            c = coeffs[size - 1]
             for subset in itertools.combinations(range(N), size):
-                for key, coeff in _multinomial_expand(subset, N).items():
+                for key, coeff in multinomial_expand(subset, N).items():
                     total[key] = total.get(key, Fraction(0)) + c * coeff
         target = tuple((i, 1) for i in range(N))
         ok &= all(coeff == (1 if key == target else 0)
                   for key, coeff in total.items())
     # binomial constraint system annihilated exactly, N <= 8
     for N in range(2, 9):
-        c_desc = solve_pascal_coeffs(N).coeffs[::-1]
+        c_desc = solve_pascal_coeffs(N)[::-1]
         for r in range(1, N):
             ok &= sum(comb(r, j) * c_desc[j] for j in range(r + 1)) == 0
     dt = time.perf_counter() - t0

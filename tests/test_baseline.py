@@ -26,8 +26,9 @@ def test_target_from_poly_rejects_sums_and_mixed_factors():
     with pytest.raises(Ineligible):
         target_from_poly(NOPoly.monomial([(0, 1, 1)], 1.0))
     # a constant is the empty product, which no target may be
-    for empty in (lambda: target_from_poly(NOPoly.constant(2.0)),
-                  lambda: TargetGate((), 1.0),
+    with pytest.raises(Ineligible, match="constant generator"):
+        target_from_poly(NOPoly.constant(2.0))
+    for empty in (lambda: TargetGate((), 1.0),
                   lambda: TargetGate.position({}, 1.0)):
         with pytest.raises(ValueError, match="at least one quadrature factor"):
             empty()
@@ -38,16 +39,24 @@ def test_target_from_poly_rejects_complex_coefficient():
         target_from_poly(NOPoly.x(0, 4, 2.0 + 0.5j))
 
 
-@pytest.mark.parametrize("build,match", [
-    (lambda: commutator_approx(NOPoly.x(0, 3), NOPoly.p(0), 0.1, 0), "K must"),
-    (lambda: commutator_approx(NOPoly.x(0, 3), NOPoly.p(0), -0.1, 2), "t2 must"),
-    (lambda: trotter_suzuki([NOPoly.x(0, 2)], 0.4, 0), "K must"),
-    (lambda: commutator_repeats(1.0, 0.0), "epsilon must"),
-    (lambda: commutator_repeats(1.0, -1e-3), "epsilon must"),
+@pytest.mark.parametrize("build,exc,match", [
+    (lambda: commutator_approx(NOPoly.x(0, 3), NOPoly.p(0), 0.1, 0),
+     ValueError, "K must"),
+    (lambda: commutator_approx(NOPoly.x(0, 3), NOPoly.p(0), -0.1, 2),
+     ValueError, "t2 must"),
+    (lambda: trotter_suzuki([NOPoly.x(0, 2)], 0.4, 0), ValueError, "K must"),
+    (lambda: commutator_repeats(1.0, 0.0), ValueError, "epsilon must"),
+    (lambda: commutator_repeats(1.0, -1e-3), ValueError, "epsilon must"),
+    # strengths whose identity parameters overflow, as compile refuses them
+    (lambda: trotter_suzuki([NOPoly.x(0, 4)], 1e300, 1), Ineligible,
+     "overflows"),
+    (lambda: trotter_suzuki([NOPoly.x(0, 8)], 1e150, 1), Ineligible,
+     "overflows"),
 ], ids=["commutator-K0", "commutator-negative-t2", "trotter-K0",
-        "repeats-epsilon-0", "repeats-negative-epsilon"])
-def test_baselines_refuse_bad_parameters(build, match):
-    with pytest.raises(ValueError, match=match):
+        "repeats-epsilon-0", "repeats-negative-epsilon",
+        "trotter-overflow-x4", "trotter-overflow-x8"])
+def test_baselines_refuse_bad_parameters(build, exc, match):
+    with pytest.raises(exc, match=match):
         build()
 
 

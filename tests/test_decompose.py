@@ -8,7 +8,7 @@ non-Fourier counting convention of the reports.
 import numpy as np
 import pytest
 
-from cvexact.algebra import Basis, NOPoly, poly_mul
+from cvexact.algebra import Basis, NOPoly
 from cvexact.circuit import EXPPOLY, Gate, GateSeq
 from cvexact.decompose import (EligibilityVerdict, Ineligible, TargetGate,
                                _Compiler, check_eligibility, compile)
@@ -226,16 +226,6 @@ def test_single_odd_nine_compiles_to_universal_gates():
     assert len(seq.gates) > 100
 
 
-def test_poly_power_expands_mode_sum():
-    # e^{it(X_0 + X_1^2)^2}
-    t = 0.4
-    comp = _Compiler(2)
-    seq = GateSeq(tuple(comp.poly_power([(0, 1), (1, 2)], 2, t)), 2,
-                  tuple(comp.ancillas))
-    base = NOPoly.x(0) + NOPoly.x(1, 2)
-    _check(seq, poly_mul(base, base), t)
-
-
 # ------------------------------------------------- one identity, one level ---
 
 class _OneLevel(_Compiler):
@@ -257,8 +247,13 @@ ONE_LEVEL = [
     ("P[0] X[1]^3", 0.7, True),            # px_n
     ("P[0] X[1]^4", -0.4, True),
     ("X[0]^2 P[1] P[2]", 0.6, True),       # pp_xn
-    ("X[0]^2 X[1] X[2]", 0.4, True),       # general and poly_power
+    ("X[0]^2 X[1] X[2]", 0.4, True),       # general
     ("X[0] X[1] X[2] X[3]", -0.6, True),
+    ("X[0]^2 X[1] X[2] X[3]", 0.3, True),
+    ("X[0] X[1] X[2] X[3] X[4] X[5]", 0.4, True),
+    ("X[0]^2 X[1] X[2] X[3] X[4] X[5]", -0.5, True),
+    ("X[0]^3 P[1] P[2] P[3]", 0.5, True),  # montecarlo:3
+    ("P[0] P[1] X[2]^3", 0.3, True),
     ("X[0] X[1]^3", 0.3, True),            # the xxn row of _classify
 ]
 

@@ -36,12 +36,16 @@ def test_fock_context_validates_subspace():
         FockContext(cutoff=24, subspace=9)
 
 
-@pytest.mark.parametrize("subspace,tolerance", [
-    (0, 1e-5), (-1, 1e-5), (5, float("nan")), (5, float("inf")), (5, 0.0),
-    (5, -1e-5)])
-def test_fock_context_rejects_vacuous_checks(subspace, tolerance):
+@pytest.mark.parametrize("cutoff,subspace,tolerance", [
+    (24, 0, 1e-5), (24, -1, 1e-5), (24, 5, float("nan")),
+    (24, 5, float("inf")), (24, 5, 0.0), (24, 5, -1e-5),
+    # not an int: numpy would refuse the shapes deep inside verify_numeric
+    (24.0, 5, 1e-5), (24, 5.0, 1e-5), (24, True, 1e-5)],
+    ids=["0-1e-05", "-1-1e-05", "5-nan", "5-inf", "5-0.0", "5--1e-05",
+         "cutoff-float", "subspace-float", "subspace-bool"])
+def test_fock_context_rejects_vacuous_checks(cutoff, subspace, tolerance):
     with pytest.raises(ValueError):
-        FockContext(cutoff=24, subspace=subspace, tolerance=tolerance)
+        FockContext(cutoff=cutoff, subspace=subspace, tolerance=tolerance)
 
 
 def test_dimension_guard():

@@ -5,10 +5,14 @@ eigendecompositions, on purpose not reusing the package's own numeric
 verifier, so that symbolic results can be cross-checked against
 straightforward linear algebra. The symbolic references (the Fourier rule
 by products and the per-operator Heisenberg fold) use only poly_mul and
-adjoint_series, not the package's substitution maps.
+adjoint_series, not the package's substitution maps. multinomial_expand
+is the exact rational reference for the Pascal coefficients.
 """
 
+import itertools
 from dataclasses import replace
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
@@ -124,3 +128,19 @@ def with_strength(seq, i, strength):
     return replace(seq, gates=(seq.gates[:i]
                                + (replace(seq.gates[i], strength=strength),)
                                + seq.gates[i + 1:]))
+
+
+def multinomial_expand(subset, N):
+    """(sum_{i in subset} x_i)^N as {exponent tuple: Fraction} over the
+    modes present in subset."""
+    out = {}
+    for combo in itertools.combinations_with_replacement(sorted(subset), N):
+        counts = {}
+        for i in combo:
+            counts[i] = counts.get(i, 0) + 1
+        coeff = Fraction(factorial(N))
+        for v in counts.values():
+            coeff /= factorial(v)
+        key = tuple(sorted(counts.items()))
+        out[key] = out.get(key, Fraction(0)) + coeff
+    return out
