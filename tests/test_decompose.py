@@ -252,8 +252,8 @@ ONE_LEVEL = [
     ("X[0]^2 X[1] X[2] X[3]", 0.3, True),
     ("X[0] X[1] X[2] X[3] X[4] X[5]", 0.4, True),
     ("X[0]^2 X[1] X[2] X[3] X[4] X[5]", -0.5, True),
-    ("X[0]^3 P[1] P[2] P[3]", 0.5, True),  # montecarlo:3
-    ("P[0] P[1] X[2]^3", 0.3, True),
+    ("X[0]^3 P[1] P[2] P[3]", 0.5, True),  # montecarlo:3: general inside
+    ("P[0] P[1] X[2]^3", 0.3, True),       # the intake Fourier conjugation
     ("X[0] X[1]^3", 0.3, True),            # the xxn row of _classify
 ]
 
