@@ -31,15 +31,19 @@ class NonTerminatingSeries(Exception):
 TermKey = tuple[tuple[int, int, int], ...]
 
 
-def _mul_single_mode(a: int, b: int, c: int, d: int):
-    """Normal-order (X^a P^b)(X^c P^d) for one mode.
+# The k >= 1 terms (k, coefficient) of the one-mode reordering
+# P^b X^c = sum_k (-i/2)^k k! C(b,k) C(c,k) X^(c-k) P^(b-k), by (b, c);
+# b and c are exponents, so the table stays small.
+_REORDER: dict[tuple[int, int], tuple[tuple[int, complex], ...]] = {}
 
-    Yields (coefficient, x_exp, p_exp) using
-    P^b X^c = sum_k (-i/2)^k k! C(b,k) C(c,k) X^(c-k) P^(b-k).
-    """
-    for k in range(min(b, c) + 1):
-        coeff = ((-0.5j) ** k) * math.factorial(k) * math.comb(b, k) * math.comb(c, k)
-        yield coeff, a + c - k, b + d - k
+
+def _reorder(b: int, c: int) -> tuple[tuple[int, complex], ...]:
+    got = _REORDER.get((b, c))
+    if got is None:
+        got = _REORDER[b, c] = tuple(
+            (k, ((-0.5j) ** k) * math.factorial(k) * math.comb(b, k) * math.comb(c, k))
+            for k in range(1, min(b, c) + 1))
+    return got
 
 
 class NOPoly:
@@ -163,29 +167,71 @@ def max_coeff_diff(a: NOPoly, b: NOPoly) -> float:
 
 
 def poly_mul(a: NOPoly, b: NOPoly) -> NOPoly:
-    """Normal-ordered product a*b."""
+    """Normal-ordered product a*b.
+
+    Relies on the TermKey invariant that every constructor keeps: a key's
+    (mode, x, p) triples are sorted by mode, and none is (m, 0, 0).
+    """
     out: dict[TermKey, complex] = {}
-    b_terms = [({m: (x, p) for m, x, p in kb}, cb) for kb, cb in b.terms.items()]
-    for ka, ca in a.terms.items():
-        da = {m: (x, p) for m, x, p in ka}
-        for db, cb in b_terms:
-            # per-mode reordering; modes only in one factor pass through
-            partial: list[tuple[complex, list[tuple[int, int, int]]]] = [(ca * cb, [])]
-            for m in sorted(set(da) | set(db)):
-                ax, ap = da.get(m, (0, 0))
-                bx, bp = db.get(m, (0, 0))
-                expanded = []
-                for coeff, factors in partial:
-                    for corr, xe, pe in _mul_single_mode(ax, ap, bx, bp):
-                        if xe or pe:
-                            expanded.append((coeff * corr, factors + [(m, xe, pe)]))
-                        else:
-                            expanded.append((coeff * corr, factors))
-                partial = expanded
-            for coeff, factors in partial:
-                key = tuple(factors)
-                out[key] = out.get(key, 0.0) + coeff
+    _mul_into(out, a.terms, b.terms, leading=True)
     return NOPoly(out)
+
+
+def _mul_into(out: dict[TermKey, complex], a: Mapping[TermKey, complex],
+              b: Mapping[TermKey, complex], leading: bool) -> None:
+    """Add the normal-ordered product of every term pair of a and b to out.
+
+    Each pair's keys are merged by mode in one pass. A mode in one key only
+    passes through; a shared mode X^ax P^ap · X^bx P^bp becomes
+    X^(ax+bx) P^(ap+bp), plus, when ap and bx are both non-zero, the k >= 1
+    terms of _reorder(ap, bx), expanded over such modes with the first mode
+    outermost. leading=False leaves out each pair's term without any
+    reordering (k = 0 on every mode).
+    """
+    b_items = list(b.items())
+    for ka, ca in a.items():
+        na = len(ka)
+        for kb, cb in b_items:
+            nb = len(kb)
+            i = j = 0
+            factors = []
+            split = None
+            while i < na and j < nb:
+                fa, fb = ka[i], kb[j]
+                if fa[0] < fb[0]:
+                    factors.append(fa)
+                    i += 1
+                elif fb[0] < fa[0]:
+                    factors.append(fb)
+                    j += 1
+                else:
+                    m, ax, ap = fa
+                    _, bx, bp = fb
+                    if ap and bx:
+                        split = (split or []) + [(len(factors), ap, bx)]
+                    factors.append((m, ax + bx, ap + bp))
+                    i += 1
+                    j += 1
+            factors += ka[i:] if i < na else kb[j:]
+            if split is None:
+                if leading:
+                    key = tuple(factors)
+                    out[key] = out.get(key, 0.0) + ca * cb
+                continue
+            terms = [(ca * cb, factors)]
+            for pos, p, x in split:
+                m, fx, fp = factors[pos]
+                expanded = []
+                for coeff, fs in terms:
+                    expanded.append((coeff, fs))
+                    for k, corr in _reorder(p, x):
+                        f = fs.copy()
+                        f[pos] = None if fx == k == fp else (m, fx - k, fp - k)
+                        expanded.append((coeff * corr, f))
+                terms = expanded
+            for coeff, fs in terms if leading else terms[1:]:
+                key = tuple(f for f in fs if f is not None)
+                out[key] = out.get(key, 0.0) + coeff
 
 
 def substitute(b: NOPoly, images: Mapping[int, tuple[NOPoly, NOPoly]]) -> NOPoly:
@@ -195,7 +241,14 @@ def substitute(b: NOPoly, images: Mapping[int, tuple[NOPoly, NOPoly]]) -> NOPoly
     is. Each term X_m^a P_m^b ... becomes the ordered product φ(X_m)^a
     φ(P_m)^b ... of the images. That is φ(b) when the images keep the
     canonical commutation relations, as those of a unitary conjugation do.
+    When b is X_m or P_m of a mapped mode, its image is returned as it is.
     """
+    if len(b.terms) == 1:
+        [(key, coeff)] = b.terms.items()
+        if coeff == 1 and len(key) == 1:
+            [(m, a, p)] = key
+            if a + p == 1 and m in images:
+                return images[m][p]
     powers: dict[tuple[int, int, int], NOPoly] = {}
 
     def power(m: int, which: int, n: int) -> NOPoly:
@@ -227,8 +280,17 @@ def substitute(b: NOPoly, images: Mapping[int, tuple[NOPoly, NOPoly]]) -> NOPoly
 
 
 def commutator(a: NOPoly, b: NOPoly) -> NOPoly:
-    """[a, b] = ab - ba, normal-ordered."""
-    return poly_mul(a, b) - poly_mul(b, a)
+    """[a, b] = ab - ba, normal-ordered.
+
+    Each term pair's product without reordering is the same in ab and in
+    ba, so it is left out of both rather than formed twice and cancelled:
+    two commuting terms give nothing, not inf − inf when their product
+    overflows.
+    """
+    out: dict[TermKey, complex] = {}
+    _mul_into(out, a.terms, b.terms, leading=False)
+    _mul_into(out, b.terms, {k: -c for k, c in a.terms.items()}, leading=False)
+    return NOPoly(out)
 
 
 def adjoint_series(a: NOPoly, b: NOPoly) -> NOPoly:

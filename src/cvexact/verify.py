@@ -134,7 +134,8 @@ def verify_symbolic(seq: GateSeq, generator: NOPoly, strength: float) -> float:
     grow with the declared mode count. Returns the largest absolute
     coefficient deviation; exact circuits give ~1e-12 (floating-point noise
     only). The residual is not finite whenever a compared coefficient is
-    not (NaN once a NaN enters, e.g. from inf − inf).
+    not: NaN if one has a NaN part and no infinite part (e.g. from
+    inf − inf), else inf (a circuit gate of infinite strength reads inf).
     """
     modes = _verified_modes(seq, generator)
     target = Gate.exp_poly(generator, strength)

@@ -15,7 +15,7 @@ import pytest
 from cvexact.algebra import (NOPoly, NonTerminatingSeries, adjoint_series,
                              commutator, max_coeff_diff, poly_mul)
 
-from util import poly_matrix
+from util import poly_matrix, poly_mul_by_loops
 
 CUTOFF = 40
 BLOCK = 10  # compare only the lowest 10 levels per mode
@@ -62,6 +62,45 @@ def test_product_against_fock_matrices_two_modes():
     prod = poly_mul(a, b)
     ref = poly_matrix(a, 2, CUTOFF) @ poly_matrix(b, 2, CUTOFF)
     assert _matrix_close(prod, 2, ref)
+
+
+def _random_poly(rng, n_terms):
+    """n_terms random monomials on modes 0-3, exponents 0-4, complex
+    coefficients."""
+    terms = {}
+    for _ in range(n_terms):
+        modes = sorted(rng.choice(4, size=rng.integers(0, 5), replace=False))
+        key = [(int(m), int(rng.integers(0, 5)), int(rng.integers(0, 5)))
+               for m in modes]
+        terms[tuple(f for f in key if f[1] or f[2])] = complex(*rng.normal(size=2))
+    return NOPoly(terms)
+
+
+def test_product_matches_the_plain_loops_bit_for_bit():
+    rng = np.random.default_rng(17)
+    pairs = [(_random_poly(rng, rng.integers(1, 5)),
+              _random_poly(rng, rng.integers(1, 5))) for _ in range(300)]
+    # X and P in both factors on shared modes: every reordering term k ≥ 1
+    both = NOPoly.monomial([(0, 2, 3), (1, 4, 1), (3, 1, 4)], 0.3 - 1.1j)
+    pairs += [(both, both),
+              (both, NOPoly.monomial([(0, 4, 4), (1, 1, 2), (2, 3, 1)], -0.7j)),
+              (NOPoly.monomial([(1, 1, 4)], 2.5) + NOPoly.constant(1e-3j),
+               NOPoly.monomial([(1, 4, 1), (2, 2, 2)], -1.3 + 0.2j))]
+    for a, b in pairs:
+        got, want = poly_mul(a, b), poly_mul_by_loops(a, b)
+        # same keys in the same order; repr tells every float apart, the
+        # sign of a zero included
+        assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+
+
+def test_commutator_matches_the_difference_of_products():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        a = _random_poly(rng, rng.integers(1, 4))
+        b = _random_poly(rng, rng.integers(1, 4))
+        ab, ba = poly_mul(a, b), poly_mul(b, a)
+        scale = max(map(abs, [*ab.terms.values(), *ba.terms.values()]))
+        assert max_coeff_diff(commutator(a, b), ab - ba) <= 1e-12 * scale
 
 
 def test_product_associative():
@@ -139,10 +178,17 @@ def test_non_finite_coefficients_are_never_pruned(coeff):
     assert NOPoly.x(0, 2, 1e-13).is_zero()
 
 
+@pytest.mark.parametrize("t", [1e154, 1e200])
+def test_adjoint_series_of_a_huge_commuting_power_stays_finite(t):
+    # the second term is [X⁴, X³] = 0; the bracket leaves out the products
+    # of ab and ba that would cancel, which overflow at this scale
+    image = adjoint_series(NOPoly.x(0, 4, 1j * t), NOPoly.p(0))
+    assert image.terms == {((0, 0, 1),): 1, ((0, 3, 0),): -2 * t}
+
+
 def test_adjoint_series_stops_at_a_non_finite_term():
-    # the second term is [X⁴, X³] = 0, but at this scale the two products
-    # overflow and their difference is inf − inf: the series ends with that
-    # NaN term instead of running on to NonTerminatingSeries
-    big = NOPoly.x(0, 4, 1j * 1e200)
-    image = adjoint_series(big, NOPoly.p(0))
+    # e^A P⁴ e^{-A} with A = itX² is (P − tX)⁴; at t = 1e200 the t² term
+    # overflows, and the series ends there, before the t³ term X³P
+    image = adjoint_series(NOPoly.x(0, 2, 1j * 1e200), NOPoly.p(0, 4))
     assert not all(map(cmath.isfinite, image.terms.values()))
+    assert ((0, 3, 1),) not in image.terms

@@ -114,7 +114,7 @@ def test_gate_of_infinite_strength_fails_verification(capsys, monkeypatch):
     monkeypatch.setattr(cli, "compile", lambda *a, **k: (broken, report))
     assert main(["compile", "t=0.7 X[0]^4"]) == EXIT_VERIFY
     out, err = capsys.readouterr()
-    assert "symbolic residual:   nan" in out
+    assert "symbolic residual:   inf" in out
     assert err == "verification failed: residual above threshold\n"
 
 

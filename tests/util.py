@@ -6,17 +6,19 @@ verifier, so that symbolic results can be cross-checked against
 straightforward linear algebra. The symbolic references (the Fourier rule
 by products and the per-operator Heisenberg fold) use only poly_mul and
 adjoint_series, not the package's substitution maps. multinomial_expand
-is the exact rational reference for the Pascal coefficients.
+is the exact rational reference for the Pascal coefficients, and
+poly_mul_by_loops the plain reference for the merged product.
 """
 
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
-from cvexact.algebra import NOPoly, adjoint_series, poly_mul
+from cvexact.algebra import NOPoly, TermKey, adjoint_series, poly_mul
 from cvexact.circuit import FOURIER
 
 
@@ -144,3 +146,41 @@ def multinomial_expand(subset, N):
         key = tuple(sorted(counts.items()))
         out[key] = out.get(key, Fraction(0)) + coeff
     return out
+
+
+def _mul_single_mode(a: int, b: int, c: int, d: int):
+    """Normal-order (X^a P^b)(X^c P^d) for one mode.
+
+    Yields (coefficient, x_exp, p_exp) using
+    P^b X^c = sum_k (-i/2)^k k! C(b,k) C(c,k) X^(c-k) P^(b-k).
+    """
+    for k in range(min(b, c) + 1):
+        coeff = ((-0.5j) ** k) * math.factorial(k) * math.comb(b, k) * math.comb(c, k)
+        yield coeff, a + c - k, b + d - k
+
+
+def poly_mul_by_loops(a: NOPoly, b: NOPoly) -> NOPoly:
+    """Normal-ordered product a*b, one mode and one k at a time: the
+    reference algebra.poly_mul must match coefficient for coefficient."""
+    out: dict[TermKey, complex] = {}
+    b_terms = [({m: (x, p) for m, x, p in kb}, cb) for kb, cb in b.terms.items()]
+    for ka, ca in a.terms.items():
+        da = {m: (x, p) for m, x, p in ka}
+        for db, cb in b_terms:
+            # per-mode reordering; modes only in one factor pass through
+            partial: list[tuple[complex, list[tuple[int, int, int]]]] = [(ca * cb, [])]
+            for m in sorted(set(da) | set(db)):
+                ax, ap = da.get(m, (0, 0))
+                bx, bp = db.get(m, (0, 0))
+                expanded = []
+                for coeff, factors in partial:
+                    for corr, xe, pe in _mul_single_mode(ax, ap, bx, bp):
+                        if xe or pe:
+                            expanded.append((coeff * corr, factors + [(m, xe, pe)]))
+                        else:
+                            expanded.append((coeff * corr, factors))
+                partial = expanded
+            for coeff, factors in partial:
+                key = tuple(factors)
+                out[key] = out.get(key, 0.0) + coeff
+    return NOPoly(out)
