@@ -79,9 +79,11 @@ def _merge_pair(g: Gate, h: Gate):
 
 
 def _reuse_ancillas(seq: GateSeq) -> GateSeq:
-    """Pack ancillas with disjoint live ranges into shared registers."""
-    if not seq.ancilla_modes:
-        return seq
+    """Pack ancillas with disjoint live ranges into shared registers.
+
+    Each distinct gate record is remapped once, and one Gate stands at
+    every position of each record of the packed circuit.
+    """
     n = seq.n_target_modes
     first: dict[int, int] = {}
     last: dict[int, int] = {}
@@ -103,8 +105,15 @@ def _reuse_ancillas(seq: GateSeq) -> GateSeq:
         else:
             mapping[m] = n + len(regs)
             regs.append(hi)
-    gates = tuple(_remap_gate(g, mapping) for g in seq.gates)
-    return GateSeq(gates, n, tuple(n + r for r in range(len(regs))))
+    packed: dict = {}  # two ancillas packed into one register give one record
+
+    def remap(g: Gate) -> Gate:
+        h = _remap_gate(g, mapping)
+        key = _record_key(h.kind, h.modes, h.strength, h.power)
+        return h if key is None else packed.setdefault(key, h)
+
+    gates = _map_records(remap, seq.gates)
+    return GateSeq(tuple(gates), n, tuple(n + r for r in range(len(regs))))
 
 
 def _remap_gate(g: Gate, mapping: dict[int, int]) -> Gate:
@@ -122,6 +131,40 @@ def _remap_gate(g: Gate, mapping: dict[int, int]) -> Gate:
     return Gate(g.kind, modes, g.strength, g.power)
 
 
+def _record_key(kind: str, modes: tuple, strength, power):
+    """The key of one gate record, for a table local to one call that
+    builds what the record gives once and shares it wherever the record
+    recurs. power is a gate's Fourier power or a saved record's dagger flag.
+
+    The sign of strength is part of the key: 0.0 and -0.0 are equal and
+    hash alike, but their inverses and reprs differ. None for an exppoly
+    gate, whose generator is part of its record. Equal keys say nothing of
+    types, as True == 1 == 1.0: a loader checks the types of every record.
+    """
+    if kind == EXPPOLY:
+        return None
+    return kind, modes, strength, power, math.copysign(1.0, strength)
+
+
+def _map_records(build, gates, table: dict | None = None) -> list:
+    """[build(g) for g in gates], with build called once per distinct
+    record and its result shared at every position of that record; an
+    exppoly gate is built on its own. table carries the results from one
+    call to the next for a caller that keeps it."""
+    table = {} if table is None else table
+    out = []
+    for g in gates:
+        key = _record_key(g.kind, g.modes, g.strength, g.power)
+        if key is None:
+            out.append(build(g))
+            continue
+        got = table.get(key)
+        if got is None:
+            got = table[key] = build(g)
+        out.append(got)
+    return out
+
+
 # -- serialization ---------------------------------------------------------
 
 def _gate_record(g: Gate) -> dict:
@@ -133,25 +176,32 @@ def _gate_record(g: Gate) -> dict:
             "dagger": g.power == -1}
 
 
+def _header(seq: GateSeq) -> dict:
+    return {"version": 1, "modes": seq.n_target_modes,
+            "ancillas": list(seq.ancilla_modes)}
+
+
 def serialize(seq: GateSeq) -> dict:
     """Circuit document; gate order is application order (first applied first)."""
-    return {
-        "version": 1,
-        "modes": seq.n_target_modes,
-        "ancillas": list(seq.ancilla_modes),
-        "gates": [_gate_record(g) for g in reversed(seq.gates)],
-    }
+    return {**_header(seq),
+            "gates": [_gate_record(g) for g in reversed(seq.gates)]}
 
 
 def serialize_json(seq: GateSeq) -> str:
-    """The circuit document as one line of compact JSON.
+    """The circuit document as one line of compact JSON, byte for byte
+    json.dumps(serialize(seq)).
 
     Strengths are written as the shortest decimal that reads back to the
     same float, so deserialize(serialize_json(seq)) is exact. The file has
     no indentation: the C encoder writes it several times faster than the
-    indented form, which deserialize still reads.
+    indented form, which deserialize still reads. Each distinct gate record
+    is encoded once and its text joined in at every position.
     """
-    return json.dumps(serialize(seq))
+    # an exppoly gate has no key and no record: _gate_record refuses it
+    records = _map_records(lambda g: json.dumps(_gate_record(g)),
+                           reversed(seq.gates))
+    head = json.dumps(_header(seq))
+    return f'{head[:-1]}, "gates": [{", ".join(records)}]}}'
 
 
 def _integer(v) -> bool:
@@ -177,6 +227,9 @@ def deserialize(doc: dict | str | bytes) -> GateSeq:
     or dagger set on a non-Fourier record, and for text that is not JSON:
     bytes that are not UTF-8 or nesting too deep to parse. Other keys of a
     record, such as the "provenance" that older files carry, are ignored.
+
+    Every record's types are checked; each distinct record is then
+    validated once, and its one Gate stands at every position of it.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -193,6 +246,7 @@ def deserialize(doc: dict | str | bytes) -> GateSeq:
         raise SchemaViolation("bad document structure: modes must be an "
                               "integer, ancillas a list of integers and "
                               "gates a list")
+    table: dict = {}
     gates = []
     for rec in records:
         if not (isinstance(rec, dict) and isinstance(rec.get("kind"), str)
@@ -204,19 +258,31 @@ def deserialize(doc: dict | str | bytes) -> GateSeq:
                 f"bad gate record {rec!r}: kind must be a string, modes a "
                 "list of integers, strength a finite number and dagger a "
                 "boolean")
-        kind, modes = rec["kind"], tuple(rec["modes"])
-        if kind not in X_POWER and kind not in (FOURIER, XX):
-            raise SchemaViolation(f"unknown gate kind {kind!r}")
-        if len(modes) != (2 if kind == XX else 1) or len(set(modes)) != len(modes):
-            raise SchemaViolation(f"wrong modes for a {kind} gate: {rec!r}")
-        if kind == FOURIER:
-            gates.append(Gate(FOURIER, modes, 0.0, -1 if rec["dagger"] else 1))
-        elif rec["dagger"]:
-            raise SchemaViolation(f"dagger is set on a {kind} gate: {rec!r}")
-        else:
-            gates.append(Gate(kind, tuple(sorted(modes)) if kind == XX else modes,
-                              float(rec["strength"])))
+        # keyed only once its types are checked: [1] and [true] hash alike
+        key = _record_key(rec["kind"], tuple(rec["modes"]), rec["strength"],
+                          rec["dagger"])
+        gate = table.get(key)
+        if gate is None:
+            # key None (kind exppoly) is refused here and never stored
+            gate = table[key] = _record_gate(rec)
+        gates.append(gate)
     try:
         return GateSeq(tuple(reversed(gates)), n, tuple(ancillas))
     except ValueError as exc:
         raise SchemaViolation(str(exc)) from exc
+
+
+def _record_gate(rec: dict) -> Gate:
+    """The Gate of one record whose types deserialize has checked;
+    SchemaViolation if it is no gate of the saved set."""
+    kind, modes = rec["kind"], tuple(rec["modes"])
+    if kind not in X_POWER and kind not in (FOURIER, XX):
+        raise SchemaViolation(f"unknown gate kind {kind!r}")
+    if len(modes) != (2 if kind == XX else 1) or len(set(modes)) != len(modes):
+        raise SchemaViolation(f"wrong modes for a {kind} gate: {rec!r}")
+    if kind == FOURIER:
+        return Gate(FOURIER, modes, 0.0, -1 if rec["dagger"] else 1)
+    if rec["dagger"]:
+        raise SchemaViolation(f"dagger is set on a {kind} gate: {rec!r}")
+    return Gate(kind, tuple(sorted(modes)) if kind == XX else modes,
+                float(rec["strength"]))

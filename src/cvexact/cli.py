@@ -181,9 +181,11 @@ def _verify(seq, target: TargetGate, ctx: FockContext | None):
 
 def _save(path, seq) -> None:
     if path:
+        # serialized first: a SchemaViolation leaves an existing file as it was
+        text = serialize_json(seq)
         try:
             with open(path, "w") as fh:
-                fh.write(serialize_json(seq))
+                fh.write(text)
         except OSError as exc:
             raise CircuitWriteError(exc) from exc
 

@@ -33,7 +33,8 @@ from typing import Callable
 
 from .algebra import Basis, NOPoly
 from .circuit import Gate, GateSeq
-from .circuit_tools import ZERO_STRENGTH, DecompReport, count_gates, optimize
+from .circuit_tools import (ZERO_STRENGTH, DecompReport, _map_records,
+                            count_gates, optimize)
 
 _X, _P = Basis.POSITION, Basis.MOMENTUM
 
@@ -235,6 +236,7 @@ class _Compiler:
         self.trace: list[tuple[str, int]] = []
         self.depth = 0
         self.balanced = balanced
+        self._inverses: dict = {}  # gate record -> its inverse, for _inverse
 
     def fresh_ancilla(self) -> int:
         a = self.next_anc
@@ -244,9 +246,13 @@ class _Compiler:
 
     # -- helpers -----------------------------------------------------------
 
-    @staticmethod
-    def _inverse(gates: list[Gate]) -> list[Gate]:
-        return [g.inverse() for g in reversed(gates)]
+    def _inverse(self, gates: list[Gate]) -> list[Gate]:
+        """The inverse circuit: gates reversed, each one inverted.
+
+        Each distinct gate record is inverted once per run, and its one
+        inverse stands at every position where the record recurs.
+        """
+        return _map_records(Gate.inverse, reversed(gates), self._inverses)
 
     @staticmethod
     def _p3(k: int, q: float) -> list[Gate]:

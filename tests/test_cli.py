@@ -7,6 +7,8 @@ import pytest
 
 from cvexact import cli
 from cvexact.algebra import Basis
+from cvexact.circuit import Gate, GateSeq
+from cvexact.circuit_tools import SchemaViolation
 from cvexact.cli import (EXIT_INELIGIBLE, EXIT_PARSE, EXIT_VERIFY, SpecError,
                          format_spec, main, parse_spec, preset_spec)
 from cvexact.decompose import TargetGate, compile
@@ -162,6 +164,15 @@ def test_artifact_round_trip(tmp_path, capsys):
     rc = main(["verify", str(path), "t=0.3 X[0]^4"])
     assert rc == 0
     assert "symbolic residual" in capsys.readouterr().out
+
+
+def test_save_refusing_a_circuit_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "circuit.json"
+    path.write_text("earlier circuit")
+    seq = GateSeq((Gate.x(0, 4, 0.3),), 1)  # an exppoly gate has no record
+    with pytest.raises(SchemaViolation):
+        cli._save(str(path), seq)
+    assert path.read_text() == "earlier circuit"
 
 
 def test_verify_detects_wrong_target(tmp_path, capsys):

@@ -8,13 +8,15 @@ import pytest
 
 from cvexact.algebra import NOPoly
 from cvexact.circuit import EXPPOLY, Gate, GateSeq
-from cvexact.circuit_tools import (SchemaViolation, count_gates, deserialize,
-                                   optimize, serialize, serialize_json)
+from cvexact.circuit_tools import (SchemaViolation, _reuse_ancillas,
+                                   count_gates, deserialize, optimize,
+                                   serialize, serialize_json)
 from cvexact.cli import parse_spec
-from cvexact.decompose import TargetGate, compile
+from cvexact.decompose import TargetGate, _Compiler, compile
 from cvexact.verify import verify_symbolic
 
 from test_decompose import ROUTE_PINS
+from util import inverse_per_gate, reuse_ancillas_per_gate
 
 
 def test_fourier_pair_cancellation():
@@ -236,6 +238,94 @@ def test_deserialize_rejects_malformed_gate_records(record):
         deserialize(_doc(record))
     with pytest.raises(SchemaViolation):
         deserialize(json.dumps(_doc(("x1", [0], 0.5, False), record)))
+
+
+# ---------------------------------------------------------- record tables ---
+# optimize, _Compiler._inverse, serialize_json and deserialize build what a
+# gate record gives once per call and share it wherever the record recurs
+
+
+@pytest.mark.parametrize("twin,bad", [
+    (("x1", [1], 1.0, False), ("x1", [True], 1.0, False)),
+    (("x1", [1], 1.0, False), ("x1", [1.0], 1.0, False)),
+    (("x1", [0], 1.0, False), ("x1", [0], True, False)),
+    (("fourier", [0], 0.0, False), ("fourier", [0], 0.0, 0)),
+], ids=["bool-mode", "float-mode", "bool-strength", "int-dagger"])
+def test_record_after_its_hash_equal_valid_twin_is_refused(twin, bad):
+    # True == 1 == 1.0 and False == 0 hash alike: the types of every record
+    # are checked, not only those of the first record of each key
+    assert len(deserialize(_doc(twin, twin)).gates) == 2
+    with pytest.raises(SchemaViolation):
+        deserialize(_doc(twin, bad))
+    with pytest.raises(SchemaViolation):
+        deserialize(json.dumps(_doc(twin, bad)))
+
+
+def test_signed_zero_and_int_strengths_load_as_written():
+    doc = _doc(("x2", [0], 0.0, False), ("x2", [0], -0.0, False),
+               ("x1", [1], 1, False), ("x1", [1], 1.0, False))
+    for loaded in (deserialize(doc), deserialize(json.dumps(doc))):
+        zero, minus_zero = (g.strength for g in loaded.gates[:-3:-1])
+        assert math.copysign(1.0, zero) == 1.0
+        assert math.copysign(1.0, minus_zero) == -1.0
+        assert [type(g.strength) for g in loaded.gates[:2]] == [float, float]
+        assert [g.strength for g in loaded.gates[:2]] == [1.0, 1.0]
+
+
+def _records(gates):
+    """Each gate's record, with the sign of its strength and its generator."""
+    return [(g.kind, g.modes, g.power, g.strength,
+             math.copysign(1.0, g.strength), g.poly) for g in gates]
+
+
+def _raw(body):
+    """The unoptimized circuit of t=0.3 body and the compiler that made it."""
+    target = parse_spec(f"t=0.3 {body}")
+    n = max(target.modes()) + 1
+    comp = _Compiler(n)
+    _, gates = comp.run(target)
+    return comp, GateSeq(tuple(gates), n, tuple(comp.ancillas))
+
+
+@pytest.mark.parametrize("body", [b for b, *_ in ROUTE_PINS])
+def test_record_tables_match_the_per_gate_references(body):
+    comp, raw = _raw(body)
+    # the table the run filled serves this inverse too
+    assert (_records(comp._inverse(list(raw.gates)))
+            == _records(inverse_per_gate(raw.gates)))
+    packed, reference = _reuse_ancillas(raw), reuse_ancillas_per_gate(raw)
+    assert _records(packed.gates) == _records(reference.gates)
+    assert packed.ancilla_modes == reference.ancilla_modes
+    # one Gate object per distinct record
+    assert (len({id(g) for g in packed.gates})
+            == len(set(_records(packed.gates))))
+    seq = optimize(raw)
+    assert serialize_json(seq) == json.dumps(serialize(seq))
+    loaded = deserialize(serialize_json(seq))
+    assert len({id(g) for g in loaded.gates}) == len(set(_records(seq.gates)))
+
+
+def test_exppoly_gates_and_signed_zeros_keep_their_own_records():
+    # equal kind, modes and strength; the generator tells the two apart
+    a = Gate.exp_poly(NOPoly.monomial([(0, 0, 1), (5, 4, 0)]), 0.3)
+    b = Gate.exp_poly(NOPoly.monomial([(0, 1, 0), (5, 4, 0)]), 0.3)
+    gates = (a, b, a, Gate.x(5, 2, 0.0), Gate.x(5, 2, -0.0), Gate.fourier(5))
+    seq = GateSeq(gates, 1, (5,))
+    assert (_records(_Compiler(1)._inverse(list(gates)))
+            == _records(inverse_per_gate(gates)))
+    assert (_records(_reuse_ancillas(seq).gates)
+            == _records(reuse_ancillas_per_gate(seq).gates))
+
+
+@pytest.mark.parametrize("seq", [
+    GateSeq((), 1),
+    GateSeq((Gate.fourier(0), Gate.x(0, 2, -0.0), Gate.x(0, 2, 0.0),
+             Gate.fourier(0, -1), Gate.xx(0, 2, 0.5), Gate.fourier(0)), 1, (2,)),
+], ids=["empty", "signed-zero-and-both-fourier"])
+def test_serialize_json_writes_the_bytes_of_json_dumps(seq):
+    text = serialize_json(seq)
+    assert text == json.dumps(serialize(seq))
+    assert _records(deserialize(text).gates) == _records(seq.gates)
 
 
 def test_compiled_sequences_contain_only_universal_gates():

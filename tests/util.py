@@ -8,6 +8,9 @@ by products and the per-operator Heisenberg fold) use only poly_mul and
 adjoint_series, not the package's substitution maps. multinomial_expand
 is the exact rational reference for the Pascal coefficients, and
 poly_mul_by_loops the plain reference for the merged product.
+inverse_per_gate and reuse_ancillas_per_gate build one new Gate per
+position, the references for the record tables of _Compiler._inverse and
+circuit_tools._reuse_ancillas.
 """
 
 import itertools
@@ -19,7 +22,7 @@ from math import factorial
 import numpy as np
 
 from cvexact.algebra import NOPoly, TermKey, adjoint_series, poly_mul
-from cvexact.circuit import FOURIER
+from cvexact.circuit import EXPPOLY, FOURIER, XX, Gate, GateSeq
 
 
 def ladder(cutoff):
@@ -184,3 +187,51 @@ def poly_mul_by_loops(a: NOPoly, b: NOPoly) -> NOPoly:
                 key = tuple(factors)
                 out[key] = out.get(key, 0.0) + coeff
     return NOPoly(out)
+
+
+def inverse_per_gate(gates):
+    """The inverse of a gate list, one g.inverse() per position."""
+    return [g.inverse() for g in reversed(gates)]
+
+
+def reuse_ancillas_per_gate(seq: GateSeq) -> GateSeq:
+    """Ancilla packing with one remapped Gate per position."""
+    if not seq.ancilla_modes:
+        return seq
+    n = seq.n_target_modes
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for idx, g in enumerate(seq.gates):
+        for m in g.modes:
+            if m >= n:
+                first.setdefault(m, idx)
+                last[m] = idx
+    regs: list[int] = []
+    mapping: dict[int, int] = {}
+    for m in sorted(first, key=lambda m: (first[m], m)):
+        lo, hi = first[m], last[m]
+        for r, busy_until in enumerate(regs):
+            if busy_until < lo:
+                regs[r] = hi
+                mapping[m] = n + r
+                break
+        else:
+            mapping[m] = n + len(regs)
+            regs.append(hi)
+    gates = tuple(_remap_gate_per_gate(g, mapping) for g in seq.gates)
+    return GateSeq(gates, n, tuple(n + r for r in range(len(regs))))
+
+
+def _remap_gate_per_gate(g: Gate, mapping: dict[int, int]) -> Gate:
+    if g.kind == EXPPOLY:
+        terms = {}
+        for key, coeff in g.poly.terms.items():
+            new_key = tuple(sorted((mapping.get(m, m), a, b) for m, a, b in key))
+            terms[new_key] = coeff
+        return Gate.exp_poly(NOPoly(terms), g.strength)
+    modes = tuple([mapping.get(m, m) for m in g.modes])
+    if modes == g.modes:
+        return g
+    if g.kind == XX:
+        modes = tuple(sorted(modes))
+    return Gate(g.kind, modes, g.strength, g.power)
