@@ -225,18 +225,86 @@ def deserialize(doc: dict | str | bytes) -> GateSeq:
     and for a gate record with the wrong number of modes for its kind, the
     same mode twice in an xx record, a mode the document does not declare,
     or dagger set on a non-Fourier record, and for text that is not JSON:
-    bytes that are not UTF-8 or nesting too deep to parse. Other keys of a
-    record, such as the "provenance" that older files carry, are ignored.
+    nesting too deep to parse, bytes that do not decode, or a str that
+    starts with a byte order mark. Bytes are decoded as json.loads decodes
+    them, so UTF-8 (with or without a BOM), UTF-16 and UTF-32 bytes load.
+    Other keys of a record, such as the "provenance" that older files
+    carry, are ignored.
 
-    Every record's types are checked; each distinct record is then
-    validated once, and its one Gate stands at every position of it.
+    Text in the layout serialize_json writes, with exactly its header and
+    record keys, is split at its gate records instead of parsed whole: its
+    cost is one split plus one parse and check per distinct record text.
+    Every other input (a dict, indented text, records with other keys,
+    trailing whitespace, or any text that fails a check) loads as before,
+    through json.loads of the whole text, with the same result or error
+    message; there every record's types are checked. Either way each
+    distinct record's Gate is built once and stands at every position of it.
     """
     if isinstance(doc, (str, bytes)):
+        seq = _load_serialized_text(doc)
+        if seq is not None:
+            return seq
         try:
             doc = json.loads(doc)
         except (json.JSONDecodeError, UnicodeDecodeError,
                 RecursionError) as exc:
             raise SchemaViolation(f"invalid JSON: {exc}") from exc
+    n, ancillas, records = _read_header(doc)
+    table: dict = {}
+    return _gate_seq([_load_record(rec, table) for rec in records],
+                     n, ancillas)
+
+
+_GATES_OPEN = ', "gates": ['
+# the keys serialize_json writes, which alone take the text path
+_HEADER_KEYS = frozenset(_header(GateSeq((), 0)))
+_RECORD_KEYS = frozenset(_gate_record(Gate.fourier(0)))
+
+
+def _load_serialized_text(doc: str | bytes) -> GateSeq | None:
+    """deserialize of text in serialize_json's layout, or None for any
+    other text and for any text that fails a check.
+
+    The header is the text up to the first ', "gates": [', closed with
+    "}"; the text must end in "]}", and the gate array between is split
+    on "}, {". When the header and every record piece parse as one object
+    each, the whole text is exactly that object with "gates" last, so
+    json.loads would give the same document. A piece parses two levels
+    shallower than it stands in the whole text, so only the keys
+    serialize_json writes are accepted: a record that holds nothing else
+    and passes the checks is too shallow to reach the nesting limit.
+    """
+    # every failure falls back to json.loads of the whole text, which gives
+    # its own result or error message
+    try:
+        text = doc if isinstance(doc, str) else doc.decode(
+            json.detect_encoding(doc), "surrogatepass")
+        cut = text.find(_GATES_OPEN)
+        if cut < 0 or not text.endswith("]}"):
+            return None
+        body = text[cut + len(_GATES_OPEN):-2]
+        if body and not (body.startswith("{") and body.endswith("}")):
+            return None
+        head = json.loads(text[:cut] + "}")
+        if not (isinstance(head, dict) and head.keys() == _HEADER_KEYS):
+            return None
+        head["gates"] = body[1:-1].split("}, {") if body else []
+        n, ancillas, pieces = _read_header(head)
+        by_text = dict.fromkeys(pieces)  # each distinct record text once
+        table: dict = {}
+        for piece in by_text:
+            rec = json.loads("{" + piece + "}")
+            if rec.keys() != _RECORD_KEYS:
+                return None
+            by_text[piece] = _load_record(rec, table)
+        return _gate_seq(list(map(by_text.__getitem__, pieces)), n, ancillas)
+    except (ValueError, RecursionError, SchemaViolation):
+        return None
+
+
+def _read_header(doc) -> tuple:
+    """The mode count, ancillas and gate records of a circuit document
+    whose header is checked."""
     if not isinstance(doc, dict) or not _integer(doc.get("version")) \
             or doc["version"] != 1:
         raise SchemaViolation("expected a version-1 circuit document")
@@ -246,26 +314,36 @@ def deserialize(doc: dict | str | bytes) -> GateSeq:
         raise SchemaViolation("bad document structure: modes must be an "
                               "integer, ancillas a list of integers and "
                               "gates a list")
-    table: dict = {}
-    gates = []
-    for rec in records:
-        if not (isinstance(rec, dict) and isinstance(rec.get("kind"), str)
-                and isinstance(rec.get("modes"), list)
-                and all(map(_integer, rec["modes"]))
-                and _finite_number(rec.get("strength"))
-                and isinstance(rec.get("dagger"), bool)):
-            raise SchemaViolation(
-                f"bad gate record {rec!r}: kind must be a string, modes a "
-                "list of integers, strength a finite number and dagger a "
-                "boolean")
-        # keyed only once its types are checked: [1] and [true] hash alike
-        key = _record_key(rec["kind"], tuple(rec["modes"]), rec["strength"],
-                          rec["dagger"])
-        gate = table.get(key)
-        if gate is None:
-            # key None (kind exppoly) is refused here and never stored
-            gate = table[key] = _record_gate(rec)
-        gates.append(gate)
+    return n, ancillas, records
+
+
+def _load_record(rec, table: dict) -> Gate:
+    """The Gate of one saved record, shared through table with every
+    record of the same key before it; SchemaViolation for a bad record.
+
+    Every record's types are checked, as equal keys say nothing of them.
+    """
+    if not (isinstance(rec, dict) and isinstance(rec.get("kind"), str)
+            and isinstance(rec.get("modes"), list)
+            and all(map(_integer, rec["modes"]))
+            and _finite_number(rec.get("strength"))
+            and isinstance(rec.get("dagger"), bool)):
+        raise SchemaViolation(
+            f"bad gate record {rec!r}: kind must be a string, modes a "
+            "list of integers, strength a finite number and dagger a "
+            "boolean")
+    # keyed only once its types are checked: [1] and [true] hash alike
+    key = _record_key(rec["kind"], tuple(rec["modes"]), rec["strength"],
+                      rec["dagger"])
+    gate = table.get(key)
+    if gate is None:
+        # key None (kind exppoly) is refused here and never stored
+        gate = table[key] = _record_gate(rec)
+    return gate
+
+
+def _gate_seq(gates: list, n: int, ancillas: list) -> GateSeq:
+    """The GateSeq of gate records in file order (first applied first)."""
     try:
         return GateSeq(tuple(reversed(gates)), n, tuple(ancillas))
     except ValueError as exc:
@@ -273,7 +351,7 @@ def deserialize(doc: dict | str | bytes) -> GateSeq:
 
 
 def _record_gate(rec: dict) -> Gate:
-    """The Gate of one record whose types deserialize has checked;
+    """The Gate of one record whose types _load_record has checked;
     SchemaViolation if it is no gate of the saved set."""
     kind, modes = rec["kind"], tuple(rec["modes"])
     if kind not in X_POWER and kind not in (FOURIER, XX):

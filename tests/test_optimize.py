@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from cvexact.algebra import NOPoly
+from cvexact import circuit_tools
 from cvexact.circuit import EXPPOLY, Gate, GateSeq
-from cvexact.circuit_tools import (SchemaViolation, _reuse_ancillas,
-                                   count_gates, deserialize, optimize,
-                                   serialize, serialize_json)
+from cvexact.circuit_tools import (SchemaViolation, _load_serialized_text,
+                                   _reuse_ancillas, count_gates, deserialize,
+                                   optimize, serialize, serialize_json)
 from cvexact.cli import parse_spec
 from cvexact.decompose import TargetGate, _Compiler, compile
 from cvexact.verify import verify_symbolic
 
 from test_decompose import ROUTE_PINS
-from util import inverse_per_gate, reuse_ancillas_per_gate
+from util import (deserialize_per_record, inverse_per_gate,
+                  reuse_ancillas_per_gate)
 
 
 def test_fourier_pair_cancellation():
@@ -326,6 +328,155 @@ def test_serialize_json_writes_the_bytes_of_json_dumps(seq):
     text = serialize_json(seq)
     assert text == json.dumps(serialize(seq))
     assert _records(deserialize(text).gates) == _records(seq.gates)
+
+
+# ----------------------------------------------------------- text path ---
+# deserialize splits text in serialize_json's layout at its records and
+# parses each distinct record text once; every other text goes through
+# json.loads whole, as deserialize_per_record does
+
+
+def _same_load(doc):
+    """The GateSeq deserialize gives for doc, after checking that the
+    per-record reference gives the same records, modes and number of
+    distinct Gate objects; None after checking that both refuse doc with
+    the same message."""
+    try:
+        want = deserialize_per_record(doc)
+    except SchemaViolation as exc:
+        with pytest.raises(SchemaViolation) as got:
+            deserialize(doc)
+        assert str(got.value) == str(exc)
+        return None
+    got = deserialize(doc)
+    assert _records(got.gates) == _records(want.gates)
+    assert got.n_target_modes == want.n_target_modes
+    assert got.ancilla_modes == want.ancilla_modes
+    assert (len({id(g) for g in got.gates})
+            == len({id(g) for g in want.gates}))
+    return got
+
+
+# the six circuits of the compile-large benchmark workload
+LARGE_BODIES = ["X[0]^9", "X[0]^12", "X[0] X[1] X[2] X[3] X[4] X[5]",
+                "X[0]^2 X[1] X[2] X[3]", "X[0]^3 P[1] P[2] P[3]",
+                "P[0] P[1] X[2]^3"]
+
+
+@pytest.mark.parametrize("body", [b for b, *_ in ROUTE_PINS] + LARGE_BODIES)
+def test_saved_circuits_load_as_the_per_record_loader_loads_them(body):
+    seq, _ = compile(parse_spec(f"t=0.3 {body}"))
+    text = serialize_json(seq)
+    for doc in (text, text.encode()):
+        assert _records(_same_load(doc).gates) == _records(seq.gates)
+
+
+def _text(*records, header='{"version": 1, "modes": 2, "ancillas": []'):
+    """A document in serialize_json's layout with the given record texts."""
+    return f'{header}, "gates": [{", ".join(records)}]}}'
+
+
+_X1 = '{"kind": "x1", "modes": [1], "strength": 0.5, "dagger": false}'
+
+
+def _with_provenance():
+    doc = json.loads(_text(_X1, _X1))
+    doc["gates"][0]["provenance"] = 'a}, {b'
+    doc["gates"][1]["provenance"] = ', "gates": ['
+    return json.dumps(doc)
+
+
+_DEEP = ('{"kind": "x1", "modes": ' + "[" * 100_000 + "]" * 100_000
+         + ', "strength": 0.5, "dagger": false}')
+
+
+# (doc, loads, split): split when the text path serves doc, which is then
+# only in serialize_json's layout
+@pytest.mark.parametrize("doc,loads,split", [
+    (_with_provenance(), True, False),
+    (_text(_X1, header='{"version": 1, "gates": 5, "modes": 2, '
+                       '"ancillas": []'), True, False),
+    (_text(_X1, header='{"version": 1, "gates": [], "modes": 2, '
+                       '"ancillas": []'), True, False),
+    ('{, "gates": []}', False, False),
+    (_text(), True, True),
+    (_text(_X1) + "\n", True, False),
+    (json.dumps(json.loads(_text(_X1, _X1)), indent=2), True, False),
+    (_text(_X1, _X1.replace("0.5", "5e-1")), True, True),
+    (_text(_X1, _X1.replace("[1]", "[true]")), False, False),
+    (_text(_X1, _DEEP), False, False),
+    (_text(_X1, _X1.replace('"x1"', '"x4"')), False, False),
+    (_text(_X1, header='{"version": 1, "modes": 1, "ancillas": []'),
+     False, False),
+    (_text(_X1, header='{"version": 2, "modes": 2, "ancillas": []'),
+     False, False),
+    (_text(_X1, '{"kind": "x1"} , {"modes": [0]}'), False, False),
+    (_text(_X1, _X1)[:-3] + "}}", False, False),
+    ("\ufeff" + _text(_X1), False, False),
+    (b"\xef\xbb\xbf" + _text(_X1).encode(), True, True),
+    (_text(_X1, _X1).encode("utf-16"), True, True),
+    (_text(_X1).encode("utf-32-le"), True, True),
+    (_text(_X1).encode("utf-16")[:-1], False, False),
+], ids=["provenance-holding-separators", "header-gates-number",
+        "header-gates-list", "empty-header", "no-gates", "trailing-newline",
+        "indented", "same-number-spelt-twice", "bool-mode-twin",
+        "record-nested-too-deep", "unknown-kind", "undeclared-mode",
+        "version-2", "split-record", "unclosed-array", "str-bom",
+        "utf8-bom-bytes", "utf16-bytes", "utf32-bytes", "truncated-utf16"])
+def test_awkward_texts_load_as_the_per_record_loader_loads_them(doc, loads,
+                                                                split):
+    assert (_same_load(doc) is not None) == loads
+    assert (_load_serialized_text(doc) is not None) == split
+
+
+def test_records_near_the_nesting_limit_load_as_the_reference_loads_them():
+    # a record piece parses two levels shallower than it stands in the whole
+    # text, so a record that only just fails to parse in the whole text
+    # parses on its own; it must still be refused
+    def doc(depth):
+        nested = "[" * depth + "]" * depth
+        return _text(_X1, _X1.replace("false}", f'false, "p": {nested}}}'))
+
+    def refused(depth):
+        try:
+            deserialize_per_record(doc(depth))
+        except SchemaViolation:
+            return True
+        return False
+
+    lo, hi = 1, 64
+    while not refused(hi):
+        lo, hi = hi, hi * 2
+    # loads at lo, refused at hi: bisect to the first refusal
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+    for depth in range(hi - 3, hi + 3):
+        _same_load(doc(depth))
+
+
+def test_one_number_spelt_two_ways_loads_as_one_gate():
+    loaded = deserialize(_text(_X1, _X1.replace("0.5", "5e-1")))
+    assert len(loaded.gates) == 2 and loaded.gates[0] is loaded.gates[1]
+
+
+def test_each_distinct_record_text_is_parsed_once(monkeypatch):
+    seq, _ = compile(parse_spec("t=0.3 X[0]^9"))
+    text = serialize_json(seq)
+    distinct = {json.dumps(rec) for rec in serialize(seq)["gates"]}
+    assert len(distinct) * 10 < len(seq.gates)
+    calls = []
+    loads = json.loads
+
+    def counting_loads(s, *args, **kwargs):
+        calls.append(s)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(circuit_tools.json, "loads", counting_loads)
+    assert _records(deserialize(text).gates) == _records(seq.gates)
+    # one parse of the header, then one per distinct record text
+    assert len(calls) == 1 + len(distinct)
+    assert set(calls[1:]) == distinct
 
 
 def test_compiled_sequences_contain_only_universal_gates():

@@ -10,10 +10,13 @@ is the exact rational reference for the Pascal coefficients, and
 poly_mul_by_loops the plain reference for the merged product.
 inverse_per_gate and reuse_ancillas_per_gate build one new Gate per
 position, the references for the record tables of _Compiler._inverse and
-circuit_tools._reuse_ancillas.
+circuit_tools._reuse_ancillas. deserialize_per_record parses the whole
+text with json.loads and checks every record in turn, the reference for
+deserialize's split of serialize_json's layout.
 """
 
 import itertools
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -23,6 +26,8 @@ import numpy as np
 
 from cvexact.algebra import NOPoly, TermKey, adjoint_series, poly_mul
 from cvexact.circuit import EXPPOLY, FOURIER, XX, Gate, GateSeq
+from cvexact.circuit_tools import (SchemaViolation, _finite_number, _integer,
+                                   _record_gate, _record_key)
 
 
 def ladder(cutoff):
@@ -235,3 +240,47 @@ def _remap_gate_per_gate(g: Gate, mapping: dict[int, int]) -> Gate:
     if g.kind == XX:
         modes = tuple(sorted(modes))
     return Gate(g.kind, modes, g.strength, g.power)
+
+
+def deserialize_per_record(doc):
+    """deserialize by json.loads of the whole text and a check of every
+    record in turn, each distinct record's Gate shared by key."""
+    if isinstance(doc, (str, bytes)):
+        try:
+            doc = json.loads(doc)
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:
+            raise SchemaViolation(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not _integer(doc.get("version")) \
+            or doc["version"] != 1:
+        raise SchemaViolation("expected a version-1 circuit document")
+    n, ancillas, records = doc.get("modes"), doc.get("ancillas"), doc.get("gates")
+    if not (_integer(n) and isinstance(ancillas, list)
+            and all(map(_integer, ancillas)) and isinstance(records, list)):
+        raise SchemaViolation("bad document structure: modes must be an "
+                              "integer, ancillas a list of integers and "
+                              "gates a list")
+    table: dict = {}
+    gates = []
+    for rec in records:
+        if not (isinstance(rec, dict) and isinstance(rec.get("kind"), str)
+                and isinstance(rec.get("modes"), list)
+                and all(map(_integer, rec["modes"]))
+                and _finite_number(rec.get("strength"))
+                and isinstance(rec.get("dagger"), bool)):
+            raise SchemaViolation(
+                f"bad gate record {rec!r}: kind must be a string, modes a "
+                "list of integers, strength a finite number and dagger a "
+                "boolean")
+        # keyed only once its types are checked: [1] and [true] hash alike
+        key = _record_key(rec["kind"], tuple(rec["modes"]), rec["strength"],
+                          rec["dagger"])
+        gate = table.get(key)
+        if gate is None:
+            # key None (kind exppoly) is refused here and never stored
+            gate = table[key] = _record_gate(rec)
+        gates.append(gate)
+    try:
+        return GateSeq(tuple(reversed(gates)), n, tuple(ancillas))
+    except ValueError as exc:
+        raise SchemaViolation(str(exc)) from exc
