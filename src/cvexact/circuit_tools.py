@@ -285,8 +285,8 @@ def _load_serialized_text(doc: str | bytes) -> GateSeq | None:
         body = text[cut + len(_GATES_OPEN):-2]
         if body and not (body.startswith("{") and body.endswith("}")):
             return None
-        head = json.loads(text[:cut] + "}")
-        if not (isinstance(head, dict) and head.keys() == _HEADER_KEYS):
+        head = json.loads(text[:cut] + "}")  # an object: it ends in "}"
+        if head.keys() != _HEADER_KEYS:
             return None
         head["gates"] = body[1:-1].split("}, {") if body else []
         n, ancillas, pieces = _read_header(head)
