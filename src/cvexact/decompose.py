@@ -18,8 +18,8 @@ Route overview:
     consulted first, since several of them beat the general route badly.
 
 _classify is the one route table, for the top-level target and for every
-nested target an identity asks for through _Compiler._sub; only _x2p2
-calls another identity directly.
+nested target an identity asks for through _Compiler._sub; no identity
+calls another directly.
 """
 
 from __future__ import annotations
@@ -195,22 +195,18 @@ def _fourier_conj(modes: list[int], gates: list[Gate]) -> list[Gate]:
             + [Gate.fourier(m, -1) for m in reversed(modes)])
 
 
-def _identity(label: str, invert_negative: bool = False):
+def _identity(label: str):
     """Run a _Compiler method as one identity of the recursion trace.
 
     The method's last argument is its strength s. Below ZERO_STRENGTH it
-    emits nothing; with invert_negative, s < 0 gives the inverse of the
-    circuit for −s. Otherwise (label, depth) joins the trace and the method
+    emits nothing; otherwise (label, depth) joins the trace and the method
     runs one level deeper.
     """
     def decorate(method):
         @functools.wraps(method)
         def call(self, *args):
-            *rest, s = args
-            if abs(s) < ZERO_STRENGTH:
+            if abs(args[-1]) < ZERO_STRENGTH:
                 return []
-            if invert_negative and s < 0:
-                return self._inverse(call(self, *rest, -s))
             self.trace.append((label, self.depth))
             self.depth += 1
             try:
@@ -226,8 +222,8 @@ class _Compiler:
     one (label, depth) entry per _identity call, in call order.
 
     Identities get their nested targets from _sub, never by calling
-    another identity; the one exception is _x2p2's x2x2. A subclass's
-    _sub decides what a nested target becomes, e.g. one ideal exppoly gate.
+    another identity. A subclass's _sub decides what a nested target
+    becomes, e.g. one ideal exppoly gate.
     """
 
     def __init__(self, n_modes: int, balanced: bool = False):
@@ -259,16 +255,6 @@ class _Compiler:
         """e^{iqP_k³} = F_k e^{iqX_k³} F_k†."""
         return _fourier_conj([k], [Gate.x(k, 3, q)])
 
-    @staticmethod
-    def _px_unit(c: int, i: int, s: float) -> list[Gate]:
-        """e^{isP_cX_i} = F_c e^{isX_cX_i} F_c†."""
-        return _fourier_conj([c], [Gate.xx(c, i, s)])
-
-    def _x2p2(self, j: int, k: int, s: float) -> list[Gate]:
-        """e^{isX_j²P_k²} = F_k e^{isX_j²X_k²} F_k†; not through _sub, as
-        x2x2 is not symmetric in j and k and _classify orders them by mode."""
-        return _fourier_conj([k], self.x2x2(j, k, s))
-
     def _sub(self, s: float, *factors: tuple[int, int, Basis]) -> list[Gate]:
         """Gates of the nested target e^{isΠ factors}, each factor
         (mode, power, basis), by the route _classify picks for it."""
@@ -297,29 +283,40 @@ class _Compiler:
                 + [xx(-2 * al)] + self._p3(k, t) + [xx(al)] + self._p3(k, -t)
                 + [Gate.x(j, 3, 0.75 * al ** 3 * t)])
 
-    @_identity("pxn", invert_negative=True)
+    @_identity("pxn")
     def px_n(self, j: int, k: int, n: int, s: float) -> list[Gate]:
-        """e^{isP_kX_jⁿ}, n ≥ 3, via one strength-√(s/2) conjugation round."""
-        al = math.sqrt(s / 2.0)
+        """e^{isP_kX_jⁿ}, n ≥ 3, via one conjugation round of strength
+        α = √(|s|/2).
+
+        The round f1·f2·f1⁻¹·f2⁻¹·f5 with f1 = e^{2iαX_kX_j^{n−2}} and
+        f2 = e^{−iσαX_j²P_k²}, σ the sign of s. f1 shifts P_k, and the
+        terms its conjugation adds to f2 all commute, so the commutator
+        is e^{isP_kX_jⁿ} times an X_j^{2n−2} term that f5 cancels, at
+        either sign of s.
+        """
+        al = math.sqrt(abs(s) / 2.0)
+        sg = math.copysign(1.0, s)
         f1 = self._sub(2 * al, (k, 1, _X), (j, n - 2, _X))
-        f2 = self._x2p2(j, k, -al)
-        f5 = self._sub(al ** 3, (j, 2 * (n - 1), _X))
+        f2 = self._sub(-sg * al, (j, 2, _X), (k, 2, _P))
+        f5 = self._sub(sg * al ** 3, (j, 2 * (n - 1), _X))
         return f1 + f2 + self._inverse(f1) + self._inverse(f2) + f5
 
-    @_identity("ppxn", invert_negative=True)
+    @_identity("ppxn")
     def pp_xn(self, j: int, k: int, l: int, s: float) -> list[Gate]:
         """e^{isP_kP_lX_j²}: the P·X² pattern with one more momentum mode.
 
-        The five-factor conjugation round of px_n with a two-squares
-        compensation gate e^{iα³X_j²P_l²}. For a higher power of X_j that
-        gate would have two exponents above one, so P·P·Xⁿ (n ≥ 3) takes
-        the generic momentum route: the general expansion of X_jⁿX_kX_l
-        inside an intake Fourier conjugation of k and l.
+        The conjugation round of px_n with the shift f1 = e^{2iαP_lX_k}
+        and a two-squares compensation gate f5 = e^{iσα³X_j²P_l²}. For a
+        higher power of X_j that gate would have two exponents above one,
+        so P·P·Xⁿ (n ≥ 3) takes the generic momentum route: the general
+        expansion of X_jⁿX_kX_l inside an intake Fourier conjugation of k
+        and l.
         """
-        al = math.sqrt(s / 2.0)
-        f1 = self._px_unit(l, k, 2 * al)
-        f2 = self._x2p2(j, k, -al)
-        f5 = self._x2p2(j, l, al ** 3)
+        al = math.sqrt(abs(s) / 2.0)
+        sg = math.copysign(1.0, s)
+        f1 = self._sub(2 * al, (l, 1, _P), (k, 1, _X))
+        f2 = self._sub(-sg * al, (j, 2, _X), (k, 2, _P))
+        f5 = self._sub(sg * al ** 3, (j, 2, _X), (l, 2, _P))
         return f1 + f2 + self._inverse(f1) + self._inverse(f2) + f5
 
     @_identity("twosquares")
@@ -331,7 +328,7 @@ class _Compiler:
         """
         s = min(2.0, (12.0 * abs(t)) ** (1.0 / 6.0)) if self.balanced else 2.0
         beta = t / (3.0 * s * s)
-        shift = lambda q: self._px_unit(j, k, q)
+        shift = lambda q: self._sub(q, (j, 1, _P), (k, 1, _X))
         x4 = lambda m, q: self._sub(q, (m, 4, _X))
         return (shift(s) + x4(j, beta) + shift(-2 * s) + x4(j, beta)
                 + shift(s) + x4(j, -2 * beta) + x4(k, -beta * s ** 4 / 8.0))
@@ -345,8 +342,6 @@ class _Compiler:
         final coupling gate and the X_kⁿ term survives with strength
         t = t's²/4.
         """
-        if n <= 3:
-            raise ValueError("even-power route needs n >= 4")
         a = self.fresh_ancilla()
         m = n // 2
         s = min(2.0, (4.0 * abs(t)) ** (1.0 / 3.0)) if self.balanced else 2.0

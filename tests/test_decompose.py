@@ -230,7 +230,7 @@ def test_single_odd_nine_compiles_to_universal_gates():
 
 class _OneLevel(_Compiler):
     """Every nested target is one ideal gate, so a route emits the gates of
-    its own identity only (and of x2x2 where _x2p2 calls it)."""
+    its own identity only."""
 
     def _sub(self, s, *factors):
         return [Gate.exp_poly(TargetGate(factors, s).generator(), s)]
@@ -246,7 +246,9 @@ ONE_LEVEL = [
     ("P[0] X[1]^2", -0.8, False),
     ("P[0] X[1]^3", 0.7, True),            # px_n
     ("P[0] X[1]^4", -0.4, True),
+    ("P[0] X[1]^3", -0.7, True),
     ("X[0]^2 P[1] P[2]", 0.6, True),       # pp_xn
+    ("X[0]^2 P[1] P[2]", -0.6, True),
     ("X[0]^2 X[1] X[2]", 0.4, True),       # general
     ("X[0] X[1] X[2] X[3]", -0.6, True),
     ("X[0]^2 X[1] X[2] X[3]", 0.3, True),
@@ -270,6 +272,7 @@ def test_each_identity_is_exact_with_ideal_nested_targets(body, t, nests):
     assert verify_symbolic(seq, tg.generator(), t) <= 1e-12
     assert verify_symbolic(negate_last_exp(seq), tg.generator(), t) > 1e-3
     assert any(g.kind == EXPPOLY for g in gates) == nests
+    assert len(comp.trace) <= 1
 
 
 # ------------------------------------------------------------ full routes ---
