@@ -196,17 +196,14 @@ def _fourier_conj(modes: list[int], gates: list[Gate]) -> list[Gate]:
 
 
 def _identity(label: str):
-    """Run a _Compiler method as one identity of the recursion trace.
+    """Run a _Compiler method as one identity of the recursion trace:
+    (label, depth) joins the trace and the method runs one level deeper.
 
-    The method's last argument is its strength s. Below ZERO_STRENGTH it
-    emits nothing; otherwise (label, depth) joins the trace and the method
-    runs one level deeper.
+    Only _emit calls an identity, and never below ZERO_STRENGTH.
     """
     def decorate(method):
         @functools.wraps(method)
         def call(self, *args):
-            if abs(args[-1]) < ZERO_STRENGTH:
-                return []
             self.trace.append((label, self.depth))
             self.depth += 1
             try:
@@ -250,17 +247,24 @@ class _Compiler:
         """
         return _map_records(Gate.inverse, reversed(gates), self._inverses)
 
-    @staticmethod
-    def _p3(k: int, q: float) -> list[Gate]:
-        """e^{iqP_k³} = F_k e^{iqX_k³} F_k†."""
-        return _fourier_conj([k], [Gate.x(k, 3, q)])
-
     def _sub(self, s: float, *factors: tuple[int, int, Basis]) -> list[Gate]:
         """Gates of the nested target e^{isΠ factors}, each factor
         (mode, power, basis), by the route _classify picks for it."""
         if not math.isfinite(s):
             raise OverflowError(f"nested strength {s!r}")
         return self._emit(TargetGate(factors, s))[1]
+
+    def _shifted_power(self, c: int, shifts: list[tuple[float, list]],
+                       n: int, t: float) -> list[Gate]:
+        """e^{it(X_c + Σ(s/2)Y)ⁿ}, the paper's conjugation lemma.
+
+        Each (s, Y) in shifts is one shift e^{isP_cY}, Y a monomial given
+        as (mode, power, basis) factors off mode c; it carries X_c to
+        X_c + (s/2)Y. The shifts stand in the listed order around
+        e^{itX_cⁿ}, and their inverse after it.
+        """
+        conj = [g for s, y in shifts for g in self._sub(s, (c, 1, _P), *y)]
+        return conj + self._sub(t, (c, n, _X)) + self._inverse(conj)
 
     # -- identity routes ---------------------------------------------------
 
@@ -278,9 +282,10 @@ class _Compiler:
         else:
             al = math.sqrt(abs(s) / 3.0)
             t = math.copysign(1.0, s)
-        xx = lambda q: Gate.xx(j, k, q)
-        return ([xx(2 * al)] + self._p3(k, t) + [xx(-al)] + self._p3(k, -t)
-                + [xx(-2 * al)] + self._p3(k, t) + [xx(al)] + self._p3(k, -t)
+        xx = lambda q: [Gate.xx(j, k, q)]
+        p3 = lambda q: _fourier_conj([k], [Gate.x(k, 3, q)])  # e^{iqP_k³}
+        return (xx(2 * al) + p3(t) + xx(-al) + p3(-t)
+                + xx(-2 * al) + p3(t) + xx(al) + p3(-t)
                 + [Gate.x(j, 3, 0.75 * al ** 3 * t)])
 
     @_identity("pxn")
@@ -346,8 +351,7 @@ class _Compiler:
         m = n // 2
         s = min(2.0, (4.0 * abs(t)) ** (1.0 / 3.0)) if self.balanced else 2.0
         tp = 4.0 * t / (s * s)
-        conj = self._sub(s, (a, 1, _P), (k, m, _X))
-        return (conj + [Gate.x(a, 2, tp)] + self._inverse(conj)
+        return (self._shifted_power(a, [(s, [(k, m, _X)])], 2, tp)
                 + [Gate.x(a, 2, -tp)]
                 + self._sub(-4.0 * t / s, (a, 1, _X), (k, m, _X)))
 
@@ -363,14 +367,10 @@ class _Compiler:
         j = self.fresh_ancilla()
         l = self.fresh_ancilla()
         m = n // 3
-        cube_conj = self._sub(2.0, (j, 1, _P), (k, m, _X))
-        sq_conj_a = self._sub(2.0, (l, 1, _P), (k, m, _X))
-        sq_conj_b = self._sub(2.0, (l, 1, _P), (j, 2, _X))
+        xkm, xj2 = [(k, m, _X)], [(j, 2, _X)]
         return (
-            cube_conj + [Gate.x(j, 3, 2 * al)]
-            + self._inverse(cube_conj)
-            + sq_conj_a + sq_conj_b + [Gate.x(l, 2, -3 * al)]
-            + self._inverse(sq_conj_b) + self._inverse(sq_conj_a)
+            self._shifted_power(j, [(2.0, xkm)], 3, 2 * al)
+            + self._shifted_power(l, [(2.0, xkm), (2.0, xj2)], 2, -3 * al)
             + [Gate.x(j, 3, -2 * al)]
             + self._sub(3 * al, (j, 4, _X))
             + self._sub(3 * al, (k, 2 * n // 3, _X))
@@ -402,9 +402,9 @@ class _Compiler:
                     gates += self._sub(s, (m, N * n, _X))
                     continue
                 c = min(m for m, n in subset if n == 1)
-                conj = [g for m, n in reversed(subset) if m != c
-                        for g in self._sub(2.0, (c, 1, _P), (m, n, _X))]
-                gates += conj + self._sub(s, (c, N, _X)) + self._inverse(conj)
+                gates += self._shifted_power(
+                    c, [(2.0, [(m, n, _X)]) for m, n in reversed(subset)
+                        if m != c], N, s)
         return gates
 
     # -- dispatch ----------------------------------------------------------

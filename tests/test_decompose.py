@@ -8,7 +8,7 @@ non-Fourier counting convention of the reports.
 import numpy as np
 import pytest
 
-from cvexact.algebra import Basis, NOPoly
+from cvexact.algebra import Basis, NOPoly, poly_mul
 from cvexact.circuit import EXPPOLY, Gate, GateSeq
 from cvexact.decompose import (EligibilityVerdict, Ineligible, TargetGate,
                                _Compiler, check_eligibility, compile)
@@ -240,12 +240,15 @@ class _OneLevel(_Compiler):
 ONE_LEVEL = [
     ("X[0]^4", 0.7, True),                 # single_even
     ("X[0]^6", -0.3, True),
+    ("X[0]^8", 1.0, True),
+    ("X[0]^12", 0.9, True),
     ("X[0]^9", 0.3, True),                 # single_odd3
     ("X[0]^2 X[1]^2", 0.5, True),          # x2x2
     ("P[0] X[1]^2", 0.5, False),           # px2
     ("P[0] X[1]^2", -0.8, False),
     ("P[0] X[1]^3", 0.7, True),            # px_n
     ("P[0] X[1]^4", -0.4, True),
+    ("P[0] X[1]^5", 0.4, True),
     ("P[0] X[1]^3", -0.7, True),
     ("X[0]^2 P[1] P[2]", 0.6, True),       # pp_xn
     ("X[0]^2 P[1] P[2]", -0.6, True),
@@ -256,23 +259,56 @@ ONE_LEVEL = [
     ("X[0]^2 X[1] X[2] X[3] X[4] X[5]", -0.5, True),
     ("X[0]^3 P[1] P[2] P[3]", 0.5, True),  # montecarlo:3: general inside
     ("P[0] P[1] X[2]^3", 0.3, True),       # the intake Fourier conjugation
+    ("P[0] P[1] X[2]^4", -0.3, True),
     ("X[0] X[1]^3", 0.3, True),            # the xxn row of _classify
 ]
 
 
-@pytest.mark.parametrize("body,t,nests", ONE_LEVEL,
-                         ids=[f"{b}@{t}".translate({ord(c): None
-                                                    for c in "[] "})
-                              for b, t, _ in ONE_LEVEL])
-def test_each_identity_is_exact_with_ideal_nested_targets(body, t, nests):
+@pytest.mark.parametrize("body,t,nests,balanced", [
+    pytest.param(b, t, nests, bal,
+                 id=f"{b}@{t}".translate({ord(c): None for c in "[] "})
+                 + ("-balanced" if bal else ""))
+    for bal in (False, True) for b, t, nests in ONE_LEVEL])
+def test_each_identity_is_exact_with_ideal_nested_targets(body, t, nests,
+                                                          balanced):
     tg = parse_spec(f"t={t} {body}")
-    comp = _OneLevel(max(tg.modes()) + 1)
+    comp = _OneLevel(max(tg.modes()) + 1, balanced)
     _, gates = comp.run(tg)
     seq = GateSeq(tuple(gates), max(tg.modes()) + 1, tuple(comp.ancillas))
     assert verify_symbolic(seq, tg.generator(), t) <= 1e-12
     assert verify_symbolic(negate_last_exp(seq), tg.generator(), t) > 1e-3
     assert any(g.kind == EXPPOLY for g in gates) == nests
     assert len(comp.trace) <= 1
+
+
+# (central mode c, shifts (s, Y factors), power n, strength t)
+SHIFTED_POWERS = {
+    "unit-shift-squared": (0, [(2.0, [(1, 1, X)])], 2, 0.3),
+    "square-shift-cubed": (0, [(0.8, [(1, 2, X)])], 3, -0.4),
+    # single_odd3's square, and the cross-term square of two monomials
+    "two-shifts-squared": (2, [(2.0, [(0, 3, X)]), (2.0, [(1, 2, X)])], 2,
+                           -0.45),
+    # one sign-sum row: shifts of both signs
+    "sign-sum-cubed": (0, [(-2.0, [(1, 1, X)]), (2.0, [(2, 1, X)])], 3,
+                       0.25),
+}
+
+
+@pytest.mark.parametrize("c,shifts,n,t", SHIFTED_POWERS.values(),
+                         ids=SHIFTED_POWERS.keys())
+def test_shifted_power_is_the_power_of_the_shifted_quadrature(c, shifts, n,
+                                                              t):
+    n_modes = 1 + max([c] + [m for _, y in shifts for m, _, _ in y])
+    gates = _OneLevel(n_modes)._shifted_power(c, shifts, n, t)
+    seq = GateSeq(tuple(gates), n_modes, ())
+    shifted = NOPoly.x(c, 1)
+    for s, y in shifts:
+        shifted = shifted + TargetGate(tuple(y), 1.0).generator().scale(s / 2)
+    power = NOPoly.constant(1.0)
+    for _ in range(n):
+        power = poly_mul(power, shifted)
+    assert verify_symbolic(seq, power, t) <= 1e-12
+    assert verify_symbolic(negate_last_exp(seq), power, t) > 1e-3
 
 
 # ------------------------------------------------------------ full routes ---
