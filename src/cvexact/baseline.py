@@ -24,7 +24,9 @@ def target_from_poly(p: NOPoly, strength: float = 1.0) -> TargetGate:
 
     The monomial coefficient (which must be real) folds into the strength.
     Mixed X·P factors on one mode and constants (the empty product) are
-    rejected: they are not gate targets.
+    rejected: they are not gate targets. A product of a finite coefficient
+    and a finite strength that overflows is Ineligible, as compile refuses
+    an overflowing parameter; a non-finite one is a ValueError.
     """
     if len(p.terms) != 1:
         raise Ineligible("only single-monomial generators are compilable")
@@ -39,7 +41,12 @@ def target_from_poly(p: NOPoly, strength: float = 1.0) -> TargetGate:
             raise Ineligible(
                 f"mode {m} mixes X and P factors; no exact route exists")
         exps.append((m, a, Basis.POSITION) if a else (m, b, Basis.MOMENTUM))
-    return TargetGate(tuple(exps), strength * coeff.real)
+    folded = strength * coeff.real
+    finite = math.isfinite(strength) and math.isfinite(coeff.real)
+    if finite and math.isinf(folded):
+        raise Ineligible(f"strength {strength!r} times coefficient "
+                         f"{coeff.real!r} overflows")
+    return TargetGate(tuple(exps), folded)
 
 
 def _compiled_gates(comp: _Compiler, p: NOPoly, strength: float) -> list[Gate]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import NOPoly, substitute
 from .circuit import FOURIER, X_POWER, Gate, GateSeq, heisenberg_conjugate
-from .circuit_tools import _integer
+from .circuit_tools import _integer, _record_key
 
 
 class DimensionTooLarge(Exception):
@@ -90,19 +90,27 @@ def heisenberg_action(seq: GateSeq,
 
     Conjugation by U is the composition of one algebra automorphism per
     gate, so the images of all generators are composed gate by gate,
-    rightmost (first applied) gate first. Each gate, as it is, replaces the
-    images of each of its modes m with g† X_m g and g† P_m g from
-    heisenberg_conjugate, evaluated on the images so far (substitute). The
-    modes a gate of seq touches are tracked, and those of modes; a mode no
-    gate touches keeps the images X_m and P_m. verify_symbolic calls it
-    twice: on the circuit, and on the target as a one-gate circuit.
+    rightmost (first applied) gate first. Each gate replaces the images of
+    each of its modes m with g† X_m g and g† P_m g from
+    heisenberg_conjugate, evaluated on the images so far (substitute).
+    Those two images of (g, m) are built once per call for each distinct
+    record (_record_key; an exppoly gate by identity) and shared at every
+    position of the record. The modes a gate of seq touches are tracked,
+    and those of modes; a mode no gate touches keeps the images X_m and
+    P_m. verify_symbolic calls it twice: on the circuit, and on the target
+    as a one-gate circuit.
     """
     generators = {m: (NOPoly.x(m), NOPoly.p(m))
                   for m in [*_touched(seq), *modes]}
     images = dict(generators)
+    own = {}  # (record key, m) -> (g† X_m g, g† P_m g); seq keeps ids alive
     for g in reversed(seq.gates):
-        images.update({m: tuple(substitute(heisenberg_conjugate(g, b), images)
-                                for b in generators[m])
+        key = _record_key(g.kind, g.modes, g.strength, g.power) or id(g)
+        for m in g.modes:
+            if (key, m) not in own:
+                own[key, m] = tuple(heisenberg_conjugate(g, b)
+                                    for b in generators[m])
+        images.update({m: tuple(substitute(b, images) for b in own[key, m])
                        for m in g.modes})
     return {m: images[m] for m in modes}
 

@@ -52,9 +52,26 @@ def test_target_from_poly_rejects_complex_coefficient():
      "overflows"),
     (lambda: trotter_suzuki([NOPoly.x(0, 8)], 1e150, 1), Ineligible,
      "overflows"),
+    # a finite coefficient times a finite strength that overflows
+    (lambda: trotter_suzuki([NOPoly.x(0, 4, 1e200)], 1e200, 1), Ineligible,
+     "overflows"),
+    (lambda: commutator_approx(NOPoly.x(0, 3, -1e300), NOPoly.p(0), 1e20, 1),
+     Ineligible, "overflows"),
+    (lambda: target_from_poly(NOPoly.x(0, 2, 1e300), 1e10), Ineligible,
+     "overflows"),
+    # a non-finite strength or coefficient is no overflow
+    (lambda: target_from_poly(NOPoly.x(0, 2), math.inf), ValueError,
+     "not finite"),
+    (lambda: target_from_poly(NOPoly.x(0, 2, math.inf), 1.0), ValueError,
+     "not finite"),
+    (lambda: target_from_poly(NOPoly.x(0, 2), math.nan), ValueError,
+     "not finite"),
 ], ids=["commutator-K0", "commutator-negative-t2", "trotter-K0",
         "repeats-epsilon-0", "repeats-negative-epsilon",
-        "trotter-overflow-x4", "trotter-overflow-x8"])
+        "trotter-overflow-x4", "trotter-overflow-x8",
+        "trotter-coefficient-overflow", "commutator-coefficient-overflow",
+        "target-coefficient-overflow", "target-strength-inf",
+        "target-coefficient-inf", "target-strength-nan"])
 def test_baselines_refuse_bad_parameters(build, exc, match):
     with pytest.raises(exc, match=match):
         build()

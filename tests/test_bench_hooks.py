@@ -5,13 +5,16 @@ example circuit_tools._reuse_ancillas, circuit.heisenberg_conjugate and
 verify._NumericEngine.apply_gate). A change under src/ that deletes or
 renames one of them breaks `perfbench/run.py --trace 1`; this test makes
 the test suite see it: the tracer installs in-process, records a compile,
-and uninstalls with every patched attribute back as it was.
+and uninstalls with every patched attribute back as it was. A symbolic
+compile under the tracer must also give every per-layer metric the
+benchmark's own self-check asks of the symbolic workload, so a change that
+verifies without the traced calls fails here too.
 """
 
 import importlib.util
 from pathlib import Path
 
-from cvexact import decompose, verify
+from cvexact import cli, decompose, verify
 from cvexact.cli import parse_spec
 
 _spec = importlib.util.spec_from_file_location(
@@ -45,3 +48,14 @@ def test_tracer_installs_records_and_restores_every_hook():
     after = _attributes()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_a_traced_symbolic_compile_passes_the_self_check(capsys):
+    tr = tracing.Tracer()
+    tr.install()
+    try:
+        assert cli.main(["compile", "t=0.3 P[0] X[1]^3", "--format", "json"]) == 0
+    finally:
+        tr.uninstall()
+    capsys.readouterr()
+    assert tracing.self_check("symbolic", tracing.layer_metrics(tr, 1)) == []

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cvexact import circuit
+from cvexact import circuit, verify
 from cvexact.algebra import Basis, NOPoly, max_coeff_diff
 from cvexact.circuit import FOURIER, Gate, GateSeq
 from cvexact.cli import parse_spec
@@ -17,8 +17,8 @@ from cvexact.verify import (INTERNAL_PAD, MAX_FULL_DIM, MAX_STATE_ENTRIES,
                             heisenberg_action, verify_numeric, verify_symbolic)
 
 from test_decompose import ROUTE_PINS
-from util import (declared_modes, gate_matrix, heisenberg_fold, seq_matrix,
-                  with_strength)
+from util import (declared_modes, gate_matrix, heisenberg_action_per_gate,
+                  heisenberg_fold, seq_matrix, with_strength)
 
 
 def test_fock_matrices_commutator():
@@ -105,6 +105,64 @@ def test_heisenberg_action_matches_per_operator_fold(body):
     for m in modes:
         for b, got in zip((NOPoly.x(m), NOPoly.p(m)), images[m]):
             assert max_coeff_diff(got, heisenberg_fold(seq, b)) < 1e-12
+
+
+_SHARED_EXP = Gate.exp_poly(_mono((0, 2, 0), (1, 0, 1)), 0.2)
+
+# records that recur: twins that are distinct objects, strengths 0.0 and
+# -0.0, F and F† on one mode, xx and x2 on the same modes at two strengths
+# of one sign, and an exppoly gate repeated as the same object and as an
+# equal copy
+RECURRING = GateSeq((
+    Gate.x(0, 2, 0.3), Gate.fourier(0), Gate.xx(0, 1, 0.25),
+    Gate.x(1, 3, 0.0), _SHARED_EXP, Gate.fourier(0, -1), Gate.x(0, 2, 0.3),
+    Gate.fourier(1), Gate.x(1, 3, -0.0), Gate.xx(0, 1, 0.4), _SHARED_EXP,
+    Gate.fourier(0), Gate.x(0, 2, 0.5), Gate.fourier(1, -1),
+    Gate.exp_poly(_mono((0, 2, 0), (1, 0, 1)), 0.2), Gate.xx(0, 1, 0.25),
+    Gate.fourier(0, -1), Gate.x(1, 3, 0.0)), 2)
+
+
+def _term_reprs(images):
+    return {m: [repr(list(b.terms.items())) for b in pair]
+            for m, pair in images.items()}
+
+
+@pytest.mark.parametrize("body", [b for b, *_ in ROUTE_PINS] + [None, ""],
+                         ids=[b.translate({ord(c): None for c in "[] "})
+                              for b, *_ in ROUTE_PINS]
+                         + ["hand-built", "recurring"])
+def test_heisenberg_action_is_bit_identical_to_the_per_gate_fold(body):
+    # images shared by record against images built at every position:
+    # every term, its order and the sign of each zero part the same
+    if body is None:
+        seq = HAND_BUILT
+    elif not body:
+        seq = RECURRING
+    else:
+        seq = compile(parse_spec(f"t=0.3 {body}"))[0]
+    modes = declared_modes(seq)
+    assert (_term_reprs(heisenberg_action(seq, modes))
+            == _term_reprs(heisenberg_action_per_gate(seq, modes)))
+
+
+def test_each_distinct_record_is_conjugated_once_per_mode(monkeypatch):
+    # X⁸'s 6,169 gates repeat a few hundred records: one call per record,
+    # mode and generator, where building at every position takes one per
+    # gate, mode and generator
+    seq, _ = compile(parse_spec("t=0.3 X[0]^8"))
+    assert all(g.kind != "exppoly" for g in seq.gates)
+    calls, conjugate = [], verify.heisenberg_conjugate
+
+    def counted(g, b):
+        calls.append((g.kind, g.modes, repr(g.strength), g.power, repr(b)))
+        return conjugate(g, b)
+
+    monkeypatch.setattr(verify, "heisenberg_conjugate", counted)
+    heisenberg_action(seq, declared_modes(seq))
+    distinct = {(g.kind, g.modes, repr(g.strength), g.power, m)
+                for g in seq.gates for m in g.modes}
+    assert len(calls) == len(set(calls)) == 2 * len(distinct)
+    assert 10 * len(calls) < 2 * sum(len(g.modes) for g in seq.gates)
 
 
 def test_an_exppoly_gate_sums_two_series_per_generator(monkeypatch):

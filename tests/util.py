@@ -5,7 +5,10 @@ eigendecompositions, on purpose not reusing the package's own numeric
 verifier, so that symbolic results can be cross-checked against
 straightforward linear algebra. The symbolic references (the Fourier rule
 by products and the per-operator Heisenberg fold) use only poly_mul and
-adjoint_series, not the package's substitution maps. multinomial_expand
+adjoint_series, not the package's substitution maps.
+heisenberg_action_per_gate is the composed fold with each gate's images
+built at every position of the gate, the reference for the table of images
+per distinct record in verify.heisenberg_action. multinomial_expand
 is the exact rational reference for the Pascal coefficients, and
 poly_mul_by_loops the plain reference for the merged product.
 inverse_per_gate and reuse_ancillas_per_gate build one new Gate per
@@ -24,8 +27,10 @@ from math import factorial
 
 import numpy as np
 
-from cvexact.algebra import NOPoly, TermKey, adjoint_series, poly_mul
-from cvexact.circuit import EXPPOLY, FOURIER, XX, Gate, GateSeq
+from cvexact.algebra import (NOPoly, TermKey, adjoint_series, poly_mul,
+                             substitute)
+from cvexact.circuit import (EXPPOLY, FOURIER, XX, Gate, GateSeq,
+                             heisenberg_conjugate)
 from cvexact.circuit_tools import (SchemaViolation, _finite_number, _integer,
                                    _record_gate, _record_key)
 
@@ -124,6 +129,20 @@ def heisenberg_fold(seq, b):
         else:
             b = adjoint_series(g.generator.scale(-1j * g.strength), b)
     return b
+
+
+def heisenberg_action_per_gate(seq, modes):
+    """verify.heisenberg_action with g† X_m g and g† P_m g built anew at
+    every position of g: each gate replaces the images of its modes with
+    its own images evaluated on the images so far."""
+    generators = {m: (NOPoly.x(m), NOPoly.p(m))
+                  for m in [*{m for g in seq.gates for m in g.modes}, *modes]}
+    images = dict(generators)
+    for g in reversed(seq.gates):
+        images.update({m: tuple(substitute(heisenberg_conjugate(g, b), images)
+                                for b in generators[m])
+                       for m in g.modes})
+    return {m: images[m] for m in modes}
 
 
 def negate_last_exp(seq):
