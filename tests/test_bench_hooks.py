@@ -54,8 +54,9 @@ def test_a_traced_symbolic_compile_passes_the_self_check(capsys):
     tr = tracing.Tracer()
     tr.install()
     try:
-        assert cli.main(["compile", "t=0.3 P[0] X[1]^3", "--format", "json"]) == 0
+        code = cli.main(["compile", "t=0.3 P[0] X[1]^3", "--format", "json"])
     finally:
         tr.uninstall()
     capsys.readouterr()
+    assert code == 0
     assert tracing.self_check("symbolic", tracing.layer_metrics(tr, 1)) == []

@@ -8,7 +8,7 @@ import pytest
 
 from cvexact import circuit, verify
 from cvexact.algebra import Basis, NOPoly, max_coeff_diff
-from cvexact.circuit import FOURIER, Gate, GateSeq
+from cvexact.circuit import EXPPOLY, FOURIER, Gate, GateSeq
 from cvexact.cli import parse_spec
 from cvexact.decompose import TargetGate, compile
 from cvexact.verify import (INTERNAL_PAD, MAX_FULL_DIM, MAX_STATE_ENTRIES,
@@ -92,21 +92,6 @@ HAND_BUILT = GateSeq((
     Gate.x(2, 3, -0.25)), 4)
 
 
-@pytest.mark.parametrize("body", [b for b, *_ in ROUTE_PINS] + [None],
-                         ids=[b.translate({ord(c): None for c in "[] "})
-                              for b, *_ in ROUTE_PINS] + ["hand-built"])
-def test_heisenberg_action_matches_per_operator_fold(body):
-    # the composed map against each operator folded through every gate on
-    # its own, on circuits of up to 1,681 gates
-    seq = HAND_BUILT if body is None else compile(parse_spec(f"t=0.3 {body}"))[0]
-    modes = declared_modes(seq)
-    images = heisenberg_action(seq, modes)
-    assert list(images) == modes
-    for m in modes:
-        for b, got in zip((NOPoly.x(m), NOPoly.p(m)), images[m]):
-            assert max_coeff_diff(got, heisenberg_fold(seq, b)) < 1e-12
-
-
 _SHARED_EXP = Gate.exp_poly(_mono((0, 2, 0), (1, 0, 1)), 0.2)
 
 # records that recur: twins that are distinct objects, strengths 0.0 and
@@ -121,28 +106,35 @@ RECURRING = GateSeq((
     Gate.exp_poly(_mono((0, 2, 0), (1, 0, 1)), 0.2), Gate.xx(0, 1, 0.25),
     Gate.fourier(0, -1), Gate.x(1, 3, 0.0)), 2)
 
+FIXED_CIRCUITS = {"hand-built": HAND_BUILT, "recurring": RECURRING}
+
 
 def _term_reprs(images):
     return {m: [repr(list(b.terms.items())) for b in pair]
             for m, pair in images.items()}
 
 
-@pytest.mark.parametrize("body", [b for b, *_ in ROUTE_PINS] + [None, ""],
+@pytest.mark.parametrize("body",
+                         [b for b, *_ in ROUTE_PINS] + [*FIXED_CIRCUITS],
                          ids=[b.translate({ord(c): None for c in "[] "})
-                              for b, *_ in ROUTE_PINS]
-                         + ["hand-built", "recurring"])
-def test_heisenberg_action_is_bit_identical_to_the_per_gate_fold(body):
-    # images shared by record against images built at every position:
+                              for b, *_ in ROUTE_PINS] + [*FIXED_CIRCUITS])
+def test_heisenberg_action_matches_per_operator_fold(body):
+    # the composed map against each operator folded through every gate on
+    # its own, on circuits of up to 1,681 gates; and, with images shared by
+    # record, bit for bit against images built at every position of a gate:
     # every term, its order and the sign of each zero part the same
-    if body is None:
-        seq = HAND_BUILT
-    elif not body:
-        seq = RECURRING
+    if body in FIXED_CIRCUITS:
+        seq = FIXED_CIRCUITS[body]
     else:
         seq = compile(parse_spec(f"t=0.3 {body}"))[0]
     modes = declared_modes(seq)
-    assert (_term_reprs(heisenberg_action(seq, modes))
+    images = heisenberg_action(seq, modes)
+    assert list(images) == modes
+    assert (_term_reprs(images)
             == _term_reprs(heisenberg_action_per_gate(seq, modes)))
+    for m in modes:
+        for b, got in zip((NOPoly.x(m), NOPoly.p(m)), images[m]):
+            assert max_coeff_diff(got, heisenberg_fold(seq, b)) < 1e-12
 
 
 def test_each_distinct_record_is_conjugated_once_per_mode(monkeypatch):
@@ -150,7 +142,7 @@ def test_each_distinct_record_is_conjugated_once_per_mode(monkeypatch):
     # mode and generator, where building at every position takes one per
     # gate, mode and generator
     seq, _ = compile(parse_spec("t=0.3 X[0]^8"))
-    assert all(g.kind != "exppoly" for g in seq.gates)
+    assert all(g.kind != EXPPOLY for g in seq.gates)
     calls, conjugate = [], verify.heisenberg_conjugate
 
     def counted(g, b):
