@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,13 @@ MAX_FULL_DIM = 200_000
 # three-mode gate in grid order briefly holds ((D + INTERNAL_PAD)/D)³ times
 # as many on its grid
 MAX_STATE_ENTRIES = 4_000_000
+# a state is split over its column axis only into slabs of more than this
+# many entries. Handing a slab to an idle worker thread and waiting for it
+# costs about 45 µs, and the cheapest product the engine issues, a real
+# 24×24 matrix on the interleaved view, about 4.7 ns an entry (2-core Xeon,
+# one BLAS thread): 2^17 entries is the power of two at or above ten
+# handoffs' worth, so a handoff costs at most a tenth of its slab's time
+SPLIT_MIN_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -204,14 +212,15 @@ def _mode_split(generator: NOPoly):
     return pmodes, NOPoly(terms)
 
 
-def _apply_axis(state, mat, axis, grid_axes=()):
-    """Multiply state by mat along axis: one np.matmul on a reshaped view.
+def _product(state, mat, axis, grid_axes=(), out=None):
+    """state times mat along axis: one np.matmul on a reshaped view,
+    written into out, an array of the result's shape, when one is given.
 
     mat is one (D', D) matrix, or a stack of shape (G,)*len(grid_axes) +
     (D', D) that holds one matrix for each grid point of grid_axes, which
-    all come before axis. Away from the last axis the product is batched
-    over the axes in front of axis; on the last axis it is a
-    right-multiplication by the transposed matrix.
+    all come after the column axis 0 and before axis. Away from the last
+    axis the product is batched over the axes in front of axis; on the last
+    axis it is a right-multiplication by the transposed matrix.
     """
     shape = state.shape
     n_out, n_in = mat.shape[-2:]
@@ -226,14 +235,20 @@ def _apply_axis(state, mat, axis, grid_axes=()):
     tail = math.prod(shape[axis + 1:])
     if tail == 1:
         mt = mat.reshape(mdims[:-1] + [n_out, n_in]).swapaxes(-1, -2)
-        return (state.reshape(dims + [n_in]) @ mt).reshape(out_shape)
+        into = None if out is None else out.reshape(dims + [n_out])
+        return np.matmul(state.reshape(dims + [n_in]), mt,
+                         out=into).reshape(out_shape)
     view = state.reshape(dims + [n_in, tail])
     mat = mat.reshape(mdims + [n_out, n_in])
     if mat.dtype.kind == "f":
         # a real matrix acts on the real and imaginary parts alike: one
         # real product over the interleaved float view
-        return (mat @ view.view(np.float64)).view(complex).reshape(out_shape)
-    return (mat @ view).reshape(out_shape)
+        into = None if out is None else out.view(np.float64).reshape(
+            dims + [n_out, 2 * tail])
+        return np.matmul(mat, view.view(np.float64),
+                         out=into).view(complex).reshape(out_shape)
+    into = None if out is None else out.reshape(dims + [n_out, tail])
+    return np.matmul(mat, view, out=into).reshape(out_shape)
 
 
 class _NumericEngine:
@@ -269,6 +284,21 @@ class _NumericEngine:
     into the stack's right factor instead, projᴴ·P. What is still pending at the end
     of run is applied then. On a smaller state the factor products cost
     more than the passes they save, so every gate is applied as it comes.
+
+    Each column evolves on its own, so _apply_axis cuts a state of more
+    than SPLIT_MIN_ENTRIES entries into slabs along the contiguous column
+    axis: one slab per usable CPU, fewer where a slab would hold
+    SPLIT_MIN_ENTRIES entries or less. The calling thread multiplies the
+    first slab and worker threads the others, each into its own slab of
+    one output array, so every column goes through the same arithmetic as
+    unsplit. Everything else, the gate matrices and pending factors, the
+    diagonal multiplies and apply_gate itself, runs in the calling thread.
+    The workers are started at the first split and joined by close, which
+    the owner of the engine calls when it is done with it. How many
+    threads each BLAS call may use is left to the caller: the benchmark
+    pins one, and with the threads unpinned OpenBLAS spends about 1.7
+    CPU-seconds per wall second on these products, whose inner dimension
+    is D or G, for no gain in wall time.
     """
 
     def __init__(self, modes: list[int], cutoff: int):
@@ -281,6 +311,49 @@ class _NumericEngine:
         self.fourier = {1: f, -1: f.conj()}  # F and F† by power, diagonal
         self.single_mode: dict = {}
         self.pending: dict | None = None  # mode -> factor, while run fuses
+        self.cpus = (len(os.sched_getaffinity(0))
+                     if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        self._workers = None  # started at the first split; see close
+
+    def _apply_axis(self, state, mat, axis, grid_axes=()):
+        """_product of state and mat along axis; a state of more than
+        SPLIT_MIN_ENTRIES entries is split over its column axis into one
+        slab per CPU, each of more than SPLIT_MIN_ENTRIES entries. The
+        caller multiplies the first slab, the workers the others, and every
+        slab is waited for; a worker's exception is raised here."""
+        if state.size <= SPLIT_MIN_ENTRIES:
+            return _product(state, mat, axis, grid_axes)
+        n = min(self.cpus, state.shape[0], state.size // SPLIT_MIN_ENTRIES)
+        if n < 2:
+            return _product(state, mat, axis, grid_axes)
+        out = np.empty(state.shape[:axis] + mat.shape[-2:-1]
+                       + state.shape[axis + 1:], complex)
+        cuts = [state.shape[0] * i // n for i in range(n + 1)]
+        slabs = [(state[lo:hi], mat, axis, grid_axes, out[lo:hi])
+                 for lo, hi in zip(cuts, cuts[1:])]
+        workers = self._slab_workers()
+        futures = [workers.submit(_product, *slab) for slab in slabs[1:]]
+        _product(*slabs[0])
+        errors = [f.exception() for f in futures]  # waits for every slab
+        for e in errors:
+            if e is not None:
+                raise e
+        return out
+
+    def _slab_workers(self):
+        if self._workers is None:
+            # imported here: it adds about 13 ms to importing cvexact, and
+            # only a split state needs it
+            from concurrent.futures import ThreadPoolExecutor
+            self._workers = ThreadPoolExecutor(self.cpus - 1)
+        return self._workers
+
+    def close(self):
+        """Join the worker threads, if any were started; each finishes the
+        slab it holds first."""
+        if self._workers is not None:
+            self._workers.shutdown()
+            self._workers = None
 
     def _grid_phase(self, xgen: NOPoly, gmodes: list[int]):
         """xgen on the joint position grid of gmodes, shape (G,)*len(gmodes)."""
@@ -332,7 +405,7 @@ class _NumericEngine:
     def _apply_factor(self, state, factor, mode: int):
         """state <- factor on mode; a diagonal is multiplied in place."""
         if factor.ndim == 2:
-            return _apply_axis(state, factor, self.axis_of[mode])
+            return self._apply_axis(state, factor, self.axis_of[mode])
         shape = [1] * state.ndim
         shape[self.axis_of[mode]] = self.D
         state *= factor.reshape(shape)
@@ -358,7 +431,7 @@ class _NumericEngine:
         axes = [self.axis_of[m] for m in gmodes]
         state = self._flush(state, gmodes[:-1])
         for ax in axes[:-1]:
-            state = _apply_axis(state, self.to_grid, ax)
+            state = self._apply_axis(state, self.to_grid, ax)
         diag = np.exp(1j * strength * self._grid_phase(xgen, gmodes))
         if self._matrix_order(state.shape, len(gmodes)):
             # the last mode's pending factor acts before the stack: fold
@@ -368,17 +441,17 @@ class _NumericEngine:
             if last is not None:
                 right = right @ last if last.ndim == 2 else right * last
             stack = (self.from_grid * diag[..., None, :]) @ right
-            state = _apply_axis(state, stack, axes[-1], axes[:-1])
+            state = self._apply_axis(state, stack, axes[-1], axes[:-1])
         else:
             state = self._flush(state, gmodes[-1:])
-            state = _apply_axis(state, self.to_grid, axes[-1])
+            state = self._apply_axis(state, self.to_grid, axes[-1])
             bshape = [1] * state.ndim
             for ax in axes:
                 bshape[ax] = len(self.lam)
             state *= diag.reshape(bshape)
-            state = _apply_axis(state, self.from_grid, axes[-1])
+            state = self._apply_axis(state, self.from_grid, axes[-1])
         for ax in axes[:-1]:
-            state = _apply_axis(state, self.from_grid, ax)
+            state = self._apply_axis(state, self.from_grid, ax)
         return state
 
     def _apply_dense_exp(self, state, strength, generator: NOPoly):
@@ -405,7 +478,7 @@ class _NumericEngine:
         u = (evecs * np.exp(1j * evals)) @ evecs.conj().T
         axes = [self.axis_of[m] for m in gmodes]
         if len(axes) == 1:
-            return _apply_axis(state, u, axes[0])
+            return self._apply_axis(state, u, axes[0])
         # u on r axes at once: contract its input indices with those axes
         r, idx = len(axes), list(range(state.ndim))
         new = [state.ndim + i for i in range(r)]
@@ -489,14 +562,16 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
             f"{cols} columns of {nmodes} modes at cutoff {D} hold "
             f"{cols * D ** nmodes} entries, over the bound {MAX_STATE_ENTRIES}")
     eng = _NumericEngine(modes, D)
-
-    ref = np.zeros([cols] + [D] * nmodes, dtype=complex)
-    for c, tup in enumerate(itertools.product(range(d), repeat=nmodes)):
-        ref[(c,) + tup] = 1.0
-    # run holds the only reference to the circuit's copy, so each state is
-    # freed once the next gate has made its successor
-    state = eng.run(ref.copy(), reversed(seq.gates))  # rightmost gate first
-    ref = eng.run(ref, [Gate.exp_poly(generator, strength)])
+    try:
+        ref = np.zeros([cols] + [D] * nmodes, dtype=complex)
+        for c, tup in enumerate(itertools.product(range(d), repeat=nmodes)):
+            ref[(c,) + tup] = 1.0
+        # run holds the only reference to the circuit's copy, so each state
+        # is freed once the next gate has made its successor
+        state = eng.run(ref.copy(), reversed(seq.gates))  # rightmost first
+        ref = eng.run(ref, [Gate.exp_poly(generator, strength)])
+    finally:
+        eng.close()  # no worker thread outlives the call, however it ends
 
     # row c of the block is column c of the operator
     sub = (slice(None),) + tuple(slice(0, d) for _ in range(nmodes))

@@ -6,13 +6,16 @@ verify._NumericEngine.apply_gate). A change under src/ that deletes or
 renames one of them breaks `perfbench/run.py --trace 1`; this test makes
 the test suite see it: the tracer installs in-process, records a compile,
 and uninstalls with every patched attribute back as it was. A symbolic
-compile under the tracer must also give every per-layer metric the
-benchmark's own self-check asks of the symbolic workload, so a change that
-verifies without the traced calls fails here too.
+compile, and a numeric one, under the tracer must also give every
+per-layer metric the benchmark's own self-check asks of the symbolic and
+the numeric workload, so a change that verifies without the traced calls,
+or applies gates where the tracer cannot see them, fails here too.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from cvexact import cli, decompose, verify
 from cvexact.cli import parse_spec
@@ -50,13 +53,19 @@ def test_tracer_installs_records_and_restores_every_hook():
     assert [k for k in before if after[k] is not before[k]] == []
 
 
-def test_a_traced_symbolic_compile_passes_the_self_check(capsys):
+@pytest.mark.parametrize("workload,args,exit_code", [
+    ("symbolic", ["t=0.3 P[0] X[1]^3"], 0),
+    # the D=24 error is above tolerance, hence exit 4
+    ("numeric", ["t=0.05 X[0]^4", "--numeric-cutoff", "24"], 4),
+])
+def test_a_traced_symbolic_compile_passes_the_self_check(capsys, workload,
+                                                         args, exit_code):
     tr = tracing.Tracer()
     tr.install()
     try:
-        code = cli.main(["compile", "t=0.3 P[0] X[1]^3", "--format", "json"])
+        code = cli.main(["compile", *args, "--format", "json"])
     finally:
         tr.uninstall()
     capsys.readouterr()
-    assert code == 0
-    assert tracing.self_check("symbolic", tracing.layer_metrics(tr, 1)) == []
+    assert code == exit_code
+    assert tracing.self_check(workload, tracing.layer_metrics(tr, 1)) == []

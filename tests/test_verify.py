@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -362,6 +364,22 @@ def _dense_err_phase(gates, n_modes, gen, strength, cutoff, subspace):
 _X0X1X2 = ((0, 1, 0), (1, 1, 0), (2, 1, 0))
 
 
+def _three_mode_gates():
+    mono = lambda *f: NOPoly.monomial(list(f))
+    # unequal powers and momentum modes make the per-gate matrices and
+    # phase grids asymmetric, so a swapped axis or transpose shows
+    return (Gate.xx(0, 1, 0.3), Gate.fourier(1), Gate.xx(0, 2, -0.2),
+            Gate.x(2, 3, 0.15), Gate.xx(1, 2, 0.25), Gate.fourier(0, -1),
+            Gate.xx(2, 0, 0.35), Gate.exp_poly(NOPoly.p(1, 2), 0.2),
+            Gate.exp_poly(mono((0, 0, 1), (2, 1, 0)), -0.3),
+            Gate.exp_poly(mono((0, 1, 0), (1, 1, 0), (2, 2, 0)), 0.1),
+            Gate.fourier(2),
+            Gate.exp_poly(mono((0, 1, 0), (1, 0, 1), (2, 1, 0)), 0.12),
+            Gate.exp_poly(NOPoly.p(2, 3), 0.1),
+            Gate.exp_poly(mono((1, 2, 0), (2, 0, 1)), -0.15),
+            Gate.x(0, 2, -0.4), Gate.fourier(1, -1))
+
+
 @pytest.mark.parametrize("cutoff,subspace,matrix_order,target", [
     pytest.param(6, 1, False, _X0X1X2, id="6-1-False"),
     pytest.param(6, 2, True, _X0X1X2, id="6-2-True"),
@@ -377,19 +395,7 @@ def test_numeric_matches_dense_kronecker_product(cutoff, subspace,
     assert eng._matrix_order((subspace ** 3, grid, grid, cutoff),
                              3) == matrix_order
     gen = NOPoly.monomial(list(target))
-    mono = lambda *f: NOPoly.monomial(list(f))
-    # unequal powers and momentum modes make the per-gate matrices and
-    # phase grids asymmetric, so a swapped axis or transpose shows
-    gates = (Gate.xx(0, 1, 0.3), Gate.fourier(1), Gate.xx(0, 2, -0.2),
-             Gate.x(2, 3, 0.15), Gate.xx(1, 2, 0.25), Gate.fourier(0, -1),
-             Gate.xx(2, 0, 0.35), Gate.exp_poly(NOPoly.p(1, 2), 0.2),
-             Gate.exp_poly(mono((0, 0, 1), (2, 1, 0)), -0.3),
-             Gate.exp_poly(mono((0, 1, 0), (1, 1, 0), (2, 2, 0)), 0.1),
-             Gate.fourier(2),
-             Gate.exp_poly(mono((0, 1, 0), (1, 0, 1), (2, 1, 0)), 0.12),
-             Gate.exp_poly(NOPoly.p(2, 3), 0.1),
-             Gate.exp_poly(mono((1, 2, 0), (2, 0, 1)), -0.15),
-             Gate.x(0, 2, -0.4), Gate.fourier(1, -1))
+    gates = _three_mode_gates()
     seq = GateSeq(gates, 3)
     ctx = FockContext(cutoff=cutoff, subspace=subspace)
     err, phase = verify_numeric(seq, gen, 0.2, ctx)
@@ -492,3 +498,113 @@ def test_position_basis_is_cached_and_read_only():
     for arr in (lam, v):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _split_everywhere(monkeypatch, cpus):
+    """Make the engine see cpus CPUs and split every state of two or more
+    columns; return the set of threads that multiplied a slab."""
+    monkeypatch.setattr(verify.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    monkeypatch.setattr(verify, "SPLIT_MIN_ENTRIES", 1)
+    threads, product = set(), verify._product
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return product(*args)
+
+    monkeypatch.setattr(verify, "_product", spy)
+    return threads
+
+
+def _numeric_case(case):
+    """(seq, generator, strength, ctx) of one input to the split tests."""
+    if case == "3-mode d=2":
+        return (GateSeq(_three_mode_gates(), 3),
+                NOPoly.monomial(list(_X0X1X2)), 0.2, FockContext(6, 2))
+    if case == "3-mode d=1":
+        return (GateSeq(_three_mode_gates(), 3),
+                NOPoly.monomial(list(_X0X1X2)), 0.2, FockContext(6, 1))
+    tg = parse_spec(case)
+    return compile(tg)[0], tg.generator(), tg.strength, FockContext(24, 5)
+
+
+@pytest.mark.parametrize("case", [
+    "3-mode d=2", "3-mode d=1",  # one column: no split
+    "t=0.05 X[0]^4", "t=0.02 X[0] X[1] X[2]", "t=0.05 X[0]^2 X[1]^2",
+    "t=0.1 P[0] X[1]^2"])
+def test_splitting_over_the_columns_leaves_results_unchanged(monkeypatch,
+                                                             case):
+    # 3 slabs on a 2-core machine are uneven and share the cores. The
+    # tolerance was fixed before any run: 1e-12, for a BLAS kernel that
+    # sums in another order on a slab; on the machine the engine was built
+    # on every pair reads bit for bit the same
+    seq, gen, strength, ctx = _numeric_case(case)
+    got = {}
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as mp:
+            threads = _split_everywhere(mp, cpus)
+            got[cpus] = verify_numeric(seq, gen, strength, ctx)
+        assert len(threads) == (1 if ctx.subspace == 1 else cpus)
+    for cpus in (2, 3):
+        assert abs(got[cpus][0] - got[1][0]) <= 1e-12
+        assert abs(got[cpus][1] - got[1][1]) <= 1e-12
+
+
+def _assert_no_thread_outlives(before):
+    left = [t for t in threading.enumerate() if t not in before]
+    for t in left:
+        t.join(timeout=10)  # bounded: a leak fails here, never hangs
+    assert left == []
+    assert threading.active_count() == len(before)
+
+
+def test_no_thread_outlives_a_numeric_check(monkeypatch):
+    threads = _split_everywhere(monkeypatch, 3)
+    before = threading.enumerate()
+    verify_numeric(*_numeric_case("3-mode d=2"))
+    assert len(threads) == 3
+    _assert_no_thread_outlives(before)
+
+
+def test_an_exception_in_a_worker_slab_reaches_the_caller(monkeypatch):
+    threads = _split_everywhere(monkeypatch, 3)
+    product, main = verify._product, threading.get_ident()
+
+    def failing(*args):
+        threads.add(threading.get_ident())
+        if threading.get_ident() != main:
+            raise ArithmeticError("worker slab")
+        return product(*args)
+
+    monkeypatch.setattr(verify, "_product", failing)
+    before = threading.enumerate()
+    with pytest.raises(ArithmeticError, match="worker slab"):
+        verify_numeric(*_numeric_case("3-mode d=2"))
+    assert len(threads) > 1
+    _assert_no_thread_outlives(before)
+
+
+class _Abandoned(BaseException):
+    pass
+
+
+def test_a_call_abandoned_by_an_alarm_leaves_no_thread(monkeypatch):
+    # the benchmark's per-call time limit raises from a SIGALRM handler in
+    # the caller, wherever it is, as this test does
+    threads = _split_everywhere(monkeypatch, 3)
+    args = _numeric_case("t=0.05 X[0]^2 X[1]^2")  # seconds at D=24
+
+    def abandon(signum, frame):
+        raise _Abandoned
+
+    before = threading.enumerate()
+    previous = signal.signal(signal.SIGALRM, abandon)
+    signal.setitimer(signal.ITIMER_REAL, 0.3)
+    try:
+        with pytest.raises(_Abandoned):
+            verify_numeric(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(threads) == 3
+    _assert_no_thread_outlives(before)
