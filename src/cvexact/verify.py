@@ -212,45 +212,6 @@ def _mode_split(generator: NOPoly):
     return pmodes, NOPoly(terms)
 
 
-def _product(state, mat, axis, grid_axes=(), out=None):
-    """state times mat along axis: one np.matmul on a reshaped view,
-    written into out, an array of the result's shape, when one is given.
-
-    mat is one (D', D) matrix, or a stack of shape (G,)*len(grid_axes) +
-    (D', D) that holds one matrix for each grid point of grid_axes, which
-    all come after the column axis 0 and before axis. Away from the last
-    axis the product is batched over the axes in front of axis; on the last
-    axis it is a right-multiplication by the transposed matrix.
-    """
-    shape = state.shape
-    n_out, n_in = mat.shape[-2:]
-    # runs of axes between the grid axes merge into one axis of the view
-    bounds = [-1, *grid_axes, axis]
-    runs = [math.prod(shape[lo + 1:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    dims, mdims = [runs[0]], [1]
-    for g, run in zip(grid_axes, runs[1:]):
-        dims += [shape[g], run]
-        mdims += [shape[g], 1]
-    out_shape = shape[:axis] + (n_out,) + shape[axis + 1:]
-    tail = math.prod(shape[axis + 1:])
-    if tail == 1:
-        mt = mat.reshape(mdims[:-1] + [n_out, n_in]).swapaxes(-1, -2)
-        into = None if out is None else out.reshape(dims + [n_out])
-        return np.matmul(state.reshape(dims + [n_in]), mt,
-                         out=into).reshape(out_shape)
-    view = state.reshape(dims + [n_in, tail])
-    mat = mat.reshape(mdims + [n_out, n_in])
-    if mat.dtype.kind == "f":
-        # a real matrix acts on the real and imaginary parts alike: one
-        # real product over the interleaved float view
-        into = None if out is None else out.view(np.float64).reshape(
-            dims + [n_out, 2 * tail])
-        return np.matmul(mat, view.view(np.float64),
-                         out=into).view(complex).reshape(out_shape)
-    into = None if out is None else out.reshape(dims + [n_out, tail])
-    return np.matmul(mat, view, out=into).reshape(out_shape)
-
-
 class _NumericEngine:
     """Applies gates to the subspace columns of a multi-mode truncated space.
 
@@ -288,17 +249,20 @@ class _NumericEngine:
     Each column evolves on its own, so _apply_axis cuts a state of more
     than SPLIT_MIN_ENTRIES entries into slabs along the contiguous column
     axis: one slab per usable CPU, fewer where a slab would hold
-    SPLIT_MIN_ENTRIES entries or less. The calling thread multiplies the
-    first slab and worker threads the others, each into its own slab of
-    one output array, so every column goes through the same arithmetic as
-    unsplit. Everything else, the gate matrices and pending factors, the
-    diagonal multiplies and apply_gate itself, runs in the calling thread.
-    The workers are started at the first split and joined by close, which
-    the owner of the engine calls when it is done with it. How many
-    threads each BLAS call may use is left to the caller: the benchmark
-    pins one, and with the threads unpinned OpenBLAS spends about 1.7
-    CPU-seconds per wall second on these products, whose inner dimension
-    is D or G, for no gain in wall time.
+    SPLIT_MIN_ENTRIES entries or less. That threshold rests on a
+    measurement: handing a slab to a worker costs about 45 µs, and a slab
+    of the cheapest product, at 4.7 ns an entry, must take ten handoffs.
+    The calling thread multiplies the first slab and worker threads the
+    others, each into its own slab of one output array, so every column
+    goes through the same arithmetic as unsplit. Everything else, the gate
+    matrices and pending factors, the diagonal multiplies and apply_gate
+    itself, runs in the calling thread. The workers are started at the
+    first split and joined by close, which the owner of the engine calls
+    when it is done with it. How many threads each BLAS call may use is
+    left to the caller: the benchmark pins one, and with the threads
+    unpinned OpenBLAS spends about 1.7 CPU-seconds per wall second on
+    these products, whose inner dimension is D or G, for no gain in wall
+    time.
     """
 
     def __init__(self, modes: list[int], cutoff: int):
@@ -315,38 +279,83 @@ class _NumericEngine:
                      if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
         self._workers = None  # started at the first split; see close
 
-    def _apply_axis(self, state, mat, axis, grid_axes=()):
-        """_product of state and mat along axis; a state of more than
-        SPLIT_MIN_ENTRIES entries is split over its column axis into one
-        slab per CPU, each of more than SPLIT_MIN_ENTRIES entries. The
-        caller multiplies the first slab, the workers the others, and every
-        slab is waited for; a worker's exception is raised here."""
-        if state.size <= SPLIT_MIN_ENTRIES:
-            return _product(state, mat, axis, grid_axes)
-        n = min(self.cpus, state.shape[0], state.size // SPLIT_MIN_ENTRIES)
-        if n < 2:
-            return _product(state, mat, axis, grid_axes)
+    def _apply_axis(self, state, mat, axis, grid_axes=(), out=None):
+        """Multiply state by mat along axis: one np.matmul on a reshaped
+        view, written into out, an array of the result's shape, if given.
+
+        mat is one (D', D) matrix, or a stack of shape (G,)*len(grid_axes)
+        + (D', D) that holds one matrix for each grid point of grid_axes,
+        which all come after the column axis 0 and before axis. Away from
+        the last axis the product is batched over the axes in front of
+        axis; on the last axis it is a right-multiplication by the
+        transposed matrix.
+
+        A state of more than SPLIT_MIN_ENTRIES entries is split over its
+        column axis into n = min(CPUs, columns, entries //
+        SPLIT_MIN_ENTRIES) slabs when n ≥ 2 (_split), so each slab's
+        product takes at least ten thread handoffs (see SPLIT_MIN_ENTRIES
+        for the measurement). The workers that multiply all slabs but the
+        caller's start at the first split and live until close; each slab's
+        BLAS call uses the threads the caller's BLAS settings give it. A
+        smaller state is multiplied here, in the calling thread, at the
+        cost of one size test.
+        """
+        if state.size > SPLIT_MIN_ENTRIES and out is None:
+            n = min(self.cpus, state.shape[0], state.size // SPLIT_MIN_ENTRIES)
+            if n > 1:
+                return self._split(state, mat, axis, grid_axes, n)
+        shape = state.shape
+        n_out, n_in = mat.shape[-2:]
+        # runs of axes between the grid axes merge into one axis of the view
+        bounds = [-1, *grid_axes, axis]
+        runs = [math.prod(shape[lo + 1:hi])
+                for lo, hi in zip(bounds, bounds[1:])]
+        dims, mdims = [runs[0]], [1]
+        for g, run in zip(grid_axes, runs[1:]):
+            dims += [shape[g], run]
+            mdims += [shape[g], 1]
+        out_shape = shape[:axis] + (n_out,) + shape[axis + 1:]
+        tail = math.prod(shape[axis + 1:])
+        if tail == 1:
+            mt = mat.reshape(mdims[:-1] + [n_out, n_in]).swapaxes(-1, -2)
+            into = None if out is None else out.reshape(dims + [n_out])
+            return np.matmul(state.reshape(dims + [n_in]), mt,
+                             out=into).reshape(out_shape)
+        view = state.reshape(dims + [n_in, tail])
+        mat = mat.reshape(mdims + [n_out, n_in])
+        if mat.dtype.kind == "f":
+            # a real matrix acts on the real and imaginary parts alike: one
+            # real product over the interleaved float view
+            into = None if out is None else out.view(np.float64).reshape(
+                dims + [n_out, 2 * tail])
+            return np.matmul(mat, view.view(np.float64),
+                             out=into).view(complex).reshape(out_shape)
+        into = None if out is None else out.reshape(dims + [n_out, tail])
+        return np.matmul(mat, view, out=into).reshape(out_shape)
+
+    def _split(self, state, mat, axis, grid_axes, n):
+        """_apply_axis on n slabs of the column axis, into one output: the
+        calling thread multiplies the first slab and the workers the
+        others. Every slab is waited for, and a worker's exception is
+        raised here."""
         out = np.empty(state.shape[:axis] + mat.shape[-2:-1]
                        + state.shape[axis + 1:], complex)
         cuts = [state.shape[0] * i // n for i in range(n + 1)]
         slabs = [(state[lo:hi], mat, axis, grid_axes, out[lo:hi])
                  for lo, hi in zip(cuts, cuts[1:])]
-        workers = self._slab_workers()
-        futures = [workers.submit(_product, *slab) for slab in slabs[1:]]
-        _product(*slabs[0])
-        errors = [f.exception() for f in futures]  # waits for every slab
-        for e in errors:
-            if e is not None:
-                raise e
-        return out
-
-    def _slab_workers(self):
         if self._workers is None:
             # imported here: it adds about 13 ms to importing cvexact, and
             # only a split state needs it
             from concurrent.futures import ThreadPoolExecutor
             self._workers = ThreadPoolExecutor(self.cpus - 1)
-        return self._workers
+        futures = [self._workers.submit(self._apply_axis, *slab)
+                   for slab in slabs[1:]]
+        self._apply_axis(*slabs[0])
+        errors = [f.exception() for f in futures]  # waits for every slab
+        for e in errors:
+            if e is not None:
+                raise e
+        return out
 
     def close(self):
         """Join the worker threads, if any were started; each finishes the
@@ -539,9 +548,16 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
     The columns are held as one array of shape (cols, D, ..., D), column
     axis first; each gate is multiplied out in matrix or grid order,
     whichever takes fewer multiplications, and runs of gates on one mode
-    are fused into one pass (see _NumericEngine). Both the circuit and the
-    target go through the engine's run, which returns them with every gate
-    applied, so the blocks are read with nothing pending. A state of more
+    are fused into one pass (see _NumericEngine). Each product on a state
+    of more than SPLIT_MIN_ENTRIES entries is split over the column axis,
+    one slab per usable CPU, and worker threads of this call multiply all
+    slabs but the caller's; each column goes through the same arithmetic
+    as unsplit, so the results do not depend on the CPU count. The workers
+    are joined before the call returns or raises, however it ends, so no
+    thread outlives it, and BLAS threading stays the caller's choice.
+    Both the circuit and the target go through the engine's run, which
+    returns them with every gate applied, so the blocks are read with
+    nothing pending. A state of more
     than MAX_STATE_ENTRIES entries, cols·Dⁿ, or of Dⁿ > MAX_FULL_DIM is
     refused with DimensionTooLarge before anything is allocated.
     Returns (subspace_error, phase_offset). phase_offset is the angle of

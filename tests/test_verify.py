@@ -506,13 +506,13 @@ def _split_everywhere(monkeypatch, cpus):
     monkeypatch.setattr(verify.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
     monkeypatch.setattr(verify, "SPLIT_MIN_ENTRIES", 1)
-    threads, product = set(), verify._product
+    threads, product = set(), _NumericEngine._apply_axis
 
     def spy(*args):
         threads.add(threading.get_ident())
         return product(*args)
 
-    monkeypatch.setattr(verify, "_product", spy)
+    monkeypatch.setattr(_NumericEngine, "_apply_axis", spy)
     return threads
 
 
@@ -568,15 +568,15 @@ def test_no_thread_outlives_a_numeric_check(monkeypatch):
 
 def test_an_exception_in_a_worker_slab_reaches_the_caller(monkeypatch):
     threads = _split_everywhere(monkeypatch, 3)
-    product, main = verify._product, threading.get_ident()
+    product, main = _NumericEngine._apply_axis, threading.get_ident()
 
     def failing(*args):
-        threads.add(threading.get_ident())
         if threading.get_ident() != main:
+            threads.add(threading.get_ident())
             raise ArithmeticError("worker slab")
         return product(*args)
 
-    monkeypatch.setattr(verify, "_product", failing)
+    monkeypatch.setattr(_NumericEngine, "_apply_axis", failing)
     before = threading.enumerate()
     with pytest.raises(ArithmeticError, match="worker slab"):
         verify_numeric(*_numeric_case("3-mode d=2"))
