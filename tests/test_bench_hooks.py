@@ -57,9 +57,9 @@ def test_tracer_installs_records_and_restores_every_hook():
     ("symbolic", ["t=0.3 P[0] X[1]^3"], 0),
     # the D=24 error is above tolerance, hence exit 4
     ("numeric", ["t=0.05 X[0]^4", "--numeric-cutoff", "24"], 4),
-])
-def test_a_traced_symbolic_compile_passes_the_self_check(capsys, workload,
-                                                         args, exit_code):
+], ids=["symbolic", "numeric"])
+def test_a_traced_compile_passes_the_self_check(capsys, workload, args,
+                                                exit_code):
     tr = tracing.Tracer()
     tr.install()
     try:
