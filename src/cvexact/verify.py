@@ -276,7 +276,8 @@ class _NumericEngine:
         self.single_mode: dict = {}
         self.pending: dict | None = None  # mode -> factor, while run fuses
         self.cpus = (len(os.sched_getaffinity(0))
-                     if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+                     if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
         self._workers = None  # started at the first split; see close
 
     def _apply_axis(self, state, mat, axis, grid_axes=(), out=None):
