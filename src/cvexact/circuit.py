@@ -40,9 +40,20 @@ class Gate:
 
     @staticmethod
     def fourier(mode: int, power: int = 1) -> "Gate":
-        if power not in (1, -1):
-            raise ValueError("Fourier power must be +1 or -1")
-        return Gate(FOURIER, (mode,), 0.0, power)
+        """The Fourier transform on mode (power +1) or its inverse (-1).
+
+        One shared record per (mode, power): records are frozen and a
+        Fourier strength is always 0.0, so only `is` can tell two calls
+        apart. A mode or power that is not an int builds a record of its own.
+        """
+        gate = _FOURIER_RECORDS.get((mode, power))
+        if gate is None:
+            if power not in (1, -1):
+                raise ValueError("Fourier power must be +1 or -1")
+            gate = Gate(FOURIER, (mode,), 0.0, power)
+            if type(mode) is int and type(power) is int:
+                _FOURIER_RECORDS[mode, power] = gate
+        return gate
 
     @staticmethod
     def exp_poly(generator: NOPoly, strength: float) -> "Gate":
@@ -89,7 +100,7 @@ class Gate:
 
     def inverse(self) -> "Gate":
         if self.kind == FOURIER:
-            return Gate(FOURIER, self.modes, 0.0, -self.power)
+            return Gate.fourier(self.mode, -self.power)
         return Gate(self.kind, self.modes, -self.strength, self.power, self.poly)
 
     def same_generator(self, other: "Gate") -> bool:
@@ -104,6 +115,10 @@ class Gate:
         if self.kind == FOURIER:
             return f"F{self.mode}" + ("†" if self.power < 0 else "")
         return f"exp(i*{self.strength:g}*{self.generator!r})"
+
+
+# Gate.fourier's record of each (mode, power) with int mode and power
+_FOURIER_RECORDS: dict[tuple[int, int], Gate] = {}
 
 
 @dataclass(frozen=True)

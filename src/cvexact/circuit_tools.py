@@ -46,36 +46,55 @@ def optimize(seq: GateSeq) -> GateSeq:
     One pass with the output as a stack: each gate merges with or cancels
     the gate on top, so a cancellation exposes the gate below it at once.
     A merge keeps the generator of the top gate, so no two adjacent output
-    gates can merge and a second pass would change nothing.
+    gates can merge and a second pass would change nothing. The loop tests
+    the Fourier, zero-strength and equal-universal-generator cases itself;
+    only a pair with an exppoly gate compares generators.
+
+    Packing keys each distinct Gate object once, through the id table of
+    _map_records, which lives for one call and keeps its objects alive
+    until the call returns. Most positions share few objects: the
+    compiler's inverses are shared per record, and every Fourier gate is
+    one of Gate.fourier's shared records. The packed circuit holds one
+    Gate per distinct record.
     """
     out: list[Gate] = []
+    push, pop = out.append, out.pop
     for g in seq.gates:
-        if _is_identity(g):
+        top = out[-1] if out else None
+        kind = g.kind
+        if kind == FOURIER:
+            # F·F† and F†·F on one mode cancel; nothing merges with a Fourier
+            if (top is not None and top.kind == FOURIER
+                    and top.modes == g.modes and top.power == -g.power):
+                pop()
+            else:
+                push(g)
             continue
-        merged = _merge_pair(out[-1], g) if out else None
-        if merged is None:
-            out.append(g)
+        if abs(g.strength) < ZERO_STRENGTH:  # NaN is kept
+            continue
+        if top is None or top.kind == FOURIER:
+            push(g)
+        elif kind == top.kind != EXPPOLY:
+            if g.modes == top.modes:
+                _merge_into(out, top, g)
+            else:
+                push(g)
+        elif (kind == EXPPOLY or top.kind == EXPPOLY) and top.same_generator(g):
+            _merge_into(out, top, g)
         else:
-            out[-1:] = merged
+            push(g)
     return _reuse_ancillas(replace(seq, gates=tuple(out)))
 
 
-def _is_identity(g: Gate) -> bool:
-    return g.kind != FOURIER and abs(g.strength) < ZERO_STRENGTH
-
-
-def _merge_pair(g: Gate, h: Gate):
-    """None: no rule. []: both cancel. [gate]: merged replacement."""
-    if g.kind == FOURIER and h.kind == FOURIER:
-        if g.mode == h.mode and g.power == -h.power:
-            return []
-        return None
-    if g.same_generator(h):
-        s = g.strength + h.strength
-        if abs(s) < ZERO_STRENGTH:
-            return []
-        return [replace(g, strength=s)]
-    return None
+def _merge_into(out: list[Gate], top: Gate, g: Gate) -> None:
+    """Replace top, the last gate of out, by top·g, two gates of one
+    generator: the sum of their strengths on top's generator, or nothing
+    when the sum is below ZERO_STRENGTH."""
+    s = top.strength + g.strength
+    if abs(s) < ZERO_STRENGTH:
+        out.pop()
+    else:
+        out[-1] = replace(top, strength=s)
 
 
 def _reuse_ancillas(seq: GateSeq) -> GateSeq:
@@ -149,19 +168,35 @@ def _record_key(kind: str, modes: tuple, strength, power):
 def _map_records(build, gates, table: dict | None = None) -> list:
     """[build(g) for g in gates], with build called once per distinct
     record and its result shared at every position of that record; an
-    exppoly gate is built on its own. table carries the results from one
-    call to the next for a caller that keeps it."""
+    exppoly gate is built on its own at every position.
+
+    Each distinct Gate object is keyed once: a table local to this call
+    maps id(g) to its result, so a record that many positions share costs
+    one id lookup at each of them. An id names its object only while the
+    object lives, so the call keeps every object it has an id entry for
+    until it returns; gates may be any iterable. table maps record keys to
+    results and carries them from one call to the next for a caller that
+    keeps it. It never holds an id, so after the call it keeps alive only
+    what build returned.
+    """
     table = {} if table is None else table
+    by_id: dict[int, object] = {}
+    alive = []  # the objects by_id names, so no id is reused in this call
     out = []
+    push = out.append
     for g in gates:
-        key = _record_key(g.kind, g.modes, g.strength, g.power)
-        if key is None:
-            out.append(build(g))
-            continue
-        got = table.get(key)
+        got = by_id.get(id(g))
         if got is None:
-            got = table[key] = build(g)
-        out.append(got)
+            key = _record_key(g.kind, g.modes, g.strength, g.power)
+            if key is None:
+                push(build(g))
+                continue
+            got = table.get(key)
+            if got is None:
+                got = table[key] = build(g)
+            by_id[id(g)] = got
+            alive.append(g)
+        push(got)
     return out
 
 

@@ -47,7 +47,7 @@ SPLIT_MIN_ENTRIES = 1 << 17
 class FockContext:
     """Truncation parameters for numeric verification.
 
-    cutoff: levels kept per mode when simulating the gates.
+    cutoff: levels kept per mode when simulating the gates; at least 3.
     subspace: levels per mode on which the comparison is made; at least 1
         and at most cutoff // 3. Both are ints; a bool or a float, even
         24.0, is refused.
@@ -69,6 +69,9 @@ class FockContext:
     def __post_init__(self):
         if not (_integer(self.cutoff) and _integer(self.subspace)):
             raise ValueError("cutoff and subspace must be integers")
+        if self.cutoff < 3:
+            raise ValueError(f"cutoff {self.cutoff} is below 3, where no "
+                             "subspace d >= 1 satisfies d <= D/3")
         if self.subspace < 1:
             raise ValueError("subspace must be at least 1")
         if self.subspace > self.cutoff // 3:

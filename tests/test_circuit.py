@@ -131,6 +131,19 @@ def test_malformed_gates_are_refused(make):
         make()
 
 
+@pytest.mark.parametrize("mode", [0, 3])
+def test_fourier_records_are_shared(mode):
+    # one frozen record per (mode, power), its strength always 0.0
+    assert Gate.fourier(mode) is Gate.fourier(mode, 1)
+    assert Gate.fourier(mode, -1) is Gate.fourier(mode, -1)
+    assert Gate.fourier(mode, 1).inverse() is Gate.fourier(mode, -1)
+    assert Gate.fourier(mode, -1).inverse() is Gate.fourier(mode, 1)
+    f = Gate.fourier(mode)
+    assert (f.kind, f.modes, f.strength, f.power) == (FOURIER, (mode,), 0.0, 1)
+    with pytest.raises(ValueError):
+        Gate.fourier(mode, 2)
+
+
 def test_gate_inverse_roundtrip():
     g = Gate.x(0, 3, 0.7)
     b = NOPoly.p(0, 2)

@@ -346,6 +346,18 @@ def test_bad_numeric_flags_exit_before_any_work(command, flags, tmp_path,
     assert err.startswith("parse error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cutoff,message", [
+    ("-3", "cutoff -3 is below 3"),
+    ("2", "cutoff 2 is below 3"),
+    ("3", "subspace must satisfy d <= D/3"),   # subspace 5 > 3/3
+])
+def test_numeric_cutoff_message_names_what_is_wrong(cutoff, message, capsys):
+    assert main(["compile", "t=0.1 X[0]^2", "--numeric-cutoff", cutoff]) \
+        == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and message in err
+
+
 @pytest.mark.parametrize("argv", [
     ["compile", "t=0.3 X[0]^4"],
     ["preset", "cross-kerr", "-t", "0.5"],

@@ -10,15 +10,17 @@ from cvexact.algebra import NOPoly
 from cvexact import circuit_tools
 from cvexact.circuit import EXPPOLY, Gate, GateSeq
 from cvexact.circuit_tools import (SchemaViolation, _load_serialized_text,
-                                   _reuse_ancillas, count_gates, deserialize,
-                                   optimize, serialize, serialize_json)
+                                   _map_records, _record_key, _reuse_ancillas,
+                                   count_gates, deserialize, optimize,
+                                   serialize, serialize_json)
 from cvexact.cli import parse_spec
 from cvexact.decompose import TargetGate, _Compiler, compile
 from cvexact.verify import verify_symbolic
 
 from test_decompose import ROUTE_PINS
+from test_verify import HAND_BUILT
 from util import (deserialize_per_record, inverse_per_gate,
-                  reuse_ancillas_per_gate)
+                  optimize_stack_per_pair, reuse_ancillas_per_gate)
 
 
 def test_fourier_pair_cancellation():
@@ -317,6 +319,145 @@ def test_exppoly_gates_and_signed_zeros_keep_their_own_records():
             == _records(inverse_per_gate(gates)))
     assert (_records(_reuse_ancillas(seq).gates)
             == _records(reuse_ancillas_per_gate(seq).gates))
+
+
+def _counting(build):
+    """build, and the list of the gates it is called on."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return build(g)
+    return counted, calls
+
+
+def test_equal_records_held_as_distinct_objects_are_built_once():
+    twins = [Gate.x(0, 2, 0.5) for _ in range(3)]
+    assert twins[0] is not twins[1]
+    build, calls = _counting(Gate.inverse)
+    out = _map_records(build, twins + twins[::-1])
+    assert calls == [twins[0]]
+    assert all(h is out[0] for h in out)
+    assert out[0].strength == -0.5
+
+
+def test_identity_table_keeps_signed_zero_strengths_apart():
+    # 0.0 == -0.0 and they hash alike; their inverses differ in sign
+    gates = [Gate.x(0, 2, 0.0), Gate.x(0, 2, -0.0), Gate.x(0, 2, 0.0),
+             Gate.x(0, 2, -0.0)]
+    build, calls = _counting(Gate.inverse)
+    out = _map_records(build, gates)
+    assert calls == gates[:2]
+    assert ([math.copysign(1.0, h.strength) for h in out]
+            == [-1.0, 1.0, -1.0, 1.0])
+
+
+def test_an_exppoly_gate_is_built_at_every_position():
+    e, x = Gate.exp_poly(NOPoly.p(0, 2), 0.3), Gate.x(0, 2, 0.5)
+    build, calls = _counting(Gate.inverse)
+    out = _map_records(build, [e, x, e, x, e])
+    assert calls == [e, x, e, e]
+    assert len({id(h) for h in out[::2]}) == 3
+    assert out[1] is out[3]
+
+
+def test_gates_made_on_the_fly_are_not_confused_by_a_reused_id():
+    # a generator drops each gate after its position unless the call keeps
+    # it, and the next gate may then get the id of the dead one; a build
+    # that allocates nothing leaves its memory free for that
+    strengths = [0.1 * k for k in range(1, 50)]
+    out = _map_records(lambda g: g.strength,
+                       (Gate.x(0, 2, s) for s in strengths))
+    assert out == strengths
+
+
+@pytest.mark.parametrize("body", ["X[0]^9", "P[0] P[1] X[2]^3"])
+def test_compiler_inverse_table_holds_record_keys_only(body):
+    # keyed by record, never by id or Gate, so a run keeps none of the
+    # objects it inverted alive
+    comp, _ = _raw(body)
+    assert comp._inverses
+    for key, inverse in comp._inverses.items():
+        assert type(key) is tuple
+        assert not any(isinstance(part, Gate) for part in key)
+        g = inverse.inverse()
+        assert key == _record_key(g.kind, g.modes, g.strength, g.power)
+
+
+# -------------------------------------------------------- optimize loop ---
+# optimize tests each case of its stack loop inline; util keeps the loop
+# that tried every adjacent pair with _merge_pair
+
+_NEAR_ONE = 1.0 + 2e-13  # an exppoly generator within 1e-12 of a unit one
+
+OPTIMIZE_CASES = GateSeq((
+    Gate.fourier(0), Gate.fourier(0, -1),            # F·F† cancels
+    Gate.fourier(1), Gate.fourier(1),                # F·F stays
+    Gate.fourier(0), Gate.fourier(1, -1),            # two modes: no cancel
+    Gate.fourier(1, -1), Gate.fourier(1),            # F†·F cancels
+    Gate.x(0, 2, 0.0), Gate.x(1, 3, -0.0),           # zero strengths drop
+    Gate.xx(0, 1, 1e-15), Gate.exp_poly(NOPoly.p(1, 2), -1e-15),
+    Gate.x(1, 1, 0.3), Gate.x(1, 3, 0.4), Gate.x(1, 3, -0.4),  # sum 0.0
+    Gate.x(1, 1, 0.1),                               # merges below it
+    Gate.x(0, 2, 0.25), Gate.x(0, 2, 0.5), Gate.x(0, 2, 0.125),
+    Gate.xx(0, 2, 0.1), Gate.xx(0, 2, 0.2), Gate.xx(1, 2, 0.3),
+    Gate.x(2, 2, 0.1), Gate.x(2, 3, 0.1), Gate.x(2, 3, -0.1 + 1e-15),
+    # exppoly generators equal under the coefficient rule merge, and the
+    # merged gate keeps the generator of the gate on top
+    Gate.exp_poly(NOPoly.p(1, 2), 0.2),
+    Gate.exp_poly(NOPoly.p(1, 2, _NEAR_ONE), 0.3),
+    Gate.exp_poly(NOPoly.x(2, 2, _NEAR_ONE), 0.1), Gate.x(2, 2, 0.25),
+    Gate.x(2, 2, 0.5), Gate.exp_poly(NOPoly.x(2, 2, _NEAR_ONE), -0.5),
+    Gate.exp_poly(NOPoly.p(2, 3), 0.4), Gate.exp_poly(NOPoly.p(2, 3), -0.4),
+    Gate.x(0, 1, math.nan), Gate.x(0, 1, 0.5),       # NaN is kept
+    Gate.fourier(2)), 3)
+
+
+def _bits(gates):
+    """Each gate's record with the bits of its strength, so NaN == NaN."""
+    return [(g.kind, g.modes, g.power, g.strength.hex(), g.poly)
+            for g in gates]
+
+
+def _same_stack(got: list[Gate], want: list[Gate], inputs) -> None:
+    """got and want agree gate for gate: the same input object, or a
+    merged gate of the same record and the same strength bits."""
+    assert len(got) == len(want)
+    given = {id(g) for g in inputs}
+    for a, b in zip(got, want):
+        if id(b) in given:
+            assert a is b
+        else:
+            assert id(a) not in given
+            assert _bits([a]) == _bits([b])
+
+
+@pytest.mark.parametrize("name", [b for b, *_ in ROUTE_PINS]
+                         + ["hand-built", "optimize-cases"])
+def test_optimize_loop_matches_the_pairwise_loop(name, monkeypatch):
+    if name == "hand-built":
+        seq = HAND_BUILT
+    elif name == "optimize-cases":
+        seq = OPTIMIZE_CASES
+    else:
+        seq = _raw(name)[1]
+    want = optimize_stack_per_pair(seq.gates)
+    packed = optimize(seq)
+    reference = reuse_ancillas_per_gate(
+        GateSeq(tuple(want), seq.n_target_modes, seq.ancilla_modes))
+    assert _bits(packed.gates) == _bits(reference.gates)
+    monkeypatch.setattr(circuit_tools, "_reuse_ancillas", lambda s: s)
+    _same_stack(list(optimize(seq).gates), want, seq.gates)
+
+
+def test_optimize_cases_cover_every_rule():
+    out = optimize_stack_per_pair(OPTIMIZE_CASES.gates)
+    assert len(out) < len(OPTIMIZE_CASES.gates) - 10
+    assert [g.kind for g in out].count("fourier") == 5
+    # each merged exppoly gate keeps the generator of the gate on top
+    assert ([g.poly for g in out if g.kind == EXPPOLY]
+            == [NOPoly.p(1, 2), NOPoly.x(2, 2, _NEAR_ONE)])
+    assert any(math.isnan(g.strength) for g in out)
 
 
 @pytest.mark.parametrize("seq", [

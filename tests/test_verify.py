@@ -38,6 +38,19 @@ def test_fock_context_validates_subspace():
         FockContext(cutoff=24, subspace=9)
 
 
+@pytest.mark.parametrize("cutoff", [-3, 0, 1, 2])
+def test_fock_context_refuses_a_cutoff_below_3_by_name(cutoff):
+    # no subspace d >= 1 has d <= D/3 there: the cutoff is what is wrong
+    with pytest.raises(ValueError, match=f"cutoff {cutoff} is below 3"):
+        FockContext(cutoff=cutoff, subspace=1)
+
+
+def test_fock_context_at_cutoff_3_keeps_the_subspace_message():
+    FockContext(cutoff=3, subspace=1)
+    with pytest.raises(ValueError, match=r"subspace must satisfy d <= D/3"):
+        FockContext(cutoff=3, subspace=5)
+
+
 @pytest.mark.parametrize("cutoff,subspace,tolerance", [
     (24, 0, 1e-5), (24, -1, 1e-5), (24, 5, float("nan")),
     (24, 5, float("inf")), (24, 5, 0.0), (24, 5, -1e-5),

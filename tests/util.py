@@ -13,7 +13,9 @@ is the exact rational reference for the Pascal coefficients, and
 poly_mul_by_loops the plain reference for the merged product.
 inverse_per_gate and reuse_ancillas_per_gate build one new Gate per
 position, the references for the record tables of _Compiler._inverse and
-circuit_tools._reuse_ancillas. deserialize_per_record parses the whole
+circuit_tools._reuse_ancillas. optimize_stack_per_pair is optimize's
+stack loop as it was written with _is_identity and _merge_pair, the
+reference for the loop that tests each case inline. deserialize_per_record parses the whole
 text with json.loads and checks every record in turn, the reference for
 deserialize's split of serialize_json's layout.
 """
@@ -31,8 +33,9 @@ from cvexact.algebra import (NOPoly, TermKey, adjoint_series, poly_mul,
                              substitute)
 from cvexact.circuit import (EXPPOLY, FOURIER, XX, Gate, GateSeq,
                              heisenberg_conjugate)
-from cvexact.circuit_tools import (SchemaViolation, _finite_number, _integer,
-                                   _record_gate, _record_key)
+from cvexact.circuit_tools import (ZERO_STRENGTH, SchemaViolation,
+                                   _finite_number, _integer, _record_gate,
+                                   _record_key)
 
 
 def ladder(cutoff):
@@ -211,6 +214,39 @@ def poly_mul_by_loops(a: NOPoly, b: NOPoly) -> NOPoly:
                 key = tuple(factors)
                 out[key] = out.get(key, 0.0) + coeff
     return NOPoly(out)
+
+
+def optimize_stack_per_pair(gates) -> list[Gate]:
+    """optimize's stack loop before ancilla packing, each adjacent pair
+    tried by _merge_pair."""
+    out: list[Gate] = []
+    for g in gates:
+        if _is_identity(g):
+            continue
+        merged = _merge_pair(out[-1], g) if out else None
+        if merged is None:
+            out.append(g)
+        else:
+            out[-1:] = merged
+    return out
+
+
+def _is_identity(g: Gate) -> bool:
+    return g.kind != FOURIER and abs(g.strength) < ZERO_STRENGTH
+
+
+def _merge_pair(g: Gate, h: Gate):
+    """None: no rule. []: both cancel. [gate]: merged replacement."""
+    if g.kind == FOURIER and h.kind == FOURIER:
+        if g.mode == h.mode and g.power == -h.power:
+            return []
+        return None
+    if g.same_generator(h):
+        s = g.strength + h.strength
+        if abs(s) < ZERO_STRENGTH:
+            return []
+        return [replace(g, strength=s)]
+    return None
 
 
 def inverse_per_gate(gates):
