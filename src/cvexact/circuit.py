@@ -48,7 +48,7 @@ class Gate:
         own. The shared records of FOURIER_BLOCK consecutive modes are made
         together, so they fill whole blocks of memory: a lasting record
         made alone among a compile's short-lived objects keeps the memory
-        around it from being returned, which raised peak memory.
+        around it from being returned.
         """
         gate = _FOURIER_RECORDS.get((mode, power))
         if gate is None:
