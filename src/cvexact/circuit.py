@@ -40,28 +40,10 @@ class Gate:
 
     @staticmethod
     def fourier(mode: int, power: int = 1) -> "Gate":
-        """The Fourier transform on mode (power +1) or its inverse (-1).
-
-        One shared record per (mode, power): records are frozen and a
-        Fourier strength is always 0.0, so only `is` can tell two calls
-        apart. A mode or power that is not an int builds a record of its
-        own. The shared records of FOURIER_BLOCK consecutive modes are made
-        together, so they fill whole blocks of memory: a lasting record
-        made alone among a compile's short-lived objects keeps the memory
-        around it from being returned.
-        """
-        gate = _FOURIER_RECORDS.get((mode, power))
-        if gate is None:
-            if power not in (1, -1):
-                raise ValueError("Fourier power must be +1 or -1")
-            if type(mode) is not int or type(power) is not int:
-                return Gate(FOURIER, (mode,), 0.0, power)
-            low = mode - mode % FOURIER_BLOCK
-            for m in range(low, low + FOURIER_BLOCK):
-                _FOURIER_RECORDS[m, 1] = Gate(FOURIER, (m,), 0.0, 1)
-                _FOURIER_RECORDS[m, -1] = Gate(FOURIER, (m,), 0.0, -1)
-            gate = _FOURIER_RECORDS[mode, power]
-        return gate
+        """The Fourier transform on mode (power +1) or its inverse (-1)."""
+        if power not in (1, -1):
+            raise ValueError("Fourier power must be +1 or -1")
+        return Gate(FOURIER, (mode,), 0.0, power)
 
     @staticmethod
     def exp_poly(generator: NOPoly, strength: float) -> "Gate":
@@ -123,12 +105,6 @@ class Gate:
         if self.kind == FOURIER:
             return f"F{self.mode}" + ("†" if self.power < 0 else "")
         return f"exp(i*{self.strength:g}*{self.generator!r})"
-
-
-# Gate.fourier's record of each (mode, power) with int mode and power,
-# made FOURIER_BLOCK modes at a time
-FOURIER_BLOCK = 64
-_FOURIER_RECORDS: dict[tuple[int, int], Gate] = {}
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,9 @@ def optimize(seq: GateSeq) -> GateSeq:
     the Fourier, zero-strength and equal-universal-generator cases itself;
     only a pair with an exppoly gate compares generators.
 
-    Packing keys each distinct Gate object once, through the id table of
-    _map_records, which lives for one call and keeps its objects alive
-    until the call returns. Most positions share few objects: the
-    compiler's inverses are shared per record, and every Fourier gate is
-    one of Gate.fourier's shared records. The packed circuit holds one
-    Gate per distinct record.
+    Packing remaps each distinct Gate object once (_map_records). A
+    compiled circuit holds one object per record (decompose._Compiler),
+    and the packed circuit holds one Gate per distinct record.
     """
     out: list[Gate] = []
     push, pop = out.append, out.pop
@@ -100,7 +97,7 @@ def _merge_into(out: list[Gate], top: Gate, g: Gate) -> None:
 def _reuse_ancillas(seq: GateSeq) -> GateSeq:
     """Pack ancillas with disjoint live ranges into shared registers.
 
-    Each distinct gate record is remapped once, and one Gate stands at
+    Each distinct Gate object is remapped once, and one Gate stands at
     every position of each record of the packed circuit.
     """
     n = seq.n_target_modes
@@ -151,9 +148,9 @@ def _remap_gate(g: Gate, mapping: dict[int, int]) -> Gate:
 
 
 def _record_key(kind: str, modes: tuple, strength, power):
-    """The key of one gate record, for a table local to one call that
-    builds what the record gives once and shares it wherever the record
-    recurs. power is a gate's Fourier power or a saved record's dagger flag.
+    """The key of one gate record, for a table that holds one Gate or one
+    result per record. power is a gate's Fourier power or a saved record's
+    dagger flag.
 
     The sign of strength is part of the key: 0.0 and -0.0 are equal and
     hash alike, but their inverses and reprs differ. None for an exppoly
@@ -165,21 +162,14 @@ def _record_key(kind: str, modes: tuple, strength, power):
     return kind, modes, strength, power, math.copysign(1.0, strength)
 
 
-def _map_records(build, gates, table: dict | None = None) -> list:
-    """[build(g) for g in gates], with build called once per distinct
-    record and its result shared at every position of that record; an
-    exppoly gate is built on its own at every position.
+def _map_records(build, gates) -> list:
+    """[build(g) for g in gates], with build called once per distinct Gate
+    object and its result shared at every position of that object.
 
-    Each distinct Gate object is keyed once: a table local to this call
-    maps id(g) to its result, so a record that many positions share costs
-    one id lookup at each of them. An id names its object only while the
-    object lives, so the call keeps every object it has an id entry for
-    until it returns; gates may be any iterable. table maps record keys to
-    results and carries them from one call to the next for a caller that
-    keeps it. It never holds an id, so after the call it keeps alive only
-    what build returned.
+    A table local to this call maps id(g) to its result. An id names its
+    object only while the object lives, so the call keeps every object it
+    has an entry for until it returns; gates may be any iterable.
     """
-    table = {} if table is None else table
     by_id: dict[int, object] = {}
     alive = []  # the objects by_id names, so no id is reused in this call
     out = []
@@ -187,14 +177,7 @@ def _map_records(build, gates, table: dict | None = None) -> list:
     for g in gates:
         got = by_id.get(id(g))
         if got is None:
-            key = _record_key(g.kind, g.modes, g.strength, g.power)
-            if key is None:
-                push(build(g))
-                continue
-            got = table.get(key)
-            if got is None:
-                got = table[key] = build(g)
-            by_id[id(g)] = got
+            got = by_id[id(g)] = build(g)
             alive.append(g)
         push(got)
     return out
@@ -229,10 +212,11 @@ def serialize_json(seq: GateSeq) -> str:
     Strengths are written as the shortest decimal that reads back to the
     same float, so deserialize(serialize_json(seq)) is exact. The file has
     no indentation: the C encoder writes it several times faster than the
-    indented form, which deserialize still reads. Each distinct gate record
-    is encoded once and its text joined in at every position.
+    indented form, which deserialize still reads. Each distinct Gate object
+    is encoded once and its text joined in at every position; a circuit from
+    optimize or deserialize holds one object per record.
     """
-    # an exppoly gate has no key and no record: _gate_record refuses it
+    # an exppoly gate has no record: _gate_record refuses it
     records = _map_records(lambda g: json.dumps(_gate_record(g)),
                            reversed(seq.gates))
     head = json.dumps(_header(seq))

@@ -33,7 +33,7 @@ from typing import Callable
 
 from .algebra import Basis, NOPoly
 from .circuit import Gate, GateSeq
-from .circuit_tools import (ZERO_STRENGTH, DecompReport, _map_records,
+from .circuit_tools import (ZERO_STRENGTH, DecompReport, _record_key,
                             count_gates, optimize)
 
 _X, _P = Basis.POSITION, Basis.MOMENTUM
@@ -152,7 +152,7 @@ def _classify(target: TargetGate
         # the all-position form decides the route and emits the gates
         route, build = _classify(target.position_form())
         pmodes = [m for m, _ in ps]
-        return route, lambda c: _fourier_conj(pmodes, build(c))
+        return route, lambda c: c._fourier_conj(pmodes, build(c))
 
     if len(xs) == 2:
         (u, n1), (j, n2) = sorted(xs, key=lambda e: e[1])
@@ -160,7 +160,7 @@ def _classify(target: TargetGate
             return "SpecialIdentity(twosquares)", lambda c: c.x2x2(u, j, t)
         if n1 == 1 and n2 >= 2:
             # e^{itX_uX_jⁿ} = F_u e^{−itP_uX_jⁿ} F_u†
-            return "SpecialIdentity(xxn)", lambda c: _fourier_conj(
+            return "SpecialIdentity(xxn)", lambda c: c._fourier_conj(
                 [u], c._sub(-t, (u, 1, _P), (j, n2, _X)))
 
     # general rules
@@ -170,7 +170,7 @@ def _classify(target: TargetGate
     if nmodes == 1:
         (m, n), = xs
         if n <= 3:
-            return "UniversalPrimitive", lambda c: [Gate.x(m, n, t)]
+            return "UniversalPrimitive", lambda c: [c._gate(Gate.x(m, n, t))]
         if n % 2 == 0:
             return "SingleEven", lambda c: c.single_even(m, n, t)
         if n % 3 == 0:
@@ -183,16 +183,10 @@ def _classify(target: TargetGate
             f"(found {len(nonunit)}) and no special identity applies")
     if all(n == 1 for n in powers) and nmodes == 2:
         j, k = target.modes()
-        return "UniversalPrimitive", lambda c: [Gate.xx(j, k, t)]
+        return "UniversalPrimitive", lambda c: [c._gate(Gate.xx(j, k, t))]
     if nmodes % 2 != 0 and nmodes % 3 != 0:
         raise Ineligible(f"mode count {nmodes} is divisible by neither 2 nor 3")
     return "GeneralMultiMode", lambda c: c.general(dict(xs), t)
-
-
-def _fourier_conj(modes: list[int], gates: list[Gate]) -> list[Gate]:
-    """F·gates·F†, with F the forward Fourier transform on each of modes."""
-    return ([Gate.fourier(m, 1) for m in modes] + gates
-            + [Gate.fourier(m, -1) for m in reversed(modes)])
 
 
 def _identity(label: str):
@@ -221,6 +215,10 @@ class _Compiler:
     Identities get their nested targets from _sub, never by calling
     another identity. A subclass's _sub decides what a nested target
     becomes, e.g. one ideal exppoly gate.
+
+    The run decides record identity: every gate it makes goes through
+    _gate, so its gate lists hold one Gate object per record, and later
+    passes share their work per object.
     """
 
     def __init__(self, n_modes: int, balanced: bool = False):
@@ -229,7 +227,8 @@ class _Compiler:
         self.trace: list[tuple[str, int]] = []
         self.depth = 0
         self.balanced = balanced
-        self._inverses: dict = {}  # gate record -> its inverse, for _inverse
+        self._records: dict = {}  # record key -> its one Gate, for _gate
+        self._inverses: dict = {}  # id(g) -> (g, its inverse), for _inverse
 
     def fresh_ancilla(self) -> int:
         a = self.next_anc
@@ -239,13 +238,35 @@ class _Compiler:
 
     # -- helpers -----------------------------------------------------------
 
+    def _gate(self, g: Gate) -> Gate:
+        """The run's one Gate of g's record, g if it is the first; an
+        exppoly gate has no record key and is returned as it is."""
+        key = _record_key(g.kind, g.modes, g.strength, g.power)
+        return g if key is None else self._records.setdefault(key, g)
+
+    def _fourier_conj(self, modes: list[int],
+                      gates: list[Gate]) -> list[Gate]:
+        """F·gates·F†, F the forward Fourier transform on each of modes."""
+        return ([self._gate(Gate.fourier(m, 1)) for m in modes] + gates
+                + [self._gate(Gate.fourier(m, -1)) for m in reversed(modes)])
+
     def _inverse(self, gates: list[Gate]) -> list[Gate]:
         """The inverse circuit: gates reversed, each one inverted.
 
-        Each distinct gate record is inverted once per run, and its one
-        inverse stands at every position where the record recurs.
+        Each distinct Gate object is inverted once per run, and its one
+        inverse stands at every position where the object recurs. The
+        table keeps every object it keys alive, so an id names one object
+        for the whole run, also for a gate that is not one of the run's
+        records, such as an exppoly gate a subclass's _sub returns.
         """
-        return _map_records(Gate.inverse, reversed(gates), self._inverses)
+        table = self._inverses
+        out = []
+        for g in reversed(gates):
+            hit = table.get(id(g))
+            if hit is None:
+                hit = table[id(g)] = g, self._gate(g.inverse())
+            out.append(hit[1])
+        return out
 
     def _sub(self, s: float, *factors: tuple[int, int, Basis]) -> list[Gate]:
         """Gates of the nested target e^{isΠ factors}, each factor
@@ -282,11 +303,12 @@ class _Compiler:
         else:
             al = math.sqrt(abs(s) / 3.0)
             t = math.copysign(1.0, s)
-        xx = lambda q: [Gate.xx(j, k, q)]
-        p3 = lambda q: _fourier_conj([k], [Gate.x(k, 3, q)])  # e^{iqP_k³}
+        xx = lambda q: [self._gate(Gate.xx(j, k, q))]
+        # e^{iqP_k³}
+        p3 = lambda q: self._fourier_conj([k], [self._gate(Gate.x(k, 3, q))])
         return (xx(2 * al) + p3(t) + xx(-al) + p3(-t)
                 + xx(-2 * al) + p3(t) + xx(al) + p3(-t)
-                + [Gate.x(j, 3, 0.75 * al ** 3 * t)])
+                + [self._gate(Gate.x(j, 3, 0.75 * al ** 3 * t))])
 
     @_identity("pxn")
     def px_n(self, j: int, k: int, n: int, s: float) -> list[Gate]:
@@ -352,7 +374,7 @@ class _Compiler:
         s = min(2.0, (4.0 * abs(t)) ** (1.0 / 3.0)) if self.balanced else 2.0
         tp = 4.0 * t / (s * s)
         return (self._shifted_power(a, [(s, [(k, m, _X)])], 2, tp)
-                + [Gate.x(a, 2, -tp)]
+                + [self._gate(Gate.x(a, 2, -tp))]
                 + self._sub(-4.0 * t / s, (a, 1, _X), (k, m, _X)))
 
     @_identity("single-odd3")
@@ -371,13 +393,13 @@ class _Compiler:
         return (
             self._shifted_power(j, [(2.0, xkm)], 3, 2 * al)
             + self._shifted_power(l, [(2.0, xkm), (2.0, xj2)], 2, -3 * al)
-            + [Gate.x(j, 3, -2 * al)]
+            + [self._gate(Gate.x(j, 3, -2 * al))]
             + self._sub(3 * al, (j, 4, _X))
             + self._sub(3 * al, (k, 2 * n // 3, _X))
             + self._sub(-6 * al, (j, 1, _X), (k, 2 * m, _X))
             + self._sub(6 * al, (l, 1, _X), (j, 2, _X))
             + self._sub(6 * al, (l, 1, _X), (k, m, _X))
-            + [Gate.x(l, 2, 3 * al)])
+            + [self._gate(Gate.x(l, 2, 3 * al))])
 
     @_identity("general")
     def general(self, powers: dict[int, int], t: float) -> list[Gate]:

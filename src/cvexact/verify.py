@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import NOPoly, substitute
 from .circuit import FOURIER, X_POWER, Gate, GateSeq, heisenberg_conjugate
-from .circuit_tools import _integer, _record_key
+from .circuit_tools import _integer
 
 
 class DimensionTooLarge(Exception):
@@ -105,18 +105,18 @@ def heisenberg_action(seq: GateSeq,
     each of its modes m with g† X_m g and g† P_m g from
     heisenberg_conjugate, evaluated on the images so far (substitute).
     Those two images of (g, m) are built once per call for each distinct
-    record (_record_key; an exppoly gate by identity) and shared at every
-    position of the record. The modes a gate of seq touches are tracked,
-    and those of modes; a mode no gate touches keeps the images X_m and
-    P_m. verify_symbolic calls it twice: on the circuit, and on the target
-    as a one-gate circuit.
+    Gate object and shared at every position of the object; a circuit
+    from compile or deserialize holds one object per record. The modes a
+    gate of seq touches are tracked, and those of modes; a mode no gate
+    touches keeps the images X_m and P_m. verify_symbolic calls it twice:
+    on the circuit, and on the target as a one-gate circuit.
     """
     generators = {m: (NOPoly.x(m), NOPoly.p(m))
                   for m in [*_touched(seq), *modes]}
     images = dict(generators)
-    own = {}  # (record key, m) -> (g† X_m g, g† P_m g); seq keeps ids alive
+    own = {}  # (id(g), m) -> (g† X_m g, g† P_m g); seq keeps ids alive
     for g in reversed(seq.gates):
-        key = _record_key(g.kind, g.modes, g.strength, g.power) or id(g)
+        key = id(g)
         for m in g.modes:
             if (key, m) not in own:
                 own[key, m] = tuple(heisenberg_conjugate(g, b)

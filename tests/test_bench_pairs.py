@@ -103,6 +103,22 @@ def test_a_second_call_appends_and_summarises_every_pair(tmp_path):
     assert (parent / "calls.log").read_text().split() == list("12345")
 
 
+def test_each_run_records_the_load_average_before_and_after_it(
+        tmp_path, monkeypatch):
+    readings = iter([(float(k), 0.5, 0.25) for k in range(4)])
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", lambda: next(readings))
+    parent = _fake_checkout(tmp_path / "parent")
+    change = _fake_checkout(tmp_path / "change")
+    out = tmp_path / "bench.json"
+    assert _record(parent, change, out, 1, 1) == 0
+    pair, = json.loads(out.read_text())["workloads"]["numeric"]["runs"]
+    # the parent runs first in an even pair
+    assert pair["parent"]["loadavg"] == {"before": [0.0, 0.5, 0.25],
+                                         "after": [1.0, 0.5, 0.25]}
+    assert pair["change"]["loadavg"] == {"before": [2.0, 0.5, 0.25],
+                                         "after": [3.0, 0.5, 0.25]}
+
+
 @pytest.mark.parametrize("first_seed,seconds,message", [
     (2, "15", "numeric already has seeds [2, 3]"),
     (9, "10", "numeric is recorded at --seconds 15.0, not 10.0"),

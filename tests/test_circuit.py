@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from cvexact.algebra import NOPoly, adjoint_series, max_coeff_diff
-from cvexact import circuit
-from cvexact.circuit import (EXPPOLY, FOURIER, FOURIER_BLOCK, Gate, GateSeq,
-                             gate_images, heisenberg_conjugate)
+from cvexact.circuit import (EXPPOLY, FOURIER, Gate, GateSeq, gate_images,
+                             heisenberg_conjugate)
 from cvexact.circuit_tools import ZERO_STRENGTH
 
 from util import fourier_by_products, gate_matrix, seq_matrix
@@ -133,32 +132,13 @@ def test_malformed_gates_are_refused(make):
 
 
 @pytest.mark.parametrize("mode", [0, 3])
-def test_fourier_records_are_shared(mode):
-    # one frozen record per (mode, power), its strength always 0.0
-    assert Gate.fourier(mode) is Gate.fourier(mode, 1)
-    assert Gate.fourier(mode, -1) is Gate.fourier(mode, -1)
-    assert Gate.fourier(mode, 1).inverse() is Gate.fourier(mode, -1)
-    assert Gate.fourier(mode, -1).inverse() is Gate.fourier(mode, 1)
+def test_fourier_record_and_its_inverse(mode):
+    # a plain record, its strength always 0.0; the compiler decides sharing
     f = Gate.fourier(mode)
     assert (f.kind, f.modes, f.strength, f.power) == (FOURIER, (mode,), 0.0, 1)
-    with pytest.raises(ValueError):
-        Gate.fourier(mode, 2)
-
-
-def test_fourier_records_are_made_a_block_at_a_time():
-    # a mode far from any used elsewhere, so its block is new here
-    mode = 1_000_003
-    low = mode - mode % FOURIER_BLOCK
-    block = [(m, p) for m in range(low, low + FOURIER_BLOCK) for p in (1, -1)]
-    assert not any(key in circuit._FOURIER_RECORDS for key in block)
-    # a mode that is not an int gets its own record and fills no block
-    odd = Gate.fourier(np.int64(mode))
-    assert type(odd.mode) is np.int64
-    assert not any(key in circuit._FOURIER_RECORDS for key in block)
-    f = Gate.fourier(mode)
-    assert type(f.mode) is int
-    assert all(circuit._FOURIER_RECORDS[m, p] is Gate.fourier(m, p)
-               for m, p in block)
+    assert f == Gate.fourier(mode, 1) and f is not Gate.fourier(mode, 1)
+    assert f.inverse() == Gate.fourier(mode, -1)
+    assert Gate.fourier(mode, -1).inverse() == f
 
 
 def test_gate_inverse_roundtrip():

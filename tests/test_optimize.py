@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from cvexact.algebra import NOPoly
+from cvexact.algebra import Basis, NOPoly
+from cvexact.baseline import commutator_approx
 from cvexact import circuit_tools
 from cvexact.circuit import EXPPOLY, Gate, GateSeq
 from cvexact.circuit_tools import (SchemaViolation, _load_serialized_text,
@@ -17,7 +18,7 @@ from cvexact.cli import parse_spec
 from cvexact.decompose import TargetGate, _Compiler, compile
 from cvexact.verify import verify_symbolic
 
-from test_decompose import ROUTE_PINS
+from test_decompose import ROUTE_PINS, _OneLevel
 from test_verify import HAND_BUILT
 from util import (deserialize_per_record, inverse_per_gate,
                   optimize_stack_per_pair, reuse_ancillas_per_gate)
@@ -245,8 +246,10 @@ def test_deserialize_rejects_malformed_gate_records(record):
 
 
 # ---------------------------------------------------------- record tables ---
-# optimize, _Compiler._inverse, serialize_json and deserialize build what a
-# gate record gives once per call and share it wherever the record recurs
+# a compile run makes one Gate object per record (_Compiler._gate), and
+# deserialize loads one per record; optimize, _Compiler._inverse,
+# serialize_json and heisenberg_action build what an object gives once and
+# share it wherever the object recurs
 
 
 @pytest.mark.parametrize("twin,bad", [
@@ -282,11 +285,11 @@ def _records(gates):
              math.copysign(1.0, g.strength), g.poly) for g in gates]
 
 
-def _raw(body):
+def _raw(body, balanced=False):
     """The unoptimized circuit of t=0.3 body and the compiler that made it."""
     target = parse_spec(f"t=0.3 {body}")
     n = max(target.modes()) + 1
-    comp = _Compiler(n)
+    comp = _Compiler(n, balanced)
     _, gates = comp.run(target)
     return comp, GateSeq(tuple(gates), n, tuple(comp.ancillas))
 
@@ -321,44 +324,73 @@ def test_exppoly_gates_and_signed_zeros_keep_their_own_records():
             == _records(reuse_ancillas_per_gate(seq).gates))
 
 
-def _counting(build):
-    """build, and the list of the gates it is called on."""
-    calls = []
-
-    def counted(g):
-        calls.append(g)
-        return build(g)
-    return counted, calls
-
-
-def test_equal_records_held_as_distinct_objects_are_built_once():
-    twins = [Gate.x(0, 2, 0.5) for _ in range(3)]
-    assert twins[0] is not twins[1]
-    build, calls = _counting(Gate.inverse)
-    out = _map_records(build, twins + twins[::-1])
-    assert calls == [twins[0]]
-    assert all(h is out[0] for h in out)
-    assert out[0].strength == -0.5
+def _one_object_per_record(gates):
+    """Check that no two distinct objects among gates share a record."""
+    first = {}
+    for g in gates:
+        key = _record_key(g.kind, g.modes, g.strength, g.power)
+        assert key is not None, g  # compiled gates are universal
+        assert first.setdefault(key, g) is g, g
 
 
-def test_identity_table_keeps_signed_zero_strengths_apart():
+@pytest.mark.parametrize("balanced", [False, True],
+                         ids=["default", "balanced"])
+@pytest.mark.parametrize("body", [b for b, *_ in ROUTE_PINS])
+def test_a_run_emits_one_object_per_record(body, balanced):
+    _, raw = _raw(body, balanced)
+    _one_object_per_record(raw.gates)
+
+
+def test_commutator_approx_holds_one_object_per_record():
+    # four runs of one compiler, the group repeated K² times
+    p0x1 = NOPoly.monomial([(0, 0, 1), (1, 2, 0)])
+    seq = commutator_approx(NOPoly.x(0, 4), p0x1, 0.2, 2)
+    assert len(seq.gates) > len({id(g) for g in seq.gates}) > 20
+    _one_object_per_record(seq.gates)
+
+
+@pytest.mark.parametrize("body", ["P[0] X[1]^2", "X[0]^2 P[1] P[2]"])
+def test_two_compiles_share_no_gate_object(body):
+    runs = [_raw(body)[1], _raw(body)[1]]
+    assert runs[0] == runs[1]
+    assert not {id(g) for g in runs[0]} & {id(g) for g in runs[1]}
+    seqs = [compile(parse_spec(f"t=0.3 {body}"))[0] for _ in range(2)]
+    assert not {id(g) for g in seqs[0]} & {id(g) for g in seqs[1]}
+
+
+def test_gate_keeps_signed_zero_strengths_apart():
     # 0.0 == -0.0 and they hash alike; their inverses differ in sign
-    gates = [Gate.x(0, 2, 0.0), Gate.x(0, 2, -0.0), Gate.x(0, 2, 0.0),
-             Gate.x(0, 2, -0.0)]
-    build, calls = _counting(Gate.inverse)
-    out = _map_records(build, gates)
-    assert calls == gates[:2]
-    assert ([math.copysign(1.0, h.strength) for h in out]
-            == [-1.0, 1.0, -1.0, 1.0])
+    comp = _Compiler(1)
+    zero = comp._gate(Gate.x(0, 2, 0.0))
+    minus_zero = comp._gate(Gate.x(0, 2, -0.0))
+    assert zero is not minus_zero
+    assert comp._gate(Gate.x(0, 2, 0.0)) is zero
+    assert comp._gate(Gate.x(0, 2, -0.0)) is minus_zero
+    assert math.copysign(1.0, minus_zero.strength) == -1.0
 
 
-def test_an_exppoly_gate_is_built_at_every_position():
-    e, x = Gate.exp_poly(NOPoly.p(0, 2), 0.3), Gate.x(0, 2, 0.5)
-    build, calls = _counting(Gate.inverse)
-    out = _map_records(build, [e, x, e, x, e])
-    assert calls == [e, x, e, e]
-    assert len({id(h) for h in out[::2]}) == 3
-    assert out[1] is out[3]
+def test_gate_returns_an_exppoly_gate_as_it_is():
+    # an exppoly gate has no record key: its generator is part of its record
+    comp = _Compiler(1)
+    gates = [Gate.exp_poly(NOPoly.p(0, 2), 0.3),
+             Gate.exp_poly(NOPoly.p(0, 2), 0.3),
+             Gate.exp_poly(NOPoly.x(0, 4), 0.3)]
+    assert all(comp._gate(g) is g for g in gates)
+
+
+def test_inverse_of_fresh_exppoly_gates_after_their_ids_are_reused():
+    # each _sub call returns a new ideal exppoly gate, dropped once it is
+    # inverted; a later gate may get the id of a dropped one, and must
+    # still get its own inverse
+    comp = _OneLevel(2)
+    X, P = Basis.POSITION, Basis.MOMENTUM
+    for k in range(1, 60):
+        s = 0.1 * k
+        factors = ((0, k % 3 + 1, P), (1, 2, X))
+        inv, = comp._inverse(comp._sub(s, *factors))
+        assert inv.kind == EXPPOLY
+        assert inv.strength == -s
+        assert inv.poly == TargetGate(factors, s).generator()
 
 
 def test_gates_made_on_the_fly_are_not_confused_by_a_reused_id():
@@ -369,19 +401,6 @@ def test_gates_made_on_the_fly_are_not_confused_by_a_reused_id():
     out = _map_records(lambda g: g.strength,
                        (Gate.x(0, 2, s) for s in strengths))
     assert out == strengths
-
-
-@pytest.mark.parametrize("body", ["X[0]^9", "P[0] P[1] X[2]^3"])
-def test_compiler_inverse_table_holds_record_keys_only(body):
-    # keyed by record, never by id or Gate, so a run keeps none of the
-    # objects it inverted alive
-    comp, _ = _raw(body)
-    assert comp._inverses
-    for key, inverse in comp._inverses.items():
-        assert type(key) is tuple
-        assert not any(isinstance(part, Gate) for part in key)
-        g = inverse.inverse()
-        assert key == _record_key(g.kind, g.modes, g.strength, g.power)
 
 
 # -------------------------------------------------------- optimize loop ---

@@ -10,7 +10,10 @@ the change first. Each run is `python3 perfbench/run.py --workload NAME
 end-to-end metrics are read back from the checkout's
 `perfbench/out/result-NAME-seedSEED-trace0.json`, which is deleted before
 the run; a run that exits non-zero or writes no result stops the script with
-an error. The output file keeps
+an error. Each run also records the machine's 1, 5 and 15 minute load
+averages (os.getloadavg) just before and just after it, so a run taken
+under outside load can be told apart from a slower program. The output
+file keeps
 every run of every workload recorded so far, with a summary per metric:
 each side's median and quartiles, and the pairs the change won (higher is
 better for decided_frac and lower for every other metric; ties count for
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -40,7 +44,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = checkout / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
     # a result left by an earlier run must not pass for this one
     result.unlink(missing_ok=True)
+    load_before = os.getloadavg()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    load_after = os.getloadavg()
     if proc.returncode != 0 or not result.exists():
         raise SystemExit(
             f"{checkout}: workload {workload} seed {seed} exited "
@@ -50,6 +56,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"seed": seed, "exit_code": proc.returncode,
             "git_sha": doc["environment"]["git_sha"],
             "passes": doc["passes"], "problems": doc["problems"],
+            "loadavg": {"before": list(load_before),
+                        "after": list(load_after)},
             "metrics": {k: doc["end_to_end"].get(k) for k in METRICS}}
 
 
