@@ -30,6 +30,7 @@ BODIES = (
     "X[0]^2 P[1] P[2]", "X[0]^2 X[1]^2", "X[0] X[1]^3", "X[0] P[1]^2",
     "P[0]^2 P[1]^2",
     "X[0]^6", "X[0]^8", "X[0]^2 X[1] X[2] X[3]", "montecarlo:3",
+    "P[0] X[1]^4", "P[0] X[1]^5", "X[0]^9",
 )
 # 1e-13 puts the strengths of nested identities below ZERO_STRENGTH, so
 # those identities emit nothing
