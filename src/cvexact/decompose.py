@@ -15,16 +15,20 @@ Route overview:
     coefficients fixed by a Pascal-matrix null vector; general shifts each
     power onto a single mode by conjugation;
   - a registry of special patterns (P·X², P·Xⁿ, P·P·X², X²X², X·Xᵐ) is
-    consulted first, since several of them beat the general route badly.
+    consulted first, since several of them beat the general route badly;
+    P·Xⁿ and P·P·X² are one conjugation round, e^{isP_kX_j²Y} with
+    Y = X_jⁿ⁻² or Y = P_l;
+  - momentum factors are eliminated by an outer Fourier conjugation of
+    the all-position form.
 
 _classify is the one route table, for the top-level target and for every
 nested target an identity asks for through _Compiler._sub; no identity
-calls another directly.
+calls another directly. _Compiler._emit is the one entry that runs a
+row's builder and records its identity in the recursion trace.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +37,8 @@ from typing import Callable
 
 from .algebra import Basis, NOPoly
 from .circuit import Gate, GateSeq
-from .circuit_tools import (ZERO_STRENGTH, DecompReport, _record_key,
-                            count_gates, optimize)
+from .circuit_tools import (ZERO_STRENGTH, DecompReport, _integer,
+                            _record_key, count_gates, optimize)
 
 _X, _P = Basis.POSITION, Basis.MOMENTUM
 
@@ -48,8 +52,9 @@ class TargetGate:
     """e^{i * strength * H} with H a product of quadrature powers.
 
     exponents maps each mode to (power, basis); there is at least one
-    factor, powers are positive integers, each mode appears once, and the
-    strength is finite.
+    factor, modes are nonnegative integers, powers are positive integers,
+    each basis is a Basis member, each mode appears once, and the strength
+    is finite. An integer is an int that is not a bool.
     """
 
     exponents: tuple[tuple[int, int, Basis], ...]  # (mode, power, basis)
@@ -59,10 +64,15 @@ class TargetGate:
         modes = [m for m, _, _ in self.exponents]
         if not modes:
             raise ValueError("a target needs at least one quadrature factor")
+        for m, n, b in self.exponents:
+            if not (_integer(m) and m >= 0):
+                raise ValueError(f"mode {m!r} is not a nonnegative integer")
+            if not (_integer(n) and n >= 1):
+                raise ValueError(f"power {n!r} is not a positive integer")
+            if not isinstance(b, Basis):
+                raise ValueError(f"basis {b!r} is not a Basis member")
         if len(set(modes)) != len(modes):
             raise ValueError("each mode may appear only once")
-        if any(n < 1 for _, n, _ in self.exponents):
-            raise ValueError("powers must be positive integers")
         if not math.isfinite(self.strength):
             raise ValueError(f"strength {self.strength!r} is not finite")
         object.__setattr__(self, "exponents",
@@ -119,17 +129,20 @@ def solve_pascal_coeffs(N: int) -> tuple[Fraction, ...]:
 def check_eligibility(target: TargetGate) -> EligibilityVerdict:
     """Decide the compilation route, or explain why none exists."""
     try:
-        route, _ = _classify(target)
+        route, _, _ = _classify(target)
     except Ineligible as exc:
         return EligibilityVerdict(False, "", str(exc))
     return EligibilityVerdict(True, route, "")
 
 
-def _classify(target: TargetGate
-              ) -> tuple[str, Callable[[_Compiler], list[Gate]]]:
-    """The route of target together with the builder that emits it.
+def _classify(target: TargetGate) -> tuple[
+        str, str | None, Callable[[_Compiler], list[Gate]]]:
+    """The route of target, its trace label and the builder that emits it.
 
-    The builder takes the compiler of the run. Raises Ineligible, with
+    The builder takes the compiler of the run. The label names the
+    identity the builder runs, None for a primitive and for the xxn row,
+    whose one nested target records its own identity; the momentum intake
+    row passes on the label of its position form. Raises Ineligible, with
     the reason, when no exact route exists.
     """
     t = target.strength
@@ -140,27 +153,32 @@ def _classify(target: TargetGate
     if len(ps) == 1 and ps[0][1] == 1 and len(xs) == 1:
         (j, n), (k, _) = xs[0], ps[0]
         if n == 2:
-            return "SpecialIdentity(px2)", lambda c: c.px2(j, k, t)
+            return "SpecialIdentity(px2)", "px2", lambda c: c.px2(j, k, t)
         if n >= 3:
-            return "SpecialIdentity(pxn)", lambda c: c.px_n(j, k, n, t)
+            return "SpecialIdentity(pxn)", "pxn", lambda c: (
+                c.commutator_round(j, k, (j, n - 2, _X), t))
     if (len(ps) == 2 and all(n == 1 for _, n in ps)
             and len(xs) == 1 and xs[0][1] == 2):
+        # P·P·Xⁿ (n ≥ 3) would need f5 = e^{iσα³X_j^{2n−2}P_l²}, two
+        # exponents above one, so it takes the intake row below
         (j, _), (k, _), (l, _) = xs[0], ps[0], ps[1]
-        return "SpecialIdentity(ppxn)", lambda c: c.pp_xn(j, k, l, t)
+        return "SpecialIdentity(ppxn)", "ppxn", lambda c: (
+            c.commutator_round(j, k, (l, 1, _P), t))
     if ps:
         # momentum factors are eliminated by an outer Fourier conjugation:
         # the all-position form decides the route and emits the gates
-        route, build = _classify(target.position_form())
+        route, label, build = _classify(target.position_form())
         pmodes = [m for m, _ in ps]
-        return route, lambda c: c._fourier_conj(pmodes, build(c))
+        return route, label, lambda c: c._fourier_conj(pmodes, build(c))
 
     if len(xs) == 2:
         (u, n1), (j, n2) = sorted(xs, key=lambda e: e[1])
         if (n1, n2) == (2, 2):
-            return "SpecialIdentity(twosquares)", lambda c: c.x2x2(u, j, t)
+            return ("SpecialIdentity(twosquares)", "twosquares",
+                    lambda c: c.x2x2(u, j, t))
         if n1 == 1 and n2 >= 2:
             # e^{itX_uX_jⁿ} = F_u e^{−itP_uX_jⁿ} F_u†
-            return "SpecialIdentity(xxn)", lambda c: c._fourier_conj(
+            return "SpecialIdentity(xxn)", None, lambda c: c._fourier_conj(
                 [u], c._sub(-t, (u, 1, _P), (j, n2, _X)))
 
     # general rules
@@ -170,11 +188,14 @@ def _classify(target: TargetGate
     if nmodes == 1:
         (m, n), = xs
         if n <= 3:
-            return "UniversalPrimitive", lambda c: [c._gate(Gate.x(m, n, t))]
+            return "UniversalPrimitive", None, lambda c: [
+                c._gate(Gate.x(m, n, t))]
         if n % 2 == 0:
-            return "SingleEven", lambda c: c.single_even(m, n, t)
+            return ("SingleEven", "single-even",
+                    lambda c: c.single_even(m, n, t))
         if n % 3 == 0:
-            return "SingleOdd3", lambda c: c.single_odd3(m, n, t)
+            return ("SingleOdd3", "single-odd3",
+                    lambda c: c.single_odd3(m, n, t))
         raise Ineligible(
             f"single-mode power {n} is divisible by neither 2 nor 3")
     if len(nonunit) > 1:
@@ -183,38 +204,22 @@ def _classify(target: TargetGate
             f"(found {len(nonunit)}) and no special identity applies")
     if all(n == 1 for n in powers) and nmodes == 2:
         j, k = target.modes()
-        return "UniversalPrimitive", lambda c: [c._gate(Gate.xx(j, k, t))]
+        return "UniversalPrimitive", None, lambda c: [
+            c._gate(Gate.xx(j, k, t))]
     if nmodes % 2 != 0 and nmodes % 3 != 0:
         raise Ineligible(f"mode count {nmodes} is divisible by neither 2 nor 3")
-    return "GeneralMultiMode", lambda c: c.general(dict(xs), t)
-
-
-def _identity(label: str):
-    """Run a _Compiler method as one identity of the recursion trace:
-    (label, depth) joins the trace and the method runs one level deeper.
-
-    Only _emit calls an identity, and never below ZERO_STRENGTH.
-    """
-    def decorate(method):
-        @functools.wraps(method)
-        def call(self, *args):
-            self.trace.append((label, self.depth))
-            self.depth += 1
-            try:
-                return method(self, *args)
-            finally:
-                self.depth -= 1
-        return call
-    return decorate
+    return "GeneralMultiMode", "general", lambda c: c.general(dict(xs), t)
 
 
 class _Compiler:
     """One compilation run: ancilla allocation plus the recursion trace,
-    one (label, depth) entry per _identity call, in call order.
+    one (label, depth) entry per identity _emit runs, in call order.
 
     Identities get their nested targets from _sub, never by calling
-    another identity. A subclass's _sub decides what a nested target
-    becomes, e.g. one ideal exppoly gate.
+    another identity. An identity method called directly records
+    nothing. A subclass may override an identity method, which _emit
+    then runs under the route's label, and its _sub decides what a
+    nested target becomes, e.g. one ideal exppoly gate.
 
     The run decides record identity: every gate it makes goes through
     _gate, so its gate lists hold one Gate object per record, and later
@@ -240,7 +245,12 @@ class _Compiler:
 
     def _gate(self, g: Gate) -> Gate:
         """The run's one Gate of g's record, g if it is the first; an
-        exppoly gate has no record key and is returned as it is."""
+        exppoly gate has no record key and is returned as it is.
+
+        OverflowError if g's strength is not finite: a parameter of an
+        identity overflowed."""
+        if not math.isfinite(g.strength):
+            raise OverflowError(f"gate strength {g.strength!r}")
         key = _record_key(g.kind, g.modes, g.strength, g.power)
         return g if key is None else self._records.setdefault(key, g)
 
@@ -289,7 +299,6 @@ class _Compiler:
 
     # -- identity routes ---------------------------------------------------
 
-    @_identity("px2")
     def px2(self, j: int, k: int, s: float) -> list[Gate]:
         """e^{isP_kX_j²} as nine non-Fourier gates.
 
@@ -310,43 +319,27 @@ class _Compiler:
                 + xx(-2 * al) + p3(t) + xx(al) + p3(-t)
                 + [self._gate(Gate.x(j, 3, 0.75 * al ** 3 * t))])
 
-    @_identity("pxn")
-    def px_n(self, j: int, k: int, n: int, s: float) -> list[Gate]:
-        """e^{isP_kX_jⁿ}, n ≥ 3, via one conjugation round of strength
-        α = √(|s|/2).
+    def commutator_round(self, j: int, k: int, y: tuple[int, int, Basis],
+                         s: float) -> list[Gate]:
+        """e^{isP_kX_j²Y}, Y the one factor y = (mode, power, basis) off
+        mode k, via one conjugation round of strength α = √(|s|/2).
 
-        The round f1·f2·f1⁻¹·f2⁻¹·f5 with f1 = e^{2iαX_kX_j^{n−2}} and
+        The round f1·f2·f1⁻¹·f2⁻¹·f5 with f1 = e^{2iαX_kY} and
         f2 = e^{−iσαX_j²P_k²}, σ the sign of s. f1 shifts P_k, and the
         terms its conjugation adds to f2 all commute, so the commutator
-        is e^{isP_kX_jⁿ} times an X_j^{2n−2} term that f5 cancels, at
-        either sign of s.
+        is e^{isP_kX_j²Y} times an X_j²Y² term that f5 = e^{iσα³X_j²Y²}
+        cancels, at either sign of s. P·Xⁿ is Y = X_jⁿ⁻², P·P·X² is
+        Y = P_l.
         """
         al = math.sqrt(abs(s) / 2.0)
         sg = math.copysign(1.0, s)
-        f1 = self._sub(2 * al, (k, 1, _X), (j, n - 2, _X))
+        m, n, b = y
+        x2y2 = [(j, 2 * n + 2, _X)] if m == j else [(j, 2, _X), (m, 2 * n, b)]
+        f1 = self._sub(2 * al, (k, 1, _X), y)
         f2 = self._sub(-sg * al, (j, 2, _X), (k, 2, _P))
-        f5 = self._sub(sg * al ** 3, (j, 2 * (n - 1), _X))
+        f5 = self._sub(sg * al ** 3, *x2y2)
         return f1 + f2 + self._inverse(f1) + self._inverse(f2) + f5
 
-    @_identity("ppxn")
-    def pp_xn(self, j: int, k: int, l: int, s: float) -> list[Gate]:
-        """e^{isP_kP_lX_j²}: the P·X² pattern with one more momentum mode.
-
-        The conjugation round of px_n with the shift f1 = e^{2iαP_lX_k}
-        and a two-squares compensation gate f5 = e^{iσα³X_j²P_l²}. For a
-        higher power of X_j that gate would have two exponents above one,
-        so P·P·Xⁿ (n ≥ 3) takes the generic momentum route: the general
-        expansion of X_jⁿX_kX_l inside an intake Fourier conjugation of k
-        and l.
-        """
-        al = math.sqrt(abs(s) / 2.0)
-        sg = math.copysign(1.0, s)
-        f1 = self._sub(2 * al, (l, 1, _P), (k, 1, _X))
-        f2 = self._sub(-sg * al, (j, 2, _X), (k, 2, _P))
-        f5 = self._sub(sg * al ** 3, (j, 2, _X), (l, 2, _P))
-        return f1 + f2 + self._inverse(f1) + self._inverse(f2) + f5
-
-    @_identity("twosquares")
     def x2x2(self, j: int, k: int, t: float) -> list[Gate]:
         """e^{itX_j²X_k²} from four X⁴ gates inside shift conjugations.
 
@@ -360,7 +353,6 @@ class _Compiler:
         return (shift(s) + x4(j, beta) + shift(-2 * s) + x4(j, beta)
                 + shift(s) + x4(j, -2 * beta) + x4(k, -beta * s ** 4 / 8.0))
 
-    @_identity("single-even")
     def single_even(self, k: int, n: int, t: float) -> list[Gate]:
         """e^{itX_kⁿ} for even n ≥ 4, through a fresh ancilla.
 
@@ -377,7 +369,6 @@ class _Compiler:
                 + [self._gate(Gate.x(a, 2, -tp))]
                 + self._sub(-4.0 * t / s, (a, 1, _X), (k, m, _X)))
 
-    @_identity("single-odd3")
     def single_odd3(self, k: int, n: int, t: float) -> list[Gate]:
         """e^{itX_kⁿ} for odd n divisible by 3, n ≥ 9, with two ancillas.
 
@@ -401,7 +392,6 @@ class _Compiler:
             + self._sub(6 * al, (l, 1, _X), (k, m, _X))
             + [self._gate(Gate.x(l, 2, 3 * al))])
 
-    @_identity("general")
     def general(self, powers: dict[int, int], t: float) -> list[Gate]:
         """e^{itΠX_m^{n_m}}, powers mapping each of its N modes m to n_m.
 
@@ -432,30 +422,38 @@ class _Compiler:
     # -- dispatch ----------------------------------------------------------
 
     def _emit(self, target: TargetGate) -> tuple[str, list[Gate]]:
-        """Route of target and the gates it emits; Ineligible if none."""
-        route, build = _classify(target)
+        """Route of target and the gates it emits; Ineligible if none.
+
+        The one entry that runs an identity: a target below ZERO_STRENGTH
+        emits nothing and records nothing; otherwise a row with a label
+        appends (label, depth) to the trace and its builder runs one level
+        deeper.
+        """
+        route, label, build = _classify(target)
         if abs(target.strength) < ZERO_STRENGTH:
             return route, []
-        return route, build(self)
+        if label is None:
+            return route, build(self)
+        self.trace.append((label, self.depth))
+        self.depth += 1
+        try:
+            return route, build(self)
+        finally:
+            self.depth -= 1
 
     def run(self, target: TargetGate) -> tuple[str, list[Gate]]:
         """_emit for a caller outside the compiler: also Ineligible, never
         OverflowError, when a parameter of the route's identities overflows,
         so no returned gate strength is inf or NaN."""
         try:
-            route, gates = self._emit(target)
+            return self._emit(target)
         except OverflowError:
-            route, gates = "", None
-        return route, _finite(target, gates)
+            raise _overflows(target) from None
 
 
-def _finite(target: TargetGate, gates: list[Gate] | None) -> list[Gate]:
-    """gates, unless a parameter of target's identities overflowed: gates
-    is None or holds a strength that is inf or NaN; then Ineligible."""
-    if gates is None or not all(math.isfinite(g.strength) for g in gates):
-        raise Ineligible(f"strength {target.strength!r} overflows the "
-                         "parameters of its identities")
-    return gates
+def _overflows(target: TargetGate) -> Ineligible:
+    return Ineligible(f"strength {target.strength!r} overflows the "
+                      "parameters of its identities")
 
 
 def compile(target: TargetGate, balanced: bool = False
@@ -470,7 +468,8 @@ def compile(target: TargetGate, balanced: bool = False
     route, gates = comp.run(target)
     raw = GateSeq(tuple(gates), n_modes, tuple(comp.ancillas))
     seq = optimize(raw)
-    _finite(target, seq.gates)  # merging two gates can overflow
+    if not all(math.isfinite(g.strength) for g in seq.gates):
+        raise _overflows(target)  # merging two gates can overflow
     report = DecompReport(
         n_gates_total=len(seq.gates),
         n_gates_nonfourier=count_gates(seq),

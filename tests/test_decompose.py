@@ -12,7 +12,7 @@ from cvexact.algebra import Basis, NOPoly, poly_mul
 from cvexact.circuit import EXPPOLY, Gate, GateSeq
 from cvexact.decompose import (EligibilityVerdict, Ineligible, TargetGate,
                                _Compiler, check_eligibility, compile)
-from cvexact.circuit_tools import count_gates
+from cvexact.circuit_tools import ZERO_STRENGTH, count_gates
 from cvexact.cli import parse_spec
 from cvexact.verify import verify_symbolic
 
@@ -113,6 +113,18 @@ def test_rejections_cite_restrictions(exps):
 def test_accepted_targets(exps):
     v = check_eligibility(TargetGate.position(exps, 1.0))
     assert v.eligible, v.reason
+
+
+@pytest.mark.parametrize("factor", [
+    (0, True, X), (0, 2.0, X), (0, 0, X), (0.5, 2, X), (-1, 2, X),
+    (True, 2, X), (0, 2, "x"),
+], ids=["power-bool", "power-float", "power-zero", "mode-float",
+        "mode-negative", "mode-bool", "basis-str"])
+def test_target_refuses_an_ill_typed_factor(factor):
+    # each of these once recursed without end, compiled a fractional mode
+    # count, or failed only after a full compile
+    with pytest.raises(ValueError):
+        TargetGate(((3, 1, P), factor), 0.3)
 
 
 def test_compile_raises_on_ineligible():
@@ -246,11 +258,11 @@ ONE_LEVEL = [
     ("X[0]^2 X[1]^2", 0.5, True),          # x2x2
     ("P[0] X[1]^2", 0.5, False),           # px2
     ("P[0] X[1]^2", -0.8, False),
-    ("P[0] X[1]^3", 0.7, True),            # px_n
+    ("P[0] X[1]^3", 0.7, True),            # commutator_round, Y = X_1ⁿ⁻²
     ("P[0] X[1]^4", -0.4, True),
     ("P[0] X[1]^5", 0.4, True),
     ("P[0] X[1]^3", -0.7, True),
-    ("X[0]^2 P[1] P[2]", 0.6, True),       # pp_xn
+    ("X[0]^2 P[1] P[2]", 0.6, True),       # commutator_round, Y = P_2
     ("X[0]^2 P[1] P[2]", -0.6, True),
     ("X[0]^2 X[1] X[2]", 0.4, True),       # general
     ("X[0] X[1] X[2] X[3]", -0.6, True),
@@ -279,6 +291,43 @@ def test_each_identity_is_exact_with_ideal_nested_targets(body, t, nests,
     assert verify_symbolic(negate_last_exp(seq), tg.generator(), t) > 1e-3
     assert any(g.kind == EXPPOLY for g in gates) == nests
     assert len(comp.trace) <= 1
+
+
+class _NativeEven(_Compiler):
+    """Every even power is one native gate, as in criterion 4's splitting."""
+
+    def single_even(self, k, n, t):
+        return [Gate.x(k, n, t)]
+
+
+@pytest.mark.parametrize("body,trace", [
+    ("X[0]^4", [("single-even", 0)]),
+    ("P[0]^4", [("single-even", 0)]),      # the intake row's label
+    ("X[0]^2 X[1]^2", [("twosquares", 0)] + [("single-even", 1)] * 4),
+    # the xxn row records none; pxn's f2 is a two-squares target, f5 X⁴
+    ("X[0] X[1]^3", [("pxn", 0), ("twosquares", 1)]
+     + [("single-even", 2)] * 4 + [("single-even", 1)]),
+])
+def test_an_overridden_identity_is_traced_under_its_route_label(body, trace):
+    tg = parse_spec(f"t=0.5 {body}")
+    comp = _NativeEven(max(tg.modes()) + 1)
+    comp.run(tg)
+    assert comp.trace == trace and comp.depth == 0
+
+
+def test_an_identity_called_directly_records_nothing():
+    comp = _OneLevel(2)
+    assert comp.commutator_round(1, 0, (1, 1, X), 0.7)
+    assert comp.px2(1, 0, 0.5)
+    assert comp.trace == [] and comp.depth == 0
+
+
+def test_a_nested_target_below_zero_strength_records_nothing():
+    comp = _Compiler(1)
+    assert comp._sub(ZERO_STRENGTH / 2, (0, 4, X)) == []
+    assert comp.trace == [] and comp.ancillas == []
+    assert comp._sub(ZERO_STRENGTH * 2, (0, 4, X))
+    assert comp.trace[0] == ("single-even", 0)
 
 
 # (central mode c, shifts (s, Y factors), power n, strength t)
