@@ -16,6 +16,7 @@ from cvexact.circuit_tools import ZERO_STRENGTH, count_gates
 from cvexact.cli import parse_spec
 from cvexact.verify import verify_symbolic
 
+from test_acceptance import _NativeQuartics
 from util import negate_last_exp
 
 TOL = 1e-9
@@ -125,6 +126,14 @@ def test_target_refuses_an_ill_typed_factor(factor):
     # count, or failed only after a full compile
     with pytest.raises(ValueError):
         TargetGate(((3, 1, P), factor), 0.3)
+
+
+def test_run_refuses_a_gate_strength_that_overflows():
+    # the balanced px2 split makes 0.75·α³·t inf at s = 1e308, a strength
+    # of a gate it builds directly, not of a nested target
+    tg = parse_spec("t=1e308 P[0] X[1]^2")
+    with pytest.raises(Ineligible, match="overflows the parameters"):
+        _Compiler(2, balanced=True).run(tg)
 
 
 def test_compile_raises_on_ineligible():
@@ -293,13 +302,6 @@ def test_each_identity_is_exact_with_ideal_nested_targets(body, t, nests,
     assert len(comp.trace) <= 1
 
 
-class _NativeEven(_Compiler):
-    """Every even power is one native gate, as in criterion 4's splitting."""
-
-    def single_even(self, k, n, t):
-        return [Gate.x(k, n, t)]
-
-
 @pytest.mark.parametrize("body,trace", [
     ("X[0]^4", [("single-even", 0)]),
     ("P[0]^4", [("single-even", 0)]),      # the intake row's label
@@ -310,7 +312,7 @@ class _NativeEven(_Compiler):
 ])
 def test_an_overridden_identity_is_traced_under_its_route_label(body, trace):
     tg = parse_spec(f"t=0.5 {body}")
-    comp = _NativeEven(max(tg.modes()) + 1)
+    comp = _NativeQuartics(max(tg.modes()) + 1)
     comp.run(tg)
     assert comp.trace == trace and comp.depth == 0
 
