@@ -31,6 +31,7 @@ BODIES = (
     "P[0]^2 P[1]^2",
     "X[0]^6", "X[0]^8", "X[0]^2 X[1] X[2] X[3]", "montecarlo:3",
     "P[0] X[1]^4", "P[0] X[1]^5", "X[0]^9",
+    "X[0]^12", "X[0] X[1] X[2] X[3] X[4] X[5]",
 )
 # 1e-13 puts the strengths of nested identities below ZERO_STRENGTH, so
 # those identities emit nothing
