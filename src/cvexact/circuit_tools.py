@@ -12,7 +12,6 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 
-from .algebra import NOPoly
 from .circuit import EXPPOLY, FOURIER, X_POWER, XX, Gate, GateSeq
 
 # |strength| below this is the identity gate: the compiler emits nothing for
@@ -40,8 +39,9 @@ def count_gates(seq: GateSeq) -> int:
 
 
 def optimize(seq: GateSeq) -> GateSeq:
-    """Cancel adjacent inverses, merge equal generators, drop zero-strength
-    gates, then compact ancilla registers. Circuit-equivalent output.
+    """Cancel adjacent inverses, merge equal generators and drop
+    zero-strength gates; the result declares only the ancillas its gates
+    use. Circuit-equivalent output.
 
     One pass with the output as a stack: each gate merges with or cancels
     the gate on top, so a cancellation exposes the gate below it at once.
@@ -50,9 +50,10 @@ def optimize(seq: GateSeq) -> GateSeq:
     the Fourier, zero-strength and equal-universal-generator cases itself;
     only a pair with an exppoly gate compares generators.
 
-    Packing remaps each distinct Gate object once (_map_records). A
-    compiled circuit holds one object per record (decompose._Compiler),
-    and the packed circuit holds one Gate per distinct record.
+    Every gate of the input stands in the output as the same object, and
+    each merge makes one new Gate. A compiled circuit holds one object per
+    record (decompose._Compiler); its optimized circuit does too wherever
+    no two merges give one record.
     """
     out: list[Gate] = []
     push, pop = out.append, out.pop
@@ -80,7 +81,7 @@ def optimize(seq: GateSeq) -> GateSeq:
             _merge_into(out, top, g)
         else:
             push(g)
-    return _reuse_ancillas(replace(seq, gates=tuple(out)))
+    return _reuse_ancillas(seq, out)
 
 
 def _merge_into(out: list[Gate], top: Gate, g: Gate) -> None:
@@ -94,57 +95,17 @@ def _merge_into(out: list[Gate], top: Gate, g: Gate) -> None:
         out[-1] = replace(top, strength=s)
 
 
-def _reuse_ancillas(seq: GateSeq) -> GateSeq:
-    """Pack ancillas with disjoint live ranges into shared registers.
+def _reuse_ancillas(seq: GateSeq, gates: list[Gate]) -> GateSeq:
+    """The GateSeq of gates, the optimized gates of seq, declaring only the
+    ancillas of seq that they use, in seq's order.
 
-    Each distinct Gate object is remapped once, and one Gate stands at
-    every position of each record of the packed circuit.
+    The compiler already reuses ancilla labels (decompose._Compiler._emit),
+    so no label is moved here. The name is the one perfbench/tracing.py
+    times.
     """
-    n = seq.n_target_modes
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for idx, g in enumerate(seq.gates):
-        for m in g.modes:
-            if m >= n:
-                first.setdefault(m, idx)
-                last[m] = idx
-    # assign each used ancilla (by first use) to the first free register
-    regs: list[int] = []  # index -> last gate index occupying it
-    mapping: dict[int, int] = {}
-    for m in sorted(first, key=lambda m: (first[m], m)):
-        lo, hi = first[m], last[m]
-        for r, busy_until in enumerate(regs):
-            if busy_until < lo:
-                regs[r] = hi
-                mapping[m] = n + r
-                break
-        else:
-            mapping[m] = n + len(regs)
-            regs.append(hi)
-    packed: dict = {}  # two ancillas packed into one register give one record
-
-    def remap(g: Gate) -> Gate:
-        h = _remap_gate(g, mapping)
-        key = _record_key(h.kind, h.modes, h.strength, h.power)
-        return h if key is None else packed.setdefault(key, h)
-
-    gates = _map_records(remap, seq.gates)
-    return GateSeq(tuple(gates), n, tuple(n + r for r in range(len(regs))))
-
-
-def _remap_gate(g: Gate, mapping: dict[int, int]) -> Gate:
-    if g.kind == EXPPOLY:
-        terms = {}
-        for key, coeff in g.poly.terms.items():
-            new_key = tuple(sorted((mapping.get(m, m), a, b) for m, a, b in key))
-            terms[new_key] = coeff
-        return Gate.exp_poly(NOPoly(terms), g.strength)
-    modes = tuple([mapping.get(m, m) for m in g.modes])
-    if modes == g.modes:
-        return g
-    if g.kind == XX:
-        modes = tuple(sorted(modes))
-    return Gate(g.kind, modes, g.strength, g.power)
+    used = {m for g in gates for m in g.modes}
+    return GateSeq(tuple(gates), seq.n_target_modes,
+                   tuple(a for a in seq.ancilla_modes if a in used))
 
 
 def _record_key(kind: str, modes: tuple, strength, power):
@@ -188,6 +149,8 @@ def _map_records(build, gates) -> list:
 def _gate_record(g: Gate) -> dict:
     if g.kind == EXPPOLY:
         raise SchemaViolation("only universal gates are serializable")
+    if not all(map(_integer, g.modes)):  # deserialize refuses 1.0 and True
+        raise SchemaViolation(f"gate modes {g.modes} are not integers")
     if not math.isfinite(g.strength):  # JSON has none; deserialize refuses it
         raise SchemaViolation(f"strength {g.strength} is not finite")
     return {"kind": g.kind, "modes": list(g.modes), "strength": g.strength,
@@ -195,6 +158,10 @@ def _gate_record(g: Gate) -> dict:
 
 
 def _header(seq: GateSeq) -> dict:
+    if not (_integer(seq.n_target_modes)
+            and all(map(_integer, seq.ancilla_modes))):
+        raise SchemaViolation(f"mode count {seq.n_target_modes!r} or ancillas "
+                              f"{seq.ancilla_modes} are not integers")
     return {"version": 1, "modes": seq.n_target_modes,
             "ancillas": list(seq.ancilla_modes)}
 

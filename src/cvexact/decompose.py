@@ -24,7 +24,8 @@ Route overview:
 _classify is the one route table, for the top-level target and for every
 nested target an identity asks for through _Compiler._sub; no identity
 calls another directly. _Compiler._emit is the one entry that runs a
-row's builder and records its identity in the recursion trace.
+row's builder, records its identity in the recursion trace and scopes the
+ancillas it takes.
 """
 
 from __future__ import annotations
@@ -215,6 +216,11 @@ class _Compiler:
     """One compilation run: ancilla allocation plus the recursion trace,
     one (label, depth) entry per identity _emit runs, in call order.
 
+    Ancillas form a stack that _emit scopes. Every identity acts as the
+    identity on its ancillas, so the labels a nested target takes are free
+    again once it returns; a label is only ever taken above every label
+    still in use, so it is never one of a nested target's own modes.
+
     Identities get their nested targets from _sub, never by calling
     another identity. An identity method called directly records
     nothing. A subclass may override an identity method, which _emit
@@ -236,9 +242,13 @@ class _Compiler:
         self._inverses: dict = {}  # id(g) -> (g, its inverse), for _inverse
 
     def fresh_ancilla(self) -> int:
+        """The label above the current top of the ancilla stack, held until
+        the _emit that runs the caller returns. ancillas lists every label
+        the run has handed out, each once."""
         a = self.next_anc
         self.next_anc += 1
-        self.ancillas.append(a)
+        if not self.ancillas or a > self.ancillas[-1]:
+            self.ancillas.append(a)
         return a
 
     # -- helpers -----------------------------------------------------------
@@ -427,19 +437,20 @@ class _Compiler:
         The one entry that runs an identity: a target below ZERO_STRENGTH
         emits nothing and records nothing; otherwise a row with a label
         appends (label, depth) to the trace and its builder runs one level
-        deeper.
+        deeper. It is also the one scope of ancillas: the labels the
+        builder takes are released when it returns, labelled or not.
         """
         route, label, build = _classify(target)
         if abs(target.strength) < ZERO_STRENGTH:
             return route, []
-        if label is None:
-            return route, build(self)
-        self.trace.append((label, self.depth))
-        self.depth += 1
+        top, depth = self.next_anc, self.depth
+        if label is not None:
+            self.trace.append((label, depth))
+            self.depth += 1
         try:
             return route, build(self)
         finally:
-            self.depth -= 1
+            self.next_anc, self.depth = top, depth
 
     def run(self, target: TargetGate) -> tuple[str, list[Gate]]:
         """_emit for a caller outside the compiler: also Ineligible, never

@@ -76,12 +76,12 @@ ROUTE_PINS = [
     ("X[0]^4", "SingleEven", 29, 55, 1),
     ("X[0] X[1] X[2]", "GeneralMultiMode", 17, 29, 0),
     ("P[0] P[1] P[2]", "GeneralMultiMode", 17, 35, 0),
-    ("X[0]^2 X[1] X[2]", "GeneralMultiMode", 873, 1681, 6),
+    ("X[0]^2 X[1] X[2]", "GeneralMultiMode", 873, 1681, 2),
     ("P[0] X[1]^2", "SpecialIdentity(px2)", 9, 17, 0),
-    ("P[0] X[1]^3", "SpecialIdentity(pxn)", 269, 519, 4),
-    ("X[0]^2 P[1] P[2]", "SpecialIdentity(ppxn)", 359, 699, 4),
+    ("P[0] X[1]^3", "SpecialIdentity(pxn)", 269, 519, 1),
+    ("X[0]^2 P[1] P[2]", "SpecialIdentity(ppxn)", 359, 699, 1),
     ("X[0]^2 X[1]^2", "SpecialIdentity(twosquares)", 119, 229, 1),
-    ("X[0] X[1]^3", "SpecialIdentity(xxn)", 269, 521, 4),
+    ("X[0] X[1]^3", "SpecialIdentity(xxn)", 269, 521, 1),
     # momentum forms of the two patterns above: routed as their
     # all-position form inside the intake Fourier conjugation
     ("X[0] P[1]^2", "SpecialIdentity(xxn)", 9, 21, 0),

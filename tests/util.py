@@ -11,9 +11,11 @@ built at every position of the gate, the reference for the table of images
 per distinct record in verify.heisenberg_action. multinomial_expand
 is the exact rational reference for the Pascal coefficients, and
 poly_mul_by_loops the plain reference for the merged product.
-inverse_per_gate and reuse_ancillas_per_gate build one new Gate per
-position, the references for the record tables of _Compiler._inverse and
-circuit_tools._reuse_ancillas. optimize_stack_per_pair is optimize's
+inverse_per_gate builds one new Gate per position, the reference for the
+record table of _Compiler._inverse. reuse_ancillas_per_gate is the
+interval packing optimize once ran after its stack loop, the reference
+that the compiler's ancilla scope leaves no more ancillas than it would.
+optimize_stack_per_pair is optimize's
 stack loop as it was written with _is_identity and _merge_pair, the
 reference for the loop that tests each case inline. deserialize_per_record parses the whole
 text with json.loads and checks every record in turn, the reference for
@@ -217,8 +219,7 @@ def poly_mul_by_loops(a: NOPoly, b: NOPoly) -> NOPoly:
 
 
 def optimize_stack_per_pair(gates) -> list[Gate]:
-    """optimize's stack loop before ancilla packing, each adjacent pair
-    tried by _merge_pair."""
+    """optimize's stack loop, each adjacent pair tried by _merge_pair."""
     out: list[Gate] = []
     for g in gates:
         if _is_identity(g):
