@@ -12,7 +12,6 @@ gate as written: no strength counts as zero.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -218,10 +217,18 @@ def _mode_split(generator: NOPoly):
 class _NumericEngine:
     """Applies gates to the subspace columns of a multi-mode truncated space.
 
-    The state has shape (cols, D, ..., D): the column axis comes first and
-    mode m sits on axis axis_of[m], so the last mode's axis is contiguous.
-    Every per-axis product is one np.matmul on a reshaped view of the state
-    (_apply_axis), so no axis is ever moved into place by a copy.
+    The columns start as product basis vectors, so run keeps them as one
+    factor per group of modes that the gates have coupled so far: an array
+    of shape (cols_g, D, ..., D) with cols_g = d^k for its k modes. Each
+    mode starts in a (d, D) factor of its own; a gate on modes of two or
+    more factors first merges them by an outer product, whose columns and
+    mode axes follow the engine's canonical mode order (the order of modes
+    given to it). Within a factor the column axis comes first and mode m
+    sits on axis axis_of[m]; every per-axis product is one np.matmul on a
+    reshaped view of the factor (_apply_axis), so no gate moves an axis
+    into place by a copy. A mode no gate couples to another keeps its
+    (d, D) factor, and run reads the subspace block as the Kronecker
+    product of each factor's block, by the same outer product (_outer).
 
     A gate e^{isG} with G diagonal in position acts on its k modes as
     proj·diag(e^{isφ})·projᴴ per mode, with φ the generator on the padded
@@ -230,7 +237,7 @@ class _NumericEngine:
       - matrix order: the first k−1 axes go to the grid, a stack of G^(k−1)
         D×D matrices proj·diag(e^{isφ})·projᴴ, one per grid point of those
         axes, acts on the last gate axis, and the k−1 axes come back;
-      - grid order: all k axes go to the grid, the state is multiplied by
+      - grid order: all k axes go to the grid, the factor is multiplied by
         the diagonal, and the k axes come back.
     Each gate takes the order with fewer multiplications, counted from the
     array shapes (_matrix_order). A single-mode gate always takes matrix
@@ -239,17 +246,31 @@ class _NumericEngine:
     factor is applied as F·e^{isG(X)}·F†, the rule the compiler uses at
     intake, with F the diagonal of the Fourier gate.
 
-    run fuses the gates on one mode when the state holds more entries than
-    a D×D matrix (cols·Dⁿ > D²). A Fourier gate, or an exponential on one
-    mode, is then multiplied into a pending D×D factor P for its mode, a
-    diagonal vector while only Fourier gates joined it, and the state is
-    left alone. The next gate that acts on the mode and on others applies
-    P first, in one pass; in matrix order P on the last gate axis is folded
-    into the stack's right factor instead, projᴴ·P. What is still pending at the end
-    of run is applied then. On a smaller state the factor products cost
-    more than the passes they save, so every gate is applied as it comes.
+    run fuses the gates on one mode when the mode's factor holds more
+    entries than a D×D matrix (D²). A Fourier gate, or an exponential on
+    one mode, is then multiplied into a pending D×D factor P for its mode,
+    a diagonal vector while only Fourier gates joined it, and the factor
+    is left alone. The next gate that acts on the mode and on others
+    applies P first, in one pass; in matrix order P on the last gate axis
+    is folded into the stack's right factor instead, projᴴ·P. What is
+    still pending at the end of run is applied then. On a smaller factor
+    the matrix products cost more than the passes they save, so every gate
+    is applied as it comes. On one mode, or none, the columns are one
+    array, and run is a plain loop over the gates.
 
-    Each column evolves on its own, so _apply_axis cuts a state of more
+    A run of gates that act only on two modes j and k of a larger factor
+    extends the pending factors to the pair: the run is composed on a
+    D²-column identity, an operator of D⁴ entries, through the same
+    apply_gate, and multiplied into the factor in one product on its j and
+    k axes (_apply_run); when other axes lie between the two, the factor
+    is copied with k's axis moved next to j's and back. run takes that
+    path when the operator holds fewer entries than the factor and the
+    multiplications it counts for the run's two-mode gates on the
+    operator, plus the product, are fewer than on the factor
+    (_pair_operator). At criterion 4's D_max the operator is always the
+    larger, so those checks never take it.
+
+    Each column evolves on its own, so _apply_axis cuts an array of more
     than SPLIT_MIN_ENTRIES entries into slabs along the contiguous column
     axis: one slab per usable CPU, fewer where a slab would hold
     SPLIT_MIN_ENTRIES entries or less. That threshold rests on a
@@ -258,18 +279,20 @@ class _NumericEngine:
     The calling thread multiplies the first slab and worker threads the
     others, each into its own slab of one output array, so every column
     goes through the same arithmetic as unsplit. Everything else, the gate
-    matrices and pending factors, the diagonal multiplies and apply_gate
-    itself, runs in the calling thread. The workers are started at the
-    first split and joined by close, which the owner of the engine calls
-    when it is done with it. How many threads each BLAS call may use is
-    left to the caller: the benchmark pins one, and with the threads
+    matrices and pending factors, the merges, the diagonal multiplies and
+    apply_gate itself, runs in the calling thread. The workers are started
+    at the first split and joined by close, which the owner of the engine
+    calls when it is done with it. How many threads each BLAS call may use
+    is left to the caller: the benchmark pins one, and with the threads
     unpinned OpenBLAS spends about 1.7 CPU-seconds per wall second on
     these products, whose inner dimension is D or G, for no gain in wall
     time.
     """
 
     def __init__(self, modes: list[int], cutoff: int):
-        self.axis_of = {m: i + 1 for i, m in enumerate(modes)}
+        self.modes = list(modes)  # the canonical mode order
+        self.rank = {m: i for i, m in enumerate(modes)}
+        self.axis_of: dict = {}  # mode -> its axis in its factor; see run
         self.D = cutoff
         self.lam, v = _position_basis(cutoff + INTERNAL_PAD)
         self.from_grid = v[:cutoff, :]  # Fock (D) <- grid
@@ -382,17 +405,42 @@ class _NumericEngine:
             phase = phase + term
         return phase
 
+    def _order_costs(self, size: int, k: int) -> tuple[int, int]:
+        """The multiplications of matrix order and of grid order for a
+        k-mode gate, on a state of size entries whose first k−1 gate axes
+        are already on the grid (the steps both orders share are left
+        out)."""
+        G, D = len(self.lam), self.D
+        grid = 2 * size * G + size * G // D  # to the grid, diagonal, back
+        matrix = G ** (k - 1) * D * G * (D + 1) + size * D  # build, apply
+        return matrix, grid
+
     def _matrix_order(self, shape, k: int) -> bool:
         """True when matrix order costs fewer multiplications than grid
         order for a k-mode gate, on a state of the given shape whose first
-        k−1 gate axes are already on the grid (the steps both orders share
-        are left out). Building the stack costs G multiplications per
-        entry, so matrix order never builds a stack of more than about
-        twice the state's size."""
-        G, D, size = len(self.lam), self.D, math.prod(shape)
-        grid = 2 * size * G + size * G // D  # to the grid, diagonal, back
-        matrix = G ** (k - 1) * D * G * (D + 1) + size * D  # build, apply
+        k−1 gate axes are already on the grid. Building the stack costs G
+        multiplications per entry, so matrix order never builds a stack of
+        more than about twice the state's size."""
+        matrix, grid = self._order_costs(math.prod(shape), k)
         return matrix < grid
+
+    def _pair_operator(self, size: int, n: int) -> bool:
+        """True when a run of gates on two modes of a factor of size
+        entries, n of them on both modes, is to be composed on a D²-column
+        operator and multiplied into the factor (_apply_run). The operator
+        holds D⁴ entries and must hold fewer than the factor; then the
+        multiplications counted for the n gates on it, plus size·D² for
+        the product, must be fewer than for the n gates on the factor. A
+        two-mode gate on s Fock entries is counted as its first axis to
+        the grid and back, 2·s·G, plus its cheaper order on the s·G/D
+        entries there; the gates on one mode join a pending factor on
+        either path and are not counted."""
+        G, D = len(self.lam), self.D
+        op = D ** 4
+
+        def gates(s):
+            return n * (2 * s * G + min(self._order_costs(s * G // D, 2)))
+        return op < size and gates(op) + size * D * D < gates(size)
 
     def _single_mode_matrix(self, strength, xgen: NOPoly, mode: int):
         """The D×D matrix of e^{i*strength*xgen} on one mode."""
@@ -401,8 +449,9 @@ class _NumericEngine:
 
     def _on_mode(self, state, factor, mode: int):
         """factor, a diagonal vector or a D×D matrix, on mode: multiplied
-        into the mode's pending factor while fusing, else applied now."""
-        if self.pending is None:
+        into the mode's pending factor while fusing on a state of more
+        than D² entries, else applied now."""
+        if self.pending is None or state.size <= self.D ** 2:
             return self._apply_factor(state, factor, mode)
         old = self.pending.get(mode)
         if old is None:
@@ -526,17 +575,114 @@ class _NumericEngine:
             state = self._on_mode(state, self.fourier[1], m)
         return state
 
-    def run(self, state, gates):
-        """The state after gates, first gate first, with nothing left
-        pending: each gate goes through apply_gate, fused by mode when the
-        state is larger than a D×D matrix (see the class)."""
-        self.pending = {} if state.size > self.D ** 2 else None
-        apply = self.apply_gate
-        for g in gates:
-            state = apply(state, g)
-        state = self._flush(state, list(self.pending or ()))
+    def run(self, d: int, gates):
+        """The block on the d lowest levels of every mode of the operator
+        that gates make, first gate first, as a (d^n, d^n) matrix in the
+        canonical mode order, with nothing left pending (see the class).
+        Each gate goes through apply_gate on the factor of its modes,
+        merged first if they lie in several, and a run on two modes of a
+        larger factor through _apply_run where _pair_operator says so. On
+        one mode, or none, the columns are one array throughout, fused by
+        mode when it is larger than a D×D matrix."""
+        D, modes = self.D, self.modes
+        self.axis_of = dict.fromkeys(modes, 1)
+        if len(modes) <= 1:
+            state = (np.eye(d, D, dtype=complex) if modes
+                     else np.ones(1, dtype=complex))
+            self.pending = {} if state.size > D ** 2 else None
+            apply = self.apply_gate
+            for g in gates:
+                state = apply(state, g)
+            factors = [[tuple(modes), self._flush(state, modes)]]
+        else:
+            self.pending = {}
+            # mode -> the factor [modes, array] that holds it; column c of
+            # a mode's own factor is level c
+            factor_of = {m: [(m,), np.eye(d, D, dtype=complex)]
+                         for m in modes}
+            gates = list(gates)
+            i = checked = 0  # gates before checked are in no pair run
+            while i < len(gates):
+                g = gates[i]
+                f = self._factor(factor_of, g.modes or modes[:1], d)
+                if len(g.modes) == 2 and len(f[0]) > 2 and i >= checked:
+                    end = i + 1
+                    while (end < len(gates)
+                           and set(g.modes).issuperset(gates[end].modes)):
+                        end += 1
+                    n = sum(len(h.modes) == 2 for h in gates[i:end])
+                    if self._pair_operator(f[1].size, n):
+                        f[1] = self._apply_run(f[1], g.modes, gates[i:end])
+                        i = end
+                        continue
+                    checked = end
+                f[1] = self.apply_gate(f[1], g)
+                i += 1
+            factors = list({id(f): f for f in factor_of.values()}.values())
+            for f in factors:
+                f[1] = self._flush(f[1], f[0])
         self.pending = None
-        return state
+        blocks = [(fm, x[(slice(None),) + (slice(0, d),) * len(fm)])
+                  for fm, x in factors]
+        block = self._outer(blocks, d)[1]
+        # row c is column c of the operator
+        return block.reshape(d ** len(modes), -1).T
+
+    def _outer(self, factors, d: int):
+        """(modes, array): the outer product of factors, pairs (modes,
+        array) whose array holds d^k columns on its first axis and one axis
+        per mode after it, with the product's columns and mode axes in the
+        canonical mode order."""
+        modes = sorted((m for fm, _ in factors for m in fm),
+                       key=self.rank.get)
+        n, place = len(modes), {m: i for i, m in enumerate(modes)}
+        operands = []
+        for fm, x in factors:
+            # the column axis split into one axis of d per mode
+            operands += [x.reshape((d,) * len(fm) + x.shape[1:]),
+                         [place[m] for m in fm] + [n + place[m] for m in fm]]
+        x = np.einsum(*operands, list(range(2 * n)), order="C")
+        return tuple(modes), x.reshape((d ** n,) + x.shape[n:])
+
+    def _factor(self, factor_of, modes, d: int):
+        """The factor [modes, array] that holds modes, merged by an outer
+        product first when they lie in several."""
+        parts = list({id(f): f for f in map(factor_of.get, modes)}.values())
+        if len(parts) == 1:
+            return parts[0]
+        merged = list(self._outer(parts, d))
+        for i, m in enumerate(merged[0]):
+            factor_of[m] = merged
+            self.axis_of[m] = i + 1
+        return merged
+
+    def _apply_run(self, state, modes, gates):
+        """state after gates, which act on the two modes of modes alone:
+        the gates are composed on a D²-column identity through apply_gate,
+        and the operator is multiplied into state in one product on the
+        two modes' axes, which goes through the column split. What is
+        pending on the two modes joins the operator at its first gate on
+        both, as it would join state, and what the run leaves pending
+        stays pending."""
+        D = self.D
+        j, k = sorted(modes, key=self.rank.get)
+        a, b = self.axis_of[j], self.axis_of[k]
+        self.axis_of[j], self.axis_of[k] = 1, 2
+        op = np.eye(D * D, dtype=complex).reshape(D * D, D, D)
+        for g in gates:
+            op = self.apply_gate(op, g)
+        self.axis_of[j], self.axis_of[k] = a, b
+        # column (p, q) of op is the run applied to level p of j, q of k
+        mat = op.reshape(D * D, D * D).T
+        # k's axis moved next to j's, by a copy unless it is there
+        perm = [*range(a + 1), b, *(x for x in range(a + 1, state.ndim)
+                                    if x != b)]
+        state = np.ascontiguousarray(state.transpose(perm))
+        shape = state.shape
+        state = self._apply_axis(
+            state.reshape(shape[:a] + (D * D,) + shape[a + 2:]), mat, a)
+        return np.ascontiguousarray(
+            state.reshape(shape).transpose(np.argsort(perm)))
 
 
 def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
@@ -549,21 +695,30 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
     stay far below the genuine circuit leakage), then compares the subspace
     block of the result against the block of the target exponential, which
     the same engine applies as one more gate (apply_gate).
-    The columns are held as one array of shape (cols, D, ..., D), column
-    axis first; each gate is multiplied out in matrix or grid order,
-    whichever takes fewer multiplications, and runs of gates on one mode
-    are fused into one pass (see _NumericEngine). Each product on a state
-    of more than SPLIT_MIN_ENTRIES entries is split over the column axis,
-    one slab per usable CPU, and worker threads of this call multiply all
+    The columns start as product basis vectors and are held as one factor
+    per group of modes the gates have coupled so far, an array (cols_g, D,
+    ..., D) with its column axis first, merged by an outer product when a
+    gate couples two groups; the block is the Kronecker product of the
+    factors' blocks. Each gate is multiplied out in matrix or grid order,
+    whichever takes fewer multiplications, runs of gates on one mode are
+    fused into one pass, and a long run on two modes of a larger factor
+    is composed on a D²-column operator and multiplied in at once (see
+    _NumericEngine). The results agree with one (cols, D, ..., D) array
+    evolved gate by gate up to rounding, at the 1e-16 level: the factors
+    leave out products with exact zeros, and the pair operator sums the
+    run's products in another order. Each product on an array of more
+    than SPLIT_MIN_ENTRIES entries is split over the column axis, one
+    slab per usable CPU, and worker threads of this call multiply all
     slabs but the caller's; each column goes through the same arithmetic
-    as unsplit, so the results do not depend on the CPU count. The workers
-    are joined before the call returns or raises, however it ends, so no
-    thread outlives it, and BLAS threading stays the caller's choice.
-    Both the circuit and the target go through the engine's run, which
-    returns them with every gate applied, so the blocks are read with
-    nothing pending. A state of more
-    than MAX_STATE_ENTRIES entries, cols·Dⁿ, or of Dⁿ > MAX_FULL_DIM is
-    refused with DimensionTooLarge before anything is allocated.
+    as unsplit, so the results do not depend on the CPU count. The
+    workers are joined before the call returns or raises, however it
+    ends, so no thread outlives it, and BLAS threading stays the caller's
+    choice. Both the circuit and the target go through the engine's run,
+    which reads each block with nothing pending; the circuit's factors
+    are freed before the target's run. The bounds hold for the whole
+    state, as if every mode were coupled: one of more than
+    MAX_STATE_ENTRIES entries, cols·Dⁿ, or of Dⁿ > MAX_FULL_DIM is refused
+    with DimensionTooLarge before anything is allocated.
     Returns (subspace_error, phase_offset). phase_offset is the angle of
     tr(B†A), with A the circuit's block and B the target's; the error is
     the largest singular value of A - e^{i*phase_offset} B. That phase
@@ -583,20 +738,10 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
             f"{cols * D ** nmodes} entries, over the bound {MAX_STATE_ENTRIES}")
     eng = _NumericEngine(modes, D)
     try:
-        ref = np.zeros([cols] + [D] * nmodes, dtype=complex)
-        for c, tup in enumerate(itertools.product(range(d), repeat=nmodes)):
-            ref[(c,) + tup] = 1.0
-        # run holds the only reference to the circuit's copy, so each state
-        # is freed once the next gate has made its successor
-        state = eng.run(ref.copy(), reversed(seq.gates))  # rightmost first
-        ref = eng.run(ref, [Gate.exp_poly(generator, strength)])
+        a_blk = eng.run(d, reversed(seq.gates))  # rightmost first
+        b_blk = eng.run(d, [Gate.exp_poly(generator, strength)])
     finally:
         eng.close()  # no worker thread outlives the call, however it ends
-
-    # row c of the block is column c of the operator
-    sub = (slice(None),) + tuple(slice(0, d) for _ in range(nmodes))
-    a_blk = state[sub].reshape(cols, cols).T
-    b_blk = ref[sub].reshape(cols, cols).T
     phase = np.angle(np.trace(b_blk.conj().T @ a_blk))
     err = np.linalg.norm(a_blk - np.exp(1j * phase) * b_blk, 2)
     return float(err), float(phase)

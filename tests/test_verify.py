@@ -1,9 +1,12 @@
 """The two verifiers: exact Heisenberg comparison and truncated-Fock check."""
 
+import functools
 import itertools
+import json
 import math
 import signal
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +21,11 @@ from cvexact.verify import (INTERNAL_PAD, MAX_FULL_DIM, MAX_STATE_ENTRIES,
                             _position_basis, _verified_modes, fock_matrices,
                             heisenberg_action, verify_numeric, verify_symbolic)
 
+from test_acceptance import _NativeQuartics, _max_cutoff
 from test_decompose import ROUTE_PINS
 from util import (declared_modes, gate_matrix, heisenberg_action_per_gate,
-                  heisenberg_fold, seq_matrix, with_strength)
+                  heisenberg_fold, negate_last_exp, seq_matrix,
+                  with_strength)
 
 
 def test_fock_matrices_commutator():
@@ -505,6 +510,124 @@ def test_fused_target_is_applied_before_the_blocks_are_read(target):
     assert abs(phase - want_phase) < 1e-12
 
 
+F, XX = Gate.fourier, Gate.xx
+
+# (gates in the order applied, declared modes, ancillas, target factors,
+# index of the gate the control negates, merges, factors of the circuit's
+# and of the target's block, pair runs) at D = 6, d = 2, where the factors
+# hold at most 8·6³ = 1,728 entries and the pair operator 6⁴ = 1,296. The
+# controls negate an x2 gate: an x1, x3 or xx gate negated can be the
+# circuit conjugated by a parity (−1)^n on some modes that leaves the
+# target alone, and the block then reads the same
+STRUCTURE_CASES = {
+    "merge 0+1 then 2": (
+        [F(0), Gate.x(0, 2, 0.3), XX(0, 1, 0.25), Gate.x(1, 3, -0.2),
+         F(1, -1), XX(1, 2, 0.35), Gate.x(2, 2, 0.15), XX(0, 2, -0.3)],
+        3, (), _X0X1X2, 1,
+        [[(0,), (1,)], [(0, 1), (2,)], [(0,), (1,), (2,)]],
+        [[(0, 1, 2)], [(0, 1, 2)]], []),
+    "merge 1+2 then 0": (
+        [Gate.x(2, 3, 0.2), F(2), XX(1, 2, 0.3), Gate.x(1, 2, -0.25),
+         F(1, -1), XX(0, 1, -0.2), Gate.x(0, 3, 0.1), F(0)],
+        3, (), _X0X1X2, 3,
+        [[(1,), (2,)], [(0,), (1, 2)], [(0,), (1,), (2,)]],
+        [[(0, 1, 2)], [(0, 1, 2)]], []),
+    # the target X₀X₁ never merges mode 2's factor
+    "target leaves a factor unmerged": (
+        [F(2), XX(0, 1, 0.3), XX(1, 2, -0.2), Gate.x(0, 2, 0.25),
+         XX(0, 1, 0.15), F(1)],
+        3, (), ((0, 1, 0), (1, 1, 0)), 3,
+        [[(0,), (1,)], [(0, 1), (2,)], [(0,), (1,)]],
+        [[(0, 1, 2)], [(0, 1), (2,)]], []),
+    "a mode only the target touches": (
+        [F(0), XX(0, 1, 0.3), Gate.x(1, 2, 0.2), F(1), XX(0, 1, -0.25)],
+        3, (), _X0X1X2, 2,
+        [[(0,), (1,)], [(0,), (1,), (2,)]],
+        [[(0, 1), (2,)], [(0, 1, 2)]], []),
+    # the control turns F₂† into F₂, so the ancilla is left with F₂²
+    "an ancilla touched only by Fourier gates": (
+        [F(2), XX(0, 1, 0.3), Gate.x(0, 2, 0.2), F(0), XX(0, 1, -0.15),
+         Gate.x(1, 3, 0.25), F(2, -1)],
+        2, (2,), ((0, 1, 0), (1, 1, 0)), 6,
+        [[(0,), (1,)], [(0,), (1,)]],
+        [[(0, 1), (2,)], [(0, 1), (2,)]], []),
+    # runs on the apart axes of modes 0 and 2, cut by F₁, and on the
+    # adjacent axes of modes 1 and 2; the control negates a gate of the
+    # first run
+    "pair runs": (
+        [XX(0, 1, 0.2), XX(1, 2, -0.15),
+         XX(0, 2, 0.3), Gate.x(0, 2, 0.2), F(2), XX(0, 2, -0.25),
+         Gate.x(2, 3, 0.1), XX(0, 2, 0.15),
+         F(1),
+         XX(0, 2, 0.2), F(0, -1), Gate.x(2, 2, -0.3), XX(0, 2, -0.1),
+         Gate.x(1, 1, 0.4),
+         XX(1, 2, 0.25), F(2), XX(1, 2, -0.2)],
+        3, (), _X0X1X2, 3,
+        [[(0,), (1,)], [(0, 1), (2,)], [(0,), (1,), (2,)]],
+        [[(0, 1, 2)], [(0, 1, 2)]],
+        [((0, 2), 6), ((0, 2), 4), ((1, 2), 3)]),
+}
+
+
+def _structure_case(name, negate=False):
+    """(seq, generator, strength, ctx) of a STRUCTURE_CASES entry, with the
+    control's gate negated if negate."""
+    applied, n, ancillas, target, control, *_ = STRUCTURE_CASES[name]
+    if negate:
+        applied = [*applied]
+        applied[control] = applied[control].inverse()
+    return (GateSeq(tuple(reversed(applied)), n, ancillas),
+            NOPoly.monomial(list(target)), 0.2, FockContext(6, 2))
+
+
+def _spy_structure(monkeypatch):
+    """Record the factors each merge joins, the factors of each block read,
+    and the (modes, gate count) of each run composed on a pair operator."""
+    merges, blocks, runs = [], [], []
+    outer, apply_run = _NumericEngine._outer, _NumericEngine._apply_run
+
+    def spy_outer(self, factors, d):
+        # a merge joins factors of D levels a mode, a block of d
+        into = merges if factors[0][1].shape[-1] == self.D else blocks
+        into.append([fm for fm, _ in factors])
+        return outer(self, factors, d)
+
+    def spy_run(self, state, modes, gates):
+        runs.append((tuple(sorted(modes)), len(gates)))
+        return apply_run(self, state, modes, gates)
+
+    monkeypatch.setattr(_NumericEngine, "_outer", spy_outer)
+    monkeypatch.setattr(_NumericEngine, "_apply_run", spy_run)
+    return merges, blocks, runs
+
+
+@pytest.mark.parametrize("name", list(STRUCTURE_CASES))
+def test_factors_and_pair_runs_match_dense_kronecker_product(monkeypatch,
+                                                             name):
+    # each case takes the merges, leaves the factors and composes the pair
+    # runs it names; its (err, phase) is the dense oracle's, and a control
+    # with one gate negated reads off the oracle of the case
+    *_, want_merges, want_blocks, want_runs = STRUCTURE_CASES[name]
+    eng = _NumericEngine([0, 1, 2], 6)
+    assert eng._pair_operator(8 * 6 ** 3, 2)
+    assert not eng._pair_operator(8 * 6 ** 3, 1)
+    seq, gen, strength, ctx = _structure_case(name)
+    with monkeypatch.context() as mp:
+        merges, blocks, runs = _spy_structure(mp)
+        err, phase = verify_numeric(seq, gen, strength, ctx)
+    assert (merges, blocks, runs) == (want_merges, want_blocks, want_runs)
+    want_err, want_phase = _dense_err_phase(seq.gates, 3, gen, strength, 6, 2)
+    assert err > 1e-3  # the circuit is not the target: a real comparison
+    assert abs(err - want_err) < 1e-12
+    assert abs(phase - want_phase) < 1e-12
+    ctrl = _structure_case(name, negate=True)
+    ctrl_err, ctrl_phase = verify_numeric(*ctrl)
+    assert max(abs(ctrl_err - want_err), abs(ctrl_phase - want_phase)) > 1e-3
+    got = _dense_err_phase(ctrl[0].gates, 3, gen, strength, 6, 2)
+    assert abs(ctrl_err - got[0]) < 1e-12
+    assert abs(ctrl_phase - got[1]) < 1e-12
+
+
 def test_position_basis_is_cached_and_read_only():
     lam, v = _position_basis(30)
     assert _position_basis(30)[1] is v
@@ -514,8 +637,8 @@ def test_position_basis_is_cached_and_read_only():
 
 
 def _split_everywhere(monkeypatch, cpus):
-    """Make the engine see cpus CPUs and split every state of two or more
-    columns; return the slab count of each split made and the set of
+    """Make the engine see cpus CPUs and split every array of two or more
+    columns; return (slabs, columns) of each split made and the set of
     threads that multiplied a slab."""
     monkeypatch.setattr(verify.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
@@ -524,7 +647,7 @@ def _split_everywhere(monkeypatch, cpus):
     split, product = _NumericEngine._split, _NumericEngine._apply_axis
 
     def spy_split(*args):
-        slabs.append(args[-1])
+        slabs.append((args[-1], args[1].shape[0]))
         return split(*args)
 
     def spy_product(*args):
@@ -538,6 +661,8 @@ def _split_everywhere(monkeypatch, cpus):
 
 def _numeric_case(case):
     """(seq, generator, strength, ctx) of one input to the split tests."""
+    if case in STRUCTURE_CASES:
+        return _structure_case(case)
     if case.startswith("3-mode"):
         d = int(case[-1])
         return (GateSeq(_three_mode_gates(), 3),
@@ -548,6 +673,7 @@ def _numeric_case(case):
 
 @pytest.mark.parametrize("case", [
     "3-mode d=2", "3-mode d=1",  # one column: no split
+    "pair runs",
     "t=0.05 X[0]^4", "t=0.02 X[0] X[1] X[2]", "t=0.05 X[0]^2 X[1]^2",
     "t=0.1 P[0] X[1]^2"])
 def test_splitting_over_the_columns_leaves_results_unchanged(monkeypatch,
@@ -562,8 +688,11 @@ def test_splitting_over_the_columns_leaves_results_unchanged(monkeypatch,
         with monkeypatch.context() as mp:
             slabs, _ = _split_everywhere(mp, cpus)
             got[cpus] = verify_numeric(seq, gen, strength, ctx)
+        # a factor of fewer columns than CPUs is cut into one slab each
+        assert all(n == min(cpus, cols) for n, cols in slabs)
         split = cpus > 1 and ctx.subspace > 1
-        assert set(slabs) == ({cpus} if split else set())
+        assert {n for n, _ in slabs if n == cpus} == ({cpus} if split
+                                                      else set())
     for cpus in (2, 3):
         assert abs(got[cpus][0] - got[1][0]) <= 1e-12
         assert abs(got[cpus][1] - got[1][1]) <= 1e-12
@@ -578,11 +707,18 @@ def _assert_no_thread_outlives(before):
 
 
 def test_no_thread_outlives_a_numeric_check(monkeypatch):
+    # "pair runs" also splits merged factors, pair operators and the
+    # products that multiply them into a factor
     slabs, threads = _split_everywhere(monkeypatch, 3)
-    before = threading.enumerate()
-    verify_numeric(*_numeric_case("3-mode d=2"))
-    assert slabs and len(threads) > 1
-    _assert_no_thread_outlives(before)
+    _, _, runs = _spy_structure(monkeypatch)
+    for case in ("3-mode d=2", "pair runs"):
+        before = threading.enumerate()
+        del slabs[:], runs[:]
+        threads.clear()
+        verify_numeric(*_numeric_case(case))
+        assert slabs and len(threads) > 1
+        assert bool(runs) == (case == "pair runs")
+        _assert_no_thread_outlives(before)
 
 
 def test_an_exception_in_a_worker_slab_reaches_the_caller(monkeypatch):
@@ -607,6 +743,44 @@ class _Abandoned(BaseException):
     pass
 
 
+def test_a_call_abandoned_while_an_operator_is_contracted_leaves_no_thread(
+        monkeypatch):
+    # SIGALRM raised in the caller's own slab of the product that multiplies
+    # a pair operator into its factor, after the other slabs went to the
+    # workers: the handler raises there, and close still joins every worker
+    _, threads = _split_everywhere(monkeypatch, 3)
+    product, apply_run = _NumericEngine._apply_axis, _NumericEngine._apply_run
+    main, contracting, raised = threading.get_ident(), [], []
+
+    def spy_run(self, state, modes, gates):
+        # the gates go to the operator first; the product on state follows
+        contracting.append(state.shape)
+        return apply_run(self, state, modes, gates)
+
+    def alarmed(self, state, mat, axis, grid_axes=(), out=None):
+        on_state = (contracting and mat.shape == (36, 36)
+                    and state.shape[0] < contracting[-1][0])
+        if on_state and out is not None and threading.get_ident() == main:
+            raised.append(state.shape)
+            signal.raise_signal(signal.SIGALRM)
+        return product(self, state, mat, axis, grid_axes, out)
+
+    def abandon(signum, frame):
+        raise _Abandoned
+
+    monkeypatch.setattr(_NumericEngine, "_apply_run", spy_run)
+    monkeypatch.setattr(_NumericEngine, "_apply_axis", alarmed)
+    before = threading.enumerate()
+    previous = signal.signal(signal.SIGALRM, abandon)
+    try:
+        with pytest.raises(_Abandoned):
+            verify_numeric(*_numeric_case("pair runs"))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert contracting and raised and len(threads) > 1
+    _assert_no_thread_outlives(before)
+
+
 def test_a_call_abandoned_by_an_alarm_leaves_no_thread(monkeypatch):
     # the benchmark's per-call time limit raises from a SIGALRM handler in
     # the caller, wherever it is, as this test does
@@ -627,3 +801,101 @@ def test_a_call_abandoned_by_an_alarm_leaves_no_thread(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert slabs and len(threads) > 1
     _assert_no_thread_outlives(before)
+
+
+# the benchmark's numeric rows, each at its own strength, checked at D = 24
+# and the CLI's default d = 5
+NUMERIC_ROWS = ["t=0.05 X[0]^4", "t=0.02 X[0] X[1] X[2]",
+                "t=0.05 X[0]^2 X[1]^2", "t=0.1 P[0] X[1]^2"]
+
+
+def _criterion_4_pieces():
+    """(label, circuit, target) of every piece criterion 4 checks, the
+    whole X₀²X₁² circuit included, built as the criterion builds them."""
+    pieces = []
+    for exps, t in [({0: 4}, 0.05), ({0: 1, 1: 1, 2: 1}, 0.02),
+                    ({0: 2, 1: 2}, 0.05)]:
+        tg = TargetGate.position(exps, t)
+        pieces.append((f"{exps} whole", compile(tg)[0], tg))
+        if exps != {0: 2, 1: 2}:
+            continue
+        split = GateSeq(tuple(_NativeQuartics(2).x2x2(0, 1, t)), 2)
+        pieces.append((f"{exps} splitting", split, tg))
+        for s in sorted({g.strength for g in split.gates
+                         if g.kind != FOURIER and g.generator.degree() == 4}):
+            q = TargetGate.position({0: 4}, s)
+            pieces.append((f"{exps} route X^4 at {s!r}", compile(q)[0], q))
+    return pieces
+
+
+def _fits(seq, gen, cutoff, subspace):
+    n = len(_verified_modes(seq, gen))
+    return (cutoff ** n <= MAX_FULL_DIM
+            and (subspace * cutoff) ** n <= MAX_STATE_ENTRIES)
+
+
+@functools.cache
+def _parity_cases():
+    """label -> (seq, generator, strength, FockContext) of every check whose
+    (err, phase) the full-state engine recorded in numeric_parent.json: the
+    numeric rows; each criterion-4 piece and its negated-gate control at
+    D = 24 and D_max, d = 2 (the whole X₀²X₁² circuit at D = 24 alone, as
+    the criterion checks it); and each ROUTE_PINS body at t = 0.3 that
+    fits the bounds at D = 24, for d = 5 and d = 2."""
+    cases = {}
+    for spec in NUMERIC_ROWS:
+        tg = parse_spec(spec)
+        cases[spec] = (compile(tg)[0], tg.generator(), tg.strength,
+                       FockContext(24, 5))
+    for label, seq, tg in _criterion_4_pieces():
+        whole_x2x2 = label == "{0: 2, 1: 2} whole"
+        for name, s in ((label, seq), (f"{label} control",
+                                       negate_last_exp(seq))):
+            if whole_x2x2 and s is not seq:
+                continue
+            top = _max_cutoff(len(declared_modes(s)))
+            for cutoff in (24,) if whole_x2x2 else (24, top):
+                cases[f"{name} D={cutoff}"] = (s, tg.generator(), tg.strength,
+                                               FockContext(cutoff, 2))
+    for body, *_ in ROUTE_PINS:
+        tg = parse_spec(f"t=0.3 {body}")
+        seq = compile(tg)[0]
+        for d in (5, 2):
+            if _fits(seq, tg.generator(), 24, d):
+                cases[f"t=0.3 {body} d={d}"] = (seq, tg.generator(),
+                                                tg.strength, FockContext(24, d))
+    return cases
+
+
+# label -> (err, phase) of each check of _parity_cases, recorded with the
+# engine that evolved the whole (cols, D, ..., D) state gate by gate
+# (commit ba0a242)
+FULL_STATE = json.loads((Path(__file__).resolve().parent / "data"
+                         / "numeric_parent.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("label", list(FULL_STATE))
+def test_numeric_checks_agree_with_the_full_state_engine(label):
+    # the factors and pair operators change the rounding alone: on these
+    # checks every difference was below 7e-16
+    want = FULL_STATE[label]
+    got = verify_numeric(*_parity_cases()[label])
+    assert abs(got[0] - want[0]) < 1e-12
+    assert abs(got[1] - want[1]) < 1e-12
+
+
+def test_no_pair_operator_at_the_three_mode_d_max(monkeypatch):
+    # criterion 4 checks 3 modes at D = 58, d = 2: a factor of 8·58³ =
+    # 1,560,896 entries, against 58⁴ = 11,316,496 for a pair operator, so
+    # no run is composed on one there, however long
+    D = _max_cutoff(3)
+    size = 2 ** 3 * D ** 3
+    assert (D, size, D ** 4) == (58, 1_560_896, 11_316_496)
+    eng = _NumericEngine([0, 1, 2], D)
+    assert not any(eng._pair_operator(size, n) for n in range(1, 10_000))
+    # the pair runs that D = 6 composes (see STRUCTURE_CASES) go gate by
+    # gate at D = 58
+    _, _, runs = _spy_structure(monkeypatch)
+    seq, gen, strength, _ = _structure_case("pair runs")
+    verify_numeric(seq, gen, strength, FockContext(D, 2))
+    assert runs == []
