@@ -513,12 +513,13 @@ def test_fused_target_is_applied_before_the_blocks_are_read(target):
 F, XX = Gate.fourier, Gate.xx
 
 # (gates in the order applied, declared modes, ancillas, target factors,
-# index of the gate the control negates, merges, factors of the circuit's
+# index of the gate the control inverts, merges, factors of the circuit's
 # and of the target's block, pair runs) at D = 6, d = 2, where the factors
 # hold at most 8·6³ = 1,728 entries and the pair operator 6⁴ = 1,296. The
-# controls negate an x2 gate: an x1, x3 or xx gate negated can be the
-# circuit conjugated by a parity (−1)^n on some modes that leaves the
-# target alone, and the block then reads the same
+# controls invert an x2 gate, or a Fourier gate on the ancilla: an x1, x3
+# or xx gate negated can be the circuit conjugated by a parity (−1)^n on
+# some modes that leaves the target alone, and the block then reads the
+# same
 STRUCTURE_CASES = {
     "merge 0+1 then 2": (
         [F(0), Gate.x(0, 2, 0.3), XX(0, 1, 0.25), Gate.x(1, 3, -0.2),
@@ -571,7 +572,7 @@ STRUCTURE_CASES = {
 
 def _structure_case(name, negate=False):
     """(seq, generator, strength, ctx) of a STRUCTURE_CASES entry, with the
-    control's gate negated if negate."""
+    control's gate inverted if negate."""
     applied, n, ancillas, target, control, *_ = STRUCTURE_CASES[name]
     if negate:
         applied = [*applied]
@@ -828,12 +829,6 @@ def _criterion_4_pieces():
     return pieces
 
 
-def _fits(seq, gen, cutoff, subspace):
-    n = len(_verified_modes(seq, gen))
-    return (cutoff ** n <= MAX_FULL_DIM
-            and (subspace * cutoff) ** n <= MAX_STATE_ENTRIES)
-
-
 @functools.cache
 def _parity_cases():
     """label -> (seq, generator, strength, FockContext) of every check whose
@@ -848,20 +843,20 @@ def _parity_cases():
         cases[spec] = (compile(tg)[0], tg.generator(), tg.strength,
                        FockContext(24, 5))
     for label, seq, tg in _criterion_4_pieces():
-        whole_x2x2 = label == "{0: 2, 1: 2} whole"
-        for name, s in ((label, seq), (f"{label} control",
-                                       negate_last_exp(seq))):
-            if whole_x2x2 and s is not seq:
-                continue
-            top = _max_cutoff(len(declared_modes(s)))
-            for cutoff in (24,) if whole_x2x2 else (24, top):
+        checked = [(label, seq), (f"{label} control", negate_last_exp(seq))]
+        cutoffs = (24, _max_cutoff(len(declared_modes(seq))))
+        if label == "{0: 2, 1: 2} whole":
+            checked, cutoffs = checked[:1], (24,)
+        for name, s in checked:
+            for cutoff in cutoffs:
                 cases[f"{name} D={cutoff}"] = (s, tg.generator(), tg.strength,
                                                FockContext(cutoff, 2))
     for body, *_ in ROUTE_PINS:
         tg = parse_spec(f"t=0.3 {body}")
         seq = compile(tg)[0]
+        n = len(_verified_modes(seq, tg.generator()))
         for d in (5, 2):
-            if _fits(seq, tg.generator(), 24, d):
+            if 24 ** n <= MAX_FULL_DIM and (d * 24) ** n <= MAX_STATE_ENTRIES:
                 cases[f"t=0.3 {body} d={d}"] = (seq, tg.generator(),
                                                 tg.strength, FockContext(24, d))
     return cases
