@@ -12,6 +12,7 @@ import math
 
 from .algebra import Basis, NOPoly
 from .circuit import Gate, GateSeq
+from .circuit_tools import ZERO_STRENGTH
 from .decompose import Ineligible, TargetGate, _Compiler
 
 # error-model constant for repeat-count estimates, calibrated so that the
@@ -171,6 +172,9 @@ MODEL_DESCRIPTION = (
 
 def estimate_commutator_count(target: TargetGate, epsilon: float
                               ) -> tuple[int, str]:
-    """Estimated gate count to reach precision epsilon without exact routes."""
-    count = _estimate(target.exponents, target.strength, epsilon)
+    """Estimated gate count to reach precision epsilon without exact routes:
+    0 below ZERO_STRENGTH, where the target is the identity, as the
+    compiler's own rule has it."""
+    count = (0 if abs(target.strength) < ZERO_STRENGTH
+             else _estimate(target.exponents, target.strength, epsilon))
     return count, MODEL_DESCRIPTION

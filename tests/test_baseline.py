@@ -156,6 +156,20 @@ def test_estimates_dwarf_exact_counts():
         assert "commutator" in model
 
 
+@pytest.mark.parametrize("exps,at_1e_3", [
+    ({0: 4}, 74), ({0: 2, 1: 2}, 130), ({0: 1, 1: 1, 2: 1}, 130)])
+def test_the_identity_costs_no_gate(exps, at_1e_3):
+    # below ZERO_STRENGTH the compiler emits no gate, and the estimate
+    # prices none; from there on it is unchanged
+    for t in (0.0, -0.0, 1e-15, -1e-15):
+        tg = TargetGate.position(exps, t)
+        assert compile(tg)[1].n_gates_nonfourier == 0
+        assert estimate_commutator_count(tg, 1e-3)[0] == 0
+    for t in (1e-3, -1e-3):
+        tg = TargetGate.position(exps, t)
+        assert estimate_commutator_count(tg, 1e-3)[0] == at_1e_3
+
+
 def test_estimate_monotone_in_precision():
     tg = TargetGate.position({0: 4}, 1.0)
     c1, _ = estimate_commutator_count(tg, 1e-2)

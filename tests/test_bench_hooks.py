@@ -6,10 +6,12 @@ verify._NumericEngine.apply_gate). A change under src/ that deletes or
 renames one of them breaks `perfbench/run.py --trace 1`; this test makes
 the test suite see it: the tracer installs in-process, records a compile,
 and uninstalls with every patched attribute back as it was. A symbolic
-compile, and a numeric one, under the tracer must also give every
-per-layer metric the benchmark's own self-check asks of the symbolic and
-the numeric workload, so a change that verifies without the traced calls,
-or applies gates where the tracer cannot see them, fails here too.
+compile, a numeric one, and an unverified compile saved and loaded
+back, under the tracer must also give every per-layer metric the
+benchmark's own self-check asks of the symbolic, the numeric and the
+compile-large workload, so a change that verifies, optimizes or
+serializes without the traced calls, or applies gates where the tracer
+cannot see them, fails here too.
 """
 
 import importlib.util
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from cvexact import cli, decompose, verify
+from cvexact import circuit_tools, cli, decompose, verify
 from cvexact.cli import parse_spec
 
 _spec = importlib.util.spec_from_file_location(
@@ -69,3 +71,21 @@ def test_a_traced_compile_passes_the_self_check(capsys, workload, args,
     capsys.readouterr()
     assert code == exit_code
     assert tracing.self_check(workload, tracing.layer_metrics(tr, 1)) == []
+
+
+def test_a_traced_compile_saved_and_loaded_passes_the_self_check(capsys,
+                                                                 tmp_path):
+    # what the compile-large workload does with each of its targets
+    out = tmp_path / "circuit.json"
+    tr = tracing.Tracer()
+    tr.install()
+    try:
+        code = cli.main(["compile", "t=0.3 X[0] X[1] X[2]", "--no-verify",
+                         "--format", "json", "--out", str(out)])
+        circuit_tools.deserialize(out.read_text())
+    finally:
+        tr.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = tracing.layer_metrics(tr, 1)
+    assert tracing.self_check("compile-large", metrics) == []

@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py records only results that the run itself wrote, and
-keeps every run it recorded."""
+"""tools/bench_pairs.py records only results that the run itself wrote,
+keeps every run it recorded, and states the benchmark's verdict on them."""
 
 import importlib.util
 import json
@@ -55,6 +55,37 @@ def test_decided_frac_is_recorded_and_won_by_the_higher_side():
     assert summary["decided_frac"]["change_wins"] == 1   # a tie wins nothing
     assert summary["decided_frac"]["change"]["median"] == 0.9
     assert summary["wall_s"]["change_wins"] == 2         # lower wins here
+
+
+def _verdict(parent, change, name="wall_s"):
+    runs = [_pair({name: p}, {name: c}) for p, c in zip(parent, change)]
+    entry = bench_pairs.summarize(runs)[name]
+    return entry["within_bound"], entry["gain"]
+
+
+def test_the_summary_states_each_end_to_end_rule_of_the_benchmark():
+    bounds = {m["name"]: m["bound"] for m in json.loads(
+        bench_pairs.BENCHMARK.read_text())["end_to_end"]}
+    assert (bounds["wall_s"], bounds["peak_rss_mb"]) == (0.25, 0.1)
+    parent = [2.0 + 0.01 * i for i in range(10)]  # interquartile range 0.055
+    # 10 of 10 won, by 0.2 in the median: a gain
+    assert _verdict(parent, [p - 0.2 for p in parent]) == (True, True)
+    # 8 of 10 won: no gain, however large the median gap
+    assert _verdict(parent, [p - (0.5 if i < 8 else -0.01)
+                             for i, p in enumerate(parent)]) == (True, False)
+    # 9 of 10 won, by 0.04 in the median: inside the interquartile range
+    assert _verdict(parent, [p - (0.05 if i else -0.01)
+                             for i, p in enumerate(parent)]) == (True, False)
+    # 20% worse is within wall_s's bound of 25%, 30% worse is not, and a
+    # 15% worse peak_rss_mb is outside its 10%
+    assert _verdict(parent, [1.2 * p for p in parent]) == (True, False)
+    assert _verdict(parent, [1.3 * p for p in parent]) == (False, False)
+    assert _verdict(parent, [1.15 * p for p in parent],
+                    "peak_rss_mb") == (False, False)
+    # metrics the benchmark does not declare carry no verdict
+    summary = bench_pairs.summarize([_pair({}, {})])
+    assert "within_bound" not in summary["numeric_err_gmean"]
+    assert "gain" in summary["setup_s"]
 
 
 # a stand-in for perfbench/run.py: logs its call and writes a result whose

@@ -292,6 +292,14 @@ def test_compare_prints_ratio(capsys):
     assert "ratio:" in out
 
 
+def test_compare_prices_the_identity_at_zero(capsys):
+    assert main(["compare", "t=0 X[0]^4"]) == 0
+    out = capsys.readouterr().out
+    assert "exact compilation:   0 non-Fourier gates" in out
+    assert "baseline estimate:   0 gates" in out
+    assert "ratio:               0\n" in out
+
+
 @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
 def test_bad_epsilon_exits_before_compile(epsilon, capsys, monkeypatch):
     monkeypatch.setattr(cli, "compile", None)   # any call would raise

@@ -410,8 +410,8 @@ def test_numeric_matches_dense_kronecker_product(cutoff, subspace,
     # the three-mode gates take grid order at d=1 and matrix order at d=2
     grid = cutoff + INTERNAL_PAD
     eng = _NumericEngine([0, 1, 2], cutoff)
-    assert eng._matrix_order((subspace ** 3, grid, grid, cutoff),
-                             3) == matrix_order
+    costs = eng._order_costs(subspace ** 3 * grid ** 2 * cutoff, 3)
+    assert (costs[0] < costs[1]) == matrix_order
     gen = NOPoly.monomial(list(target))
     gates = _three_mode_gates()
     seq = GateSeq(gates, 3)
@@ -474,12 +474,13 @@ def _fusion_circuit(n_modes):
 def test_fused_runs_match_dense_kronecker_product(n_modes, cutoff, subspace,
                                                   fused, matrix_order):
     # the engine fuses when the state has more entries than a D×D matrix;
-    # xx gates take the order _matrix_order picks once mode 0 is on the grid
+    # xx gates take the cheaper order _order_costs counts once mode 0 is on
+    # the grid
     cols, grid = subspace ** n_modes, cutoff + INTERNAL_PAD
     assert (cols * cutoff ** n_modes > cutoff ** 2) == fused
     eng = _NumericEngine(list(range(n_modes)), cutoff)
-    shape = (cols, grid) + (cutoff,) * (n_modes - 1)
-    assert eng._matrix_order(shape, 2) == matrix_order
+    costs = eng._order_costs(cols * grid * cutoff ** (n_modes - 1), 2)
+    assert (costs[0] < costs[1]) == matrix_order
     gates = _fusion_circuit(n_modes)
     gen = NOPoly.monomial([(m, 1 + m % 2, 0) for m in range(n_modes)])
     err, phase = verify_numeric(GateSeq(gates, n_modes), gen, 0.2,
@@ -553,8 +554,9 @@ STRUCTURE_CASES = {
         [[(0,), (1,)], [(0,), (1,)]],
         [[(0, 1), (2,)], [(0, 1), (2,)]], []),
     # runs on the apart axes of modes 0 and 2, cut by F₁, and on the
-    # adjacent axes of modes 1 and 2; the control negates a gate of the
-    # first run
+    # axes of modes 1 and 2; the first run moves mode 2's axis next to
+    # mode 0's, where the next runs find it. The control negates a gate
+    # of the first run
     "pair runs": (
         [XX(0, 1, 0.2), XX(1, 2, -0.15),
          XX(0, 2, 0.3), Gate.x(0, 2, 0.2), F(2), XX(0, 2, -0.25),
@@ -566,7 +568,20 @@ STRUCTURE_CASES = {
         3, (), _X0X1X2, 3,
         [[(0,), (1,)], [(0, 1), (2,)], [(0,), (1,), (2,)]],
         [[(0, 1, 2)], [(0, 1, 2)]],
-        [((0, 2), 6), ((0, 2), 4), ((1, 2), 3)]),
+        [((0, 2), 6, (1, 3)), ((0, 2), 4, (1, 2)), ((1, 2), 3, (2, 3))]),
+    # two runs on the apart axes of modes 0 and 2 with a gate on mode 1
+    # between them, which stays pending behind the moved axis until the
+    # next two-mode gate; the control inverts that gate
+    "two runs on one apart pair": (
+        [XX(0, 1, 0.2), XX(1, 2, -0.15),
+         XX(0, 2, 0.3), Gate.x(0, 2, 0.2), F(2), XX(0, 2, -0.25),
+         Gate.x(1, 2, 0.3),
+         XX(0, 2, 0.2), F(0, -1), Gate.x(2, 3, 0.1), XX(0, 2, -0.1),
+         XX(1, 2, 0.25), Gate.x(1, 1, 0.4)],
+        3, (), _X0X1X2, 6,
+        [[(0,), (1,)], [(0, 1), (2,)], [(0,), (1,), (2,)]],
+        [[(0, 1, 2)], [(0, 1, 2)]],
+        [((0, 2), 4, (1, 3)), ((0, 2), 4, (1, 2))]),
 }
 
 
@@ -583,7 +598,8 @@ def _structure_case(name, negate=False):
 
 def _spy_structure(monkeypatch):
     """Record the factors each merge joins, the factors of each block read,
-    and the (modes, gate count) of each run composed on a pair operator."""
+    and the (modes, gate count, axes of the two modes) of each run
+    composed on a pair operator."""
     merges, blocks, runs = [], [], []
     outer, apply_run = _NumericEngine._outer, _NumericEngine._apply_run
 
@@ -593,9 +609,11 @@ def _spy_structure(monkeypatch):
         into.append([fm for fm, _ in factors])
         return outer(self, factors, d)
 
-    def spy_run(self, state, modes, gates):
-        runs.append((tuple(sorted(modes)), len(gates)))
-        return apply_run(self, state, modes, gates)
+    def spy_run(self, f, gates):
+        modes = sorted(gates[0].modes)
+        runs.append((tuple(modes), len(gates),
+                     tuple(sorted(self.axis_of[m] for m in modes))))
+        return apply_run(self, f, gates)
 
     monkeypatch.setattr(_NumericEngine, "_outer", spy_outer)
     monkeypatch.setattr(_NumericEngine, "_apply_run", spy_run)
@@ -627,6 +645,63 @@ def test_factors_and_pair_runs_match_dense_kronecker_product(monkeypatch,
     got = _dense_err_phase(ctrl[0].gates, 3, gen, strength, 6, 2)
     assert abs(ctrl_err - got[0]) < 1e-12
     assert abs(ctrl_phase - got[1]) < 1e-12
+
+
+# a three-mode position gate after a pending matrix on each of its modes
+# (x gates, and Fourier gates among them), at D = 6; the control inverts
+# the x2 gate on mode 1
+PENDING_ON_EVERY_MODE = (
+    [XX(0, 1, 0.2), XX(1, 2, -0.15),
+     Gate.x(0, 2, 0.3), F(0), Gate.x(1, 2, -0.2), Gate.x(2, 3, 0.1),
+     F(2, -1), Gate.x(2, 2, 0.25),
+     Gate.exp_poly(NOPoly.monomial([(0, 1, 0), (1, 2, 0), (2, 1, 0)]), 0.15),
+     Gate.x(1, 3, 0.1), F(0)],
+    4)
+
+
+@pytest.mark.parametrize("subspace,matrix_order", [
+    pytest.param(2, True, id="matrix-order"),
+    pytest.param(1, False, id="grid-order"),
+])
+def test_pending_matrices_join_a_three_mode_gate(monkeypatch, subspace,
+                                                 matrix_order):
+    # each mode's pending matrix joins the gate's first product on its axis
+    # in either order; (err, phase) is the dense oracle's, and so is the
+    # control's, which reads otherwise
+    cutoff, grid = 6, 6 + INTERNAL_PAD
+    eng = _NumericEngine([0, 1, 2], cutoff)
+    costs = eng._order_costs(subspace ** 3 * grid ** 2 * cutoff, 3)
+    assert (costs[0] < costs[1]) == matrix_order
+    pending, position_exp = [], _NumericEngine._apply_position_exp
+
+    def spy(self, state, strength, xgen):
+        if len(xgen.modes()) == 3:
+            pending.append({m: p.ndim for m, p in self.pending.items()})
+        return position_exp(self, state, strength, xgen)
+
+    applied, control = PENDING_ON_EVERY_MODE
+    gen = NOPoly.monomial(list(_X0X1X2))
+    ctx = FockContext(cutoff, subspace)
+    results = []
+    for negate in (False, True):
+        gates = [*applied]
+        if negate:
+            gates[control] = gates[control].inverse()
+        seq = GateSeq(tuple(reversed(gates)), 3)
+        with monkeypatch.context() as mp:
+            mp.setattr(_NumericEngine, "_apply_position_exp", spy)
+            err, phase = verify_numeric(seq, gen, 0.2, ctx)
+        want_err, want_phase = _dense_err_phase(seq.gates, 3, gen, 0.2,
+                                                cutoff, subspace)
+        assert err > 1e-3  # the circuit is not the target
+        assert abs(err - want_err) < 1e-12
+        assert abs(phase - want_phase) < 1e-12
+        results.append((err, phase))
+    # the circuit's gate finds a matrix pending on each mode, the target
+    # nothing
+    assert pending == [{0: 2, 1: 2, 2: 2}, {}] * 2
+    (err, phase), (ctrl_err, ctrl_phase) = results
+    assert max(abs(ctrl_err - err), abs(ctrl_phase - phase)) > 1e-3
 
 
 def test_position_basis_is_cached_and_read_only():
@@ -753,10 +828,11 @@ def test_a_call_abandoned_while_an_operator_is_contracted_leaves_no_thread(
     product, apply_run = _NumericEngine._apply_axis, _NumericEngine._apply_run
     main, contracting, raised = threading.get_ident(), [], []
 
-    def spy_run(self, state, modes, gates):
-        # the gates go to the operator first; the product on state follows
-        contracting.append(state.shape)
-        return apply_run(self, state, modes, gates)
+    def spy_run(self, f, gates):
+        # the gates go to the operator first; the product on f's array
+        # follows
+        contracting.append(f[1].shape)
+        return apply_run(self, f, gates)
 
     def alarmed(self, state, mat, axis, grid_axes=(), out=None):
         on_state = (contracting and mat.shape == (36, 36)

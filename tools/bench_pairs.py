@@ -17,7 +17,13 @@ file keeps
 every run of every workload recorded so far, with a summary per metric:
 each side's median and quartiles, and the pairs the change won (higher is
 better for decided_frac and lower for every other metric; ties count for
-neither side). A second call for a recorded workload appends its pairs and
+neither side). For each end-to-end metric that the repo's BENCHMARK.json
+declares, read and never written, the summary also states the verdict of
+its two rules: `within_bound`, whether the change's median is no worse
+than the parent's by more than the metric's fractional bound, and `gain`,
+whether the change won at least 9 of every 10 pairs and its median is
+better than the parent's by more than the parent's interquartile range.
+A second call for a recorded workload appends its pairs and
 summarises all of them; it is refused before any run when one of its seeds
 is already recorded for the workload, or when its --seconds differs. The
 file is rewritten after every pair.
@@ -36,6 +42,7 @@ from pathlib import Path
 METRICS = ("wall_s", "setup_s", "gates_nonfourier", "peak_rss_mb",
            "wall_raw_s", "numeric_err_gmean", "decided_frac", "failed_frac")
 HIGHER_IS_BETTER = {"decided_frac"}
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -62,6 +69,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
+    # name -> bound of each end-to-end metric declared; all are lower-better
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     out = {}
     for name in METRICS:
         sides = {}
@@ -79,6 +89,13 @@ def summarize(runs: list[dict]) -> dict:
                 sign * r["change"]["metrics"][name]
                 < sign * r["parent"]["metrics"][name] for r in runs)
             sides["pairs"] = len(runs)
+            if name in bounds:
+                parent, change = sides["parent"], sides["change"]
+                gap = sign * (parent["median"] - change["median"])
+                sides["within_bound"] = (
+                    -gap <= bounds[name] * abs(parent["median"]))
+                sides["gain"] = (10 * sides["change_wins"] >= 9 * len(runs)
+                                 and gap > parent["q3"] - parent["q1"])
             out[name] = sides
     return out
 
