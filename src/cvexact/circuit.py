@@ -134,7 +134,28 @@ class GateSeq:
         return iter(self.gates)
 
     def inverse(self) -> "GateSeq":
-        return replace(self, gates=tuple(g.inverse() for g in reversed(self.gates)))
+        """The inverse circuit, one inverse Gate per distinct Gate object."""
+        return replace(self, gates=tuple(
+            _map_records(Gate.inverse, reversed(self.gates))))
+
+
+def _map_records(build, gates, table: dict | None = None) -> list:
+    """[build(g) for g in gates], with build called once per distinct Gate
+    object: the one place a pass shares its work per object.
+
+    table maps id(g) to (g, build(g)). Each entry holds its object, so an
+    id names one object while the table lives; gates may be any iterable.
+    A caller's own table shares results across calls of one build.
+    """
+    table = {} if table is None else table
+    out = []
+    push = out.append
+    for g in gates:
+        hit = table.get(id(g))
+        if hit is None:
+            hit = table[id(g)] = g, build(g)
+        push(hit[1])
+    return out
 
 
 def gate_images(g: Gate, m: int) -> tuple[NOPoly, NOPoly]:

@@ -12,7 +12,8 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 
-from .circuit import EXPPOLY, FOURIER, X_POWER, XX, Gate, GateSeq
+from .circuit import (EXPPOLY, FOURIER, X_POWER, XX, Gate, GateSeq,
+                      _map_records)
 
 # |strength| below this is the identity gate: the compiler emits nothing for
 # it and optimize drops it. The verifiers apply every gate as written.
@@ -121,27 +122,6 @@ def _record_key(kind: str, modes: tuple, strength, power):
     if kind == EXPPOLY:
         return None
     return kind, modes, strength, power, math.copysign(1.0, strength)
-
-
-def _map_records(build, gates) -> list:
-    """[build(g) for g in gates], with build called once per distinct Gate
-    object and its result shared at every position of that object.
-
-    A table local to this call maps id(g) to its result. An id names its
-    object only while the object lives, so the call keeps every object it
-    has an entry for until it returns; gates may be any iterable.
-    """
-    by_id: dict[int, object] = {}
-    alive = []  # the objects by_id names, so no id is reused in this call
-    out = []
-    push = out.append
-    for g in gates:
-        got = by_id.get(id(g))
-        if got is None:
-            got = by_id[id(g)] = build(g)
-            alive.append(g)
-        push(got)
-    return out
 
 
 # -- serialization ---------------------------------------------------------

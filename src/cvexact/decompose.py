@@ -37,7 +37,7 @@ from itertools import combinations
 from typing import Callable
 
 from .algebra import Basis, NOPoly
-from .circuit import Gate, GateSeq
+from .circuit import Gate, GateSeq, _map_records
 from .circuit_tools import (ZERO_STRENGTH, DecompReport, _integer,
                             _record_key, count_gates, optimize)
 
@@ -239,7 +239,7 @@ class _Compiler:
         self.depth = 0
         self.balanced = balanced
         self._records: dict = {}  # record key -> its one Gate, for _gate
-        self._inverses: dict = {}  # id(g) -> (g, its inverse), for _inverse
+        self._inverses: dict = {}  # _map_records' table for _inverse
 
     def fresh_ancilla(self) -> int:
         """The label above the current top of the ancilla stack, held until
@@ -273,20 +273,14 @@ class _Compiler:
     def _inverse(self, gates: list[Gate]) -> list[Gate]:
         """The inverse circuit: gates reversed, each one inverted.
 
-        Each distinct Gate object is inverted once per run, and its one
-        inverse stands at every position where the object recurs. The
-        table keeps every object it keys alive, so an id names one object
-        for the whole run, also for a gate that is not one of the run's
-        records, such as an exppoly gate a subclass's _sub returns.
+        Each distinct Gate object is inverted once per run, through the
+        run's table, and its one inverse stands at every position where
+        the object recurs; that holds also for a gate that is not one of
+        the run's records, such as an exppoly gate a subclass's _sub
+        returns.
         """
-        table = self._inverses
-        out = []
-        for g in reversed(gates):
-            hit = table.get(id(g))
-            if hit is None:
-                hit = table[id(g)] = g, self._gate(g.inverse())
-            out.append(hit[1])
-        return out
+        return _map_records(lambda g: self._gate(g.inverse()),
+                            reversed(gates), self._inverses)
 
     def _sub(self, s: float, *factors: tuple[int, int, Basis]) -> list[Gate]:
         """Gates of the nested target e^{isΠ factors}, each factor

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NOPoly, substitute
-from .circuit import FOURIER, X_POWER, Gate, GateSeq, heisenberg_conjugate
+from .circuit import (FOURIER, X_POWER, Gate, GateSeq, _map_records,
+                      heisenberg_conjugate)
 from .circuit_tools import _integer
 
 
@@ -29,9 +30,9 @@ class DimensionTooLarge(Exception):
 
 # full many-mode dimension cap for numeric verification
 MAX_FULL_DIM = 200_000
-# cap on cols·Dⁿ, the entries of the numeric state (64 MB of complex); a
-# three-mode gate in grid order briefly holds ((D + INTERNAL_PAD)/D)³ times
-# as many on its grid
+# cap on cols·Dⁿ, the entries of the numeric state (64 MB of complex), and
+# on those of one grid matrix; a three-mode gate in grid order briefly holds
+# ((D + INTERNAL_PAD)/D)³ times as many on its grid
 MAX_STATE_ENTRIES = 4_000_000
 # a state is split over its column axis only into slabs of more than this
 # many entries. Handing a slab to an idle worker thread and waiting for it
@@ -103,25 +104,25 @@ def heisenberg_action(seq: GateSeq,
     rightmost (first applied) gate first. Each gate replaces the images of
     each of its modes m with g† X_m g and g† P_m g from
     heisenberg_conjugate, evaluated on the images so far (substitute).
-    Those two images of (g, m) are built once per call for each distinct
-    Gate object and shared at every position of the object; a circuit
-    from compile or deserialize holds one object per record. The modes a
-    gate of seq touches are tracked, and those of modes; a mode no gate
-    touches keeps the images X_m and P_m. verify_symbolic calls it twice:
-    on the circuit, and on the target as a one-gate circuit.
+    The two images of each of g's modes are built once per call for each
+    distinct Gate object (_map_records) and shared at every position of
+    the object; a circuit from compile or deserialize holds one object per
+    record. The modes a gate of seq touches are tracked, and those of
+    modes; a mode no gate touches keeps the images X_m and P_m.
+    verify_symbolic calls it twice: on the circuit, and on the target as
+    a one-gate circuit.
     """
     generators = {m: (NOPoly.x(m), NOPoly.p(m))
                   for m in [*_touched(seq), *modes]}
+
+    def own(g):  # [(m, (g† X_m g, g† P_m g)) for each mode m of g]
+        return [(m, tuple(heisenberg_conjugate(g, b) for b in generators[m]))
+                for m in g.modes]
+
     images = dict(generators)
-    own = {}  # (id(g), m) -> (g† X_m g, g† P_m g); seq keeps ids alive
-    for g in reversed(seq.gates):
-        key = id(g)
-        for m in g.modes:
-            if (key, m) not in own:
-                own[key, m] = tuple(heisenberg_conjugate(g, b)
-                                    for b in generators[m])
-        images.update({m: tuple(substitute(b, images) for b in own[key, m])
-                       for m in g.modes})
+    for pairs in _map_records(own, reversed(seq.gates)):
+        images.update({m: tuple(substitute(b, images) for b in own_m)
+                       for m, own_m in pairs})
     return {m: images[m] for m in modes}
 
 
@@ -704,9 +705,10 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
     rounding, at the 1e-16 level, and do not depend on the CPU count.
 
     Bounds, which hold for the whole state as if every mode were coupled:
-    a check of more than MAX_STATE_ENTRIES entries cols·Dⁿ, with cols =
-    dⁿ, or of Dⁿ > MAX_FULL_DIM is refused with DimensionTooLarge before
-    anything is allocated.
+    a check of Dⁿ > MAX_FULL_DIM, or of more than MAX_STATE_ENTRIES
+    entries cols·Dⁿ, with cols = dⁿ, or (D + INTERNAL_PAD)² in one grid
+    matrix (only n ≤ 1 lets D reach that), is refused with
+    DimensionTooLarge before anything is allocated.
 
     Returns (subspace_error, phase_offset). phase_offset is the angle of
     tr(B†A), with A the circuit's block and B the target's; the error is
@@ -726,11 +728,12 @@ def verify_numeric(seq: GateSeq, generator: NOPoly, strength: float,
     if D ** nmodes > MAX_FULL_DIM:
         raise DimensionTooLarge(
             f"{nmodes} modes at cutoff {D} exceed the bound {MAX_FULL_DIM}")
-    cols = d ** nmodes
-    if cols * D ** nmodes > MAX_STATE_ENTRIES:
+    # the state's dⁿ·Dⁿ entries, or a G×G grid matrix's, G = D + INTERNAL_PAD
+    entries = max((d * D) ** nmodes, (D + INTERNAL_PAD) ** 2)
+    if entries > MAX_STATE_ENTRIES:
         raise DimensionTooLarge(
-            f"{cols} columns of {nmodes} modes at cutoff {D} hold "
-            f"{cols * D ** nmodes} entries, over the bound {MAX_STATE_ENTRIES}")
+            f"{nmodes} modes at cutoff {D} and subspace {d} need arrays of "
+            f"{entries} entries, over the bound {MAX_STATE_ENTRIES}")
     eng = _NumericEngine(modes, D)
     try:
         a_blk = eng.run(d, reversed(seq.gates))  # rightmost first

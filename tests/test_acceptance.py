@@ -206,7 +206,7 @@ class _NativeQuartics(_Compiler):
 
 def _max_cutoff(n_modes):
     """Largest D with D**n_modes <= MAX_FULL_DIM: the top cutoff that
-    verify_numeric accepts for n_modes modes."""
+    verify_numeric accepts for n_modes >= 2 modes."""
     D = round(MAX_FULL_DIM ** (1.0 / n_modes))
     while D ** n_modes > MAX_FULL_DIM:
         D -= 1

@@ -6,12 +6,12 @@ verify._NumericEngine.apply_gate). A change under src/ that deletes or
 renames one of them breaks `perfbench/run.py --trace 1`; this test makes
 the test suite see it: the tracer installs in-process, records a compile,
 and uninstalls with every patched attribute back as it was. A symbolic
-compile, a numeric one, and an unverified compile saved and loaded
-back, under the tracer must also give every per-layer metric the
-benchmark's own self-check asks of the symbolic, the numeric and the
-compile-large workload, so a change that verifies, optimizes or
-serializes without the traced calls, or applies gates where the tracer
-cannot see them, fails here too.
+compile, a numeric one, an unverified compile saved and loaded back,
+and a baseline circuit checked numerically, under the tracer must also
+give every per-layer metric the benchmark's own self-check asks of the
+symbolic, the numeric, the compile-large and the baseline workload, so a
+change that verifies, optimizes or serializes without the traced calls,
+or applies gates where the tracer cannot see them, fails here too.
 """
 
 import importlib.util
@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from cvexact import circuit_tools, cli, decompose, verify
+from cvexact import baseline, circuit_tools, cli, decompose, verify
+from cvexact.algebra import NOPoly, commutator
 from cvexact.cli import parse_spec
 
 _spec = importlib.util.spec_from_file_location(
@@ -71,6 +72,20 @@ def test_a_traced_compile_passes_the_self_check(capsys, workload, args,
     capsys.readouterr()
     assert code == exit_code
     assert tracing.self_check(workload, tracing.layer_metrics(tr, 1)) == []
+
+
+def test_a_traced_baseline_check_passes_the_self_check():
+    # what the baseline workload does with each K, at criterion 6's settings
+    a, b = NOPoly.x(0, 3), NOPoly.p(0, 2)
+    tr = tracing.Tracer()
+    tr.install()
+    try:
+        seq = baseline.commutator_approx(a, b, 0.01, 5)
+        verify.verify_numeric(seq, commutator(a, b).scale(-1j), 0.01,
+                              verify.FockContext(cutoff=40, subspace=8))
+    finally:
+        tr.uninstall()
+    assert tracing.self_check("baseline", tracing.layer_metrics(tr, 1)) == []
 
 
 def test_a_traced_compile_saved_and_loaded_passes_the_self_check(capsys,

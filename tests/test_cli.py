@@ -224,6 +224,16 @@ def test_numeric_state_too_large_is_skipped(capsys):
     assert "numeric error" not in captured.out
 
 
+def test_numeric_grid_too_large_is_skipped(capsys):
+    # one mode passes both state bounds at any cutoff; a 2,001² grid
+    # matrix is over the bound
+    assert main(["compile", "t=0.3 X[0]^3", "--numeric-cutoff", "1977",
+                 "--subspace", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "numeric check skipped" in captured.err
+    assert "numeric error" not in captured.out
+
+
 def test_verify_rejects_malformed_circuit(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 99, "gates": []}))

@@ -136,6 +136,17 @@ def test_run_refuses_a_gate_strength_that_overflows():
         _Compiler(2, balanced=True).run(tg)
 
 
+def test_compile_refuses_a_merge_that_overflows(monkeypatch):
+    # each gate run returns is finite; optimize merges the two to inf
+    def px2(self, j, k, s):
+        x3 = self._gate(Gate.x(j, 3, 1e308))
+        return [x3, x3]
+
+    monkeypatch.setattr(_Compiler, "px2", px2)
+    with pytest.raises(Ineligible, match="overflows the parameters"):
+        compile(parse_spec("t=0.3 P[0] X[1]^2"))
+
+
 def test_compile_raises_on_ineligible():
     with pytest.raises(Ineligible):
         compile(TargetGate.position({0: 5}, 1.0))

@@ -413,6 +413,53 @@ def test_inverse_of_fresh_exppoly_gates_after_their_ids_are_reused():
         assert inv.poly == TargetGate(factors, s).generator()
 
 
+def test_a_callers_table_shares_results_across_calls():
+    # a fresh object of an equal record gets a build of its own
+    a, b, c = Gate.x(0, 2, 0.5), Gate.fourier(1), Gate.x(0, 2, 0.5)
+    built, table = [], {}
+
+    def build(g):
+        built.append(g)
+        return object()
+
+    first = _map_records(build, [a, b, a], table)
+    second = _map_records(build, iter([b, a, c, b]), table)
+    assert [id(g) for g in built] == [id(a), id(b), id(c)]
+    assert first[0] is first[2] is second[1]
+    assert first[1] is second[0] is second[3]
+    assert second[2] is not first[0]
+    # each entry holds its object, so its id names no other while it lives
+    assert len(table) == 3
+    assert all(table[id(g)][0] is g for g in (a, b, c))
+
+
+def test_a_run_inverts_each_gate_object_once_across_calls(monkeypatch):
+    comp, raw = _raw("X[0]^8")
+    calls, inverse = [], Gate.inverse
+
+    def counted(g):
+        calls.append(g)
+        return inverse(g)
+
+    monkeypatch.setattr(Gate, "inverse", counted)
+    first = comp._inverse(list(raw.gates))
+    assert len(calls) <= len({id(g) for g in raw.gates}) < len(raw.gates)
+    before = len(calls)
+    second = comp._inverse(list(raw.gates))
+    assert len(calls) == before
+    assert all(x is y for x, y in zip(first, second))
+
+
+def test_inverse_of_a_compiled_circuit_holds_one_object_per_record():
+    seq, _ = compile(parse_spec("t=0.3 X[0]^8"))
+    inv = seq.inverse()
+    assert len(inv.gates) == 6169
+    assert len({id(g) for g in inv.gates}) == 155
+    assert _records(inv.gates) == _records(inverse_per_gate(seq.gates))
+    assert (inv.n_target_modes, inv.ancilla_modes) == (
+        seq.n_target_modes, seq.ancilla_modes)
+
+
 def test_gates_made_on_the_fly_are_not_confused_by_a_reused_id():
     # a generator drops each gate after its position unless the call keeps
     # it, and the next gate may then get the id of the dead one; a build

@@ -90,6 +90,38 @@ def test_state_guard_refuses_before_allocating(monkeypatch):
     assert 19 ** 3 * 58 ** 3 > MAX_STATE_ENTRIES
 
 
+@pytest.mark.parametrize("seq,gen,cutoff", [
+    (GateSeq((Gate.x(0, 3, 0.3),), 1), NOPoly.x(0, 3), 1977),
+    (GateSeq((), 0), NOPoly.constant(1.0), 10 ** 6),
+], ids=["one-mode", "no-mode"])
+def test_grid_guard_refuses_before_allocating(monkeypatch, seq, gen, cutoff):
+    # Dⁿ and dⁿ·Dⁿ pass both state bounds; the engine's G×G grid
+    # matrices, G = D + INTERNAL_PAD, would take gigabytes
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("np.zeros or np.linalg.eigh called")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    monkeypatch.setattr(np.linalg, "eigh", no_allocation)
+    ctx = FockContext(cutoff=cutoff, subspace=1)
+    with pytest.raises(DimensionTooLarge, match="over the bound"):
+        verify_numeric(seq, gen, 0.3, ctx)
+    assert cutoff ** len(gen.modes()) <= MAX_FULL_DIM
+    assert (cutoff + INTERNAL_PAD) ** 2 > MAX_STATE_ENTRIES
+
+
+def test_grid_guard_lets_the_largest_one_mode_cutoff_through(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def engine(modes, cutoff):
+        raise Reached(cutoff)
+
+    monkeypatch.setattr(verify, "_NumericEngine", engine)
+    with pytest.raises(Reached):
+        verify_numeric(GateSeq((Gate.x(0, 3, 0.3),), 1), NOPoly.x(0, 3), 0.3,
+                       FockContext(cutoff=1976, subspace=1))
+
+
 def test_heisenberg_action_identity_sequence():
     seq = GateSeq((Gate.x(0, 2, 0.5), Gate.x(0, 2, -0.5)), 1)
     (x, p), = heisenberg_action(seq, [0]).values()
