@@ -96,7 +96,7 @@ def test_state_guard_refuses_before_allocating(monkeypatch):
 ], ids=["one-mode", "no-mode"])
 def test_grid_guard_refuses_before_allocating(monkeypatch, seq, gen, cutoff):
     # Dⁿ and dⁿ·Dⁿ pass both state bounds; the engine's G×G grid
-    # matrices, G = D + INTERNAL_PAD, would take gigabytes
+    # matrices, G = D + INTERNAL_PAD, do not
     def no_allocation(*args, **kwargs):
         raise AssertionError("np.zeros or np.linalg.eigh called")
 
