@@ -9,11 +9,12 @@ introduced anywhere.
 
 Route overview:
   - single-mode powers n ≤ 3 and bilinear X_jX_k are primitives;
-  - even powers X^N reduce through an ancilla and two X^{N/2} conjugations;
-  - odd powers divisible by 3 reduce through two ancillas;
-  - multi-mode products expand into powers of mode sums with rational
-    coefficients fixed by a Pascal-matrix null vector; general shifts each
-    power onto a single mode by conjugation;
+  - higher single-mode powers, and products with two exponents above one
+    or a mode count divisible by neither 2 nor 3, split as e^{itYZ} into
+    two shifted squares on one ancilla (dss), Y = Z for an even power;
+  - other multi-mode products expand into powers of mode sums with
+    rational coefficients fixed by a Pascal-matrix null vector; general
+    shifts each power onto a single mode by conjugation;
   - a registry of special patterns (P·X², P·Xⁿ, P·P·X², X²X², X·Xᵐ) is
     consulted first, since several of them beat the general route badly;
     P·Xⁿ and P·P·X² are one conjugation round, e^{isP_kX_j²Y} with
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable
 
 from .algebra import Basis, NOPoly
@@ -45,7 +46,8 @@ _X, _P = Basis.POSITION, Basis.MOMENTUM
 
 
 class Ineligible(Exception):
-    """Target admits no exact route; carries the verdict reason."""
+    """Target refused, with the reason: a strength that overflows the
+    identities' parameters, or a generator that is no gate target."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,8 @@ class TargetGate:
 
 @dataclass(frozen=True)
 class EligibilityVerdict:
-    """route of an eligible target; reason is why none exists, else ""."""
+    """The route of a target. Every target has one, so eligible is True
+    and reason is ""; the fields keep the verdict's published shape."""
 
     eligible: bool
     route: str
@@ -128,11 +131,9 @@ def solve_pascal_coeffs(N: int) -> tuple[Fraction, ...]:
 
 
 def check_eligibility(target: TargetGate) -> EligibilityVerdict:
-    """Decide the compilation route, or explain why none exists."""
-    try:
-        route, _, _ = _classify(target)
-    except Ineligible as exc:
-        return EligibilityVerdict(False, "", str(exc))
+    """The compilation route of target; compile still refuses a strength
+    whose identity parameters overflow."""
+    route, _, _ = _classify(target)
     return EligibilityVerdict(True, route, "")
 
 
@@ -143,8 +144,9 @@ def _classify(target: TargetGate) -> tuple[
     The builder takes the compiler of the run. The label names the
     identity the builder runs, None for a primitive and for the xxn row,
     whose one nested target records its own identity; the momentum intake
-    row passes on the label of its position form. Raises Ineligible, with
-    the reason, when no exact route exists.
+    row passes on the label of its position form. Every target has a row:
+    dss takes a power above 3 and each product no other row covers, under
+    route SingleEven for an even power and DSS otherwise.
     """
     t = target.strength
     xs = [(m, n) for m, n, b in target.exponents if b is Basis.POSITION]
@@ -183,33 +185,41 @@ def _classify(target: TargetGate) -> tuple[
                 [u], c._sub(-t, (u, 1, _P), (j, n2, _X)))
 
     # general rules
-    powers = [n for _, n in xs]
-    nmodes = len(powers)
-    nonunit = [n for n in powers if n > 1]
-    if nmodes == 1:
+    powers, nmodes = [n for _, n in xs], len(xs)
+    if nmodes == 1 and powers[0] <= 3:
         (m, n), = xs
-        if n <= 3:
-            return "UniversalPrimitive", None, lambda c: [
-                c._gate(Gate.x(m, n, t))]
-        if n % 2 == 0:
-            return ("SingleEven", "single-even",
-                    lambda c: c.single_even(m, n, t))
-        if n % 3 == 0:
-            return ("SingleOdd3", "single-odd3",
-                    lambda c: c.single_odd3(m, n, t))
-        raise Ineligible(
-            f"single-mode power {n} is divisible by neither 2 nor 3")
-    if len(nonunit) > 1:
-        raise Ineligible(
-            "at most one mode may carry an exponent larger than one "
-            f"(found {len(nonunit)}) and no special identity applies")
-    if all(n == 1 for n in powers) and nmodes == 2:
+        return "UniversalPrimitive", None, lambda c: [
+            c._gate(Gate.x(m, n, t))]
+    if powers == [1, 1]:
         j, k = target.modes()
         return "UniversalPrimitive", None, lambda c: [
             c._gate(Gate.xx(j, k, t))]
-    if nmodes % 2 != 0 and nmodes % 3 != 0:
-        raise Ineligible(f"mode count {nmodes} is divisible by neither 2 nor 3")
+    # one mode is a mode count divisible by neither 2 nor 3
+    if sum(n > 1 for n in powers) > 1 or (nmodes % 2 and nmodes % 3):
+        y, z = _split(xs)
+        if y == z:
+            return "SingleEven", "single-even", lambda c: c.dss(y, y, t)
+        return "DSS", "dss", lambda c: c.dss(y, z, t)
     return "GeneralMultiMode", "general", lambda c: c.general(dict(xs), t)
+
+
+def _split(xs: list[tuple[int, int]]) -> tuple[list, list]:
+    """Position factors (Y, Z) with YZ = Π X_m^n over xs' (m, n) pairs.
+
+    One mode gives Y = X^{⌊n/2⌋}, Z = X^{⌈n/2⌉}. Otherwise Y is the prefix,
+    in mode order, whose degree is closest to half the total among the cuts
+    that leave both sides of degree ≥ 2, the shorter on a tie; two
+    exponents above one, or five modes or more, always leave such a cut.
+    """
+    if len(xs) == 1:
+        (m, n), = xs
+        return [(m, n // 2, _X)], [(m, n - n // 2, _X)]
+    total = sum(n for _, n in xs)
+    cut = min((abs(2 * d - total), i) for i, d in
+              enumerate(accumulate(n for _, n in xs[:-1]), 1)
+              if 2 <= d <= total - 2)[1]
+    factors = [(m, n, _X) for m, n in xs]
+    return factors[:cut], factors[cut:]
 
 
 class _Compiler:
@@ -357,44 +367,32 @@ class _Compiler:
         return (shift(s) + x4(j, beta) + shift(-2 * s) + x4(j, beta)
                 + shift(s) + x4(j, -2 * beta) + x4(k, -beta * s ** 4 / 8.0))
 
-    def single_even(self, k: int, n: int, t: float) -> list[Gate]:
-        """e^{itX_kⁿ} for even n ≥ 4, through a fresh ancilla.
+    def dss(self, y: list, z: list, t: float) -> list[Gate]:
+        """e^{itYZ} for commuting position monomials Y and Z, lists of
+        (mode, power, basis) factors: the difference of two shifted squares
+        on one fresh ancilla a.
 
-        Conjugating e^{it'X_a²} by e^{isP_aX_k^{n/2}} shifts the ancilla
-        quadrature by (s/2)X_k^{n/2}; the cross term is cancelled by a
-        final coupling gate and the X_kⁿ term survives with strength
-        t = t's²/4.
+        S(q, W) = e^{iqP_aW} carries X_a to X_a + (q/2)W. The circuit is
+        e^{iσ(X_a+(s/4)(Z+Y))²}·e^{−iσ(X_a+(s/4)(Z−Y))²}·e^{−i(4t/s)X_aY}:
+        the squares differ by σs·X_aY + σ(s²/4)·YZ, so at σ = 4t/s² the
+        last factor leaves tYZ. Y = Z, an even power, takes one shift; the
+        balanced split shrinks s below 2 for small |t|. Each nested target,
+        P_aZ, P_aY or X_aY, has a lower total degree than YZ, as Y and Z
+        have degree ≥ 2 each, so the recursion ends.
         """
         a = self.fresh_ancilla()
-        m = n // 2
         s = min(2.0, (4.0 * abs(t)) ** (1.0 / 3.0)) if self.balanced else 2.0
-        tp = 4.0 * t / (s * s)
-        return (self._shifted_power(a, [(s, [(k, m, _X)])], 2, tp)
-                + [self._gate(Gate.x(a, 2, -tp))]
-                + self._sub(-4.0 * t / s, (a, 1, _X), (k, m, _X)))
-
-    def single_odd3(self, k: int, n: int, t: float) -> list[Gate]:
-        """e^{itX_kⁿ} for odd n divisible by 3, n ≥ 9, with two ancillas.
-
-        Writes 2α X^n as a combination of a shifted cube, a shifted square
-        and lower powers; each piece reduces to already-solved routes with
-        maximum single-mode power strictly below n.
-        """
-        al = t / 2.0
-        j = self.fresh_ancilla()
-        l = self.fresh_ancilla()
-        m = n // 3
-        xkm, xj2 = [(k, m, _X)], [(j, 2, _X)]
-        return (
-            self._shifted_power(j, [(2.0, xkm)], 3, 2 * al)
-            + self._shifted_power(l, [(2.0, xkm), (2.0, xj2)], 2, -3 * al)
-            + [self._gate(Gate.x(j, 3, -2 * al))]
-            + self._sub(3 * al, (j, 4, _X))
-            + self._sub(3 * al, (k, 2 * n // 3, _X))
-            + self._sub(-6 * al, (j, 1, _X), (k, 2 * m, _X))
-            + self._sub(6 * al, (l, 1, _X), (j, 2, _X))
-            + self._sub(6 * al, (l, 1, _X), (k, m, _X))
-            + [self._gate(Gate.x(l, 2, 3 * al))])
+        sigma = 4.0 * t / (s * s)
+        shift = lambda q, w: self._sub(q, (a, 1, _P), *w)
+        if y == z:
+            left = sy = shift(s, y)
+            right = []
+        else:
+            hz, hy = shift(s / 2, z), shift(s / 2, y)
+            left, sy, right = hz + hy, shift(s, y), hy + shift(-s / 2, z)
+        x2 = lambda q: [self._gate(Gate.x(a, 2, q))]
+        return (left + x2(sigma) + self._inverse(sy) + x2(-sigma) + right
+                + self._sub(-4.0 * t / s, (a, 1, _X), *y))
 
     def general(self, powers: dict[int, int], t: float) -> list[Gate]:
         """e^{itΠX_m^{n_m}}, powers mapping each of its N modes m to n_m.
@@ -426,7 +424,7 @@ class _Compiler:
     # -- dispatch ----------------------------------------------------------
 
     def _emit(self, target: TargetGate) -> tuple[str, list[Gate]]:
-        """Route of target and the gates it emits; Ineligible if none.
+        """Route of target and the gates it emits.
 
         The one entry that runs an identity: a target below ZERO_STRENGTH
         emits nothing and records nothing; otherwise a row with a label
@@ -465,8 +463,8 @@ def compile(target: TargetGate, balanced: bool = False
             ) -> tuple[GateSeq, DecompReport]:
     """Full pipeline: route dispatch, recursion, then peephole optimization.
 
-    Raises Ineligible when no exact route exists, or when a parameter of
-    the route's identities overflows: no returned gate strength is inf or NaN.
+    Raises Ineligible when a parameter of the route's identities
+    overflows: no returned gate strength is inf or NaN.
     """
     n_modes = max(target.modes()) + 1
     comp = _Compiler(n_modes, balanced)

@@ -17,8 +17,9 @@ import numpy as np
 from cvexact.algebra import NOPoly, commutator, poly_mul
 from cvexact.baseline import commutator_approx, commutator_repeats
 from cvexact.circuit import FOURIER, Gate, GateSeq
-from cvexact.decompose import (TargetGate, _Compiler, check_eligibility,
-                               compile, solve_pascal_coeffs)
+from cvexact.decompose import (Ineligible, TargetGate, _Compiler,
+                               check_eligibility, compile,
+                               solve_pascal_coeffs)
 from cvexact.verify import (MAX_FULL_DIM, FockContext, verify_numeric,
                             verify_symbolic)
 
@@ -200,8 +201,10 @@ class _NativeQuartics(_Compiler):
     """Compiler that emits each even power as one native gate, so that
     x2x2 yields its bare two-squares splitting with X⁴ factors."""
 
-    def single_even(self, k, n, t):
-        return [Gate.x(k, n, t)]
+    def dss(self, y, z, t):
+        (k, n, _), = y  # y == z: the route of the even power X_k^{2n}
+        assert y == z
+        return [Gate.x(k, 2 * n, t)]
 
 
 def _max_cutoff(n_modes):
@@ -335,19 +338,24 @@ def test_criterion_6_baseline_scaling():
 # ------------------------------------------------------------------------- 7
 
 def test_criterion_7_eligibility_contract():
+    # every monomial has a route; only a strength whose identity
+    # parameters overflow is refused
     t0 = time.perf_counter()
     ok = True
-    for exps in ({0: 5}, {0: 7}, {0: 2, 1: 2, 2: 2}):
-        v = check_eligibility(TargetGate.position(exps, 1.0))
-        ok &= (not v.eligible
-               and ("divisible" in v.reason or "exponent" in v.reason))
-    accepted = [{0: 6}, {0: 9}, {0: 1, 1: 3}]
+    try:
+        compile(TargetGate.position({0: 4}, 1e300))
+        ok = False
+    except Ineligible as exc:
+        ok &= "overflows the parameters" in str(exc)
+    accepted = [{0: 5}, {0: 6}, {0: 7}, {0: 9}, {0: 1, 1: 3},
+                {0: 2, 1: 2, 2: 2}]
     accepted += [{0: n, 1: 1, 2: 1, 3: 1} for n in (1, 2, 3, 4)]
     for exps in accepted:
         ok &= check_eligibility(TargetGate.position(exps, 1.0)).eligible
     dt = time.perf_counter() - t0
     ok &= dt < 1.0
-    detail = f"3 rejected with cited restrictions, 7 accepted, {dt:.2f}s"
+    detail = (f"overflowing strength refused, {len(accepted)} accepted, "
+              f"{dt:.2f}s")
     assert _verdict("criterion 7 eligibility contract", ok, detail), detail
 
 

@@ -86,7 +86,7 @@ def test_non_finite_strength_exit(capsys):
 
 
 def test_compile_ineligible_exit(capsys):
-    assert main(["compile", "t=1 X[0]^5"]) == EXIT_INELIGIBLE
+    assert main(["compile", "t=1e300 X[0]^4"]) == EXIT_INELIGIBLE
     assert "ineligible" in capsys.readouterr().err
 
 

@@ -17,7 +17,7 @@ from cvexact.cli import parse_spec
 from cvexact.verify import verify_symbolic
 
 from test_acceptance import _NativeQuartics
-from util import negate_last_exp
+from util import negate_dss_square, negate_last_exp
 
 TOL = 1e-9
 X, P = Basis.POSITION, Basis.MOMENTUM
@@ -100,20 +100,22 @@ def test_route_and_counts_pinned(body, route, nonfourier, total, ancillas):
 
 # ----------------------------------------------------------- eligibility ---
 
-@pytest.mark.parametrize("exps", [{0: 5}, {0: 7}, {0: 2, 1: 2, 2: 2}])
-def test_rejections_cite_restrictions(exps):
-    v = check_eligibility(TargetGate.position(exps, 1.0))
-    assert not v.eligible
-    assert "divisible" in v.reason or "exponent" in v.reason
+ACCEPTED = [
+    ({0: 6}, "SingleEven"), ({0: 9}, "DSS"),
+    ({0: 1, 1: 3}, "SpecialIdentity(xxn)"),
+    ({0: 2, 1: 1, 2: 1}, "GeneralMultiMode"),
+    ({0: 1, 1: 1, 2: 1, 3: 1}, "GeneralMultiMode"),
+    # once refused: powers divisible by neither 2 nor 3, and a product
+    # with more than one exponent above one
+    ({0: 5}, "DSS"), ({0: 7}, "DSS"), ({0: 2, 1: 2, 2: 2}, "DSS"),
+]
 
 
-@pytest.mark.parametrize("exps", [
-    {0: 6}, {0: 9}, {0: 1, 1: 3}, {0: 2, 1: 1, 2: 1},
-    {0: 1, 1: 1, 2: 1, 3: 1},
-])
-def test_accepted_targets(exps):
-    v = check_eligibility(TargetGate.position(exps, 1.0))
-    assert v.eligible, v.reason
+@pytest.mark.parametrize("exps,route", ACCEPTED,
+                         ids=[f"exps{i}" for i in range(len(ACCEPTED))])
+def test_accepted_targets(exps, route):
+    assert (check_eligibility(TargetGate.position(exps, 1.0))
+            == EligibilityVerdict(True, route, ""))
 
 
 @pytest.mark.parametrize("factor", [
@@ -148,22 +150,21 @@ def test_compile_refuses_a_merge_that_overflows(monkeypatch):
 
 
 def test_compile_raises_on_ineligible():
-    with pytest.raises(Ineligible):
-        compile(TargetGate.position({0: 5}, 1.0))
+    # every monomial has a route: only an overflowing strength is refused
+    with pytest.raises(Ineligible, match="overflows the parameters"):
+        compile(TargetGate.position({0: 4}, 1e300))
 
 
-@pytest.mark.parametrize("body,reason", [
-    ("X[0] X[1] X[2] X[3] X[4]",
-     "mode count 5 is divisible by neither 2 nor 3"),
-    # a momentum target whose all-position form has no route
-    ("P[0]^5", "single-mode power 5 is divisible by neither 2 nor 3"),
+@pytest.mark.parametrize("body", [
+    "X[0] X[1] X[2] X[3] X[4]",
+    # a momentum target routed as its all-position form
+    "P[0]^5",
 ])
-def test_ineligible_verdict_carries_the_reason_compile_raises(body, reason):
+def test_verdict_route_is_the_route_compile_reports(body):
     tg = parse_spec(f"t=0.3 {body}")
-    assert check_eligibility(tg) == EligibilityVerdict(False, "", reason)
-    with pytest.raises(Ineligible) as exc:
-        compile(tg)
-    assert str(exc.value) == reason
+    _, rep = compile(tg)
+    assert rep.route == "DSS"
+    assert check_eligibility(tg) == EligibilityVerdict(True, rep.route, "")
 
 
 def test_eligible_verdict_has_route_and_no_reason():
@@ -237,7 +238,7 @@ def test_x2x2_identity(t):
     _check(seq, gen, t)
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 10])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 10])
 def test_single_even_identity(n):
     t = 0.9
     seq = _compiled(t, (0, n, X))
@@ -250,6 +251,22 @@ def test_x8_at_unit_strength_is_exact():
     seq = _compiled(1.0, (0, 8, X))
     _check(seq, NOPoly.x(0, 8), 1.0)
     assert verify_symbolic(negate_last_exp(seq), NOPoly.x(0, 8), 1.0) > 1e-2
+
+
+# targets the compiler once refused, and P₀P₁X₂³, whose general route
+# ends in a DSS row for its singleton X₂⁹; at t = 0.3 the whole fold of
+# P₀P₁X₂³'s earlier route ran for minutes (see PRUNE_THRESHOLD)
+DSS_FOLDS = ["X[0]^5", "P[0]^5", "X[0]^2 X[1]^3", "X[0]^2 X[1]^2 X[2]^2",
+             "X[0] X[1] X[2] X[3] X[4]", "X[0]^7", "P[0] P[1] X[2]^3"]
+
+
+@pytest.mark.parametrize("t", [0.3, -0.7])
+@pytest.mark.parametrize("body", DSS_FOLDS)
+def test_dss_circuits_are_exact_and_fail_the_square_control(body, t):
+    tg = parse_spec(f"t={t} {body}")
+    seq, _ = compile(tg)
+    _check(seq, tg.generator(), t)
+    assert verify_symbolic(negate_dss_square(seq), tg.generator(), t) > 1e-2
 
 
 def test_single_odd_nine_compiles_to_universal_gates():
@@ -270,11 +287,16 @@ class _OneLevel(_Compiler):
 
 # (body, strength, whether the identity asks for a nested target)
 ONE_LEVEL = [
-    ("X[0]^4", 0.7, True),                 # single_even
+    ("X[0]^4", 0.7, True),                 # dss, Y = Z
     ("X[0]^6", -0.3, True),
     ("X[0]^8", 1.0, True),
     ("X[0]^12", 0.9, True),
-    ("X[0]^9", 0.3, True),                 # single_odd3
+    ("X[0]^9", 0.3, True),                 # dss, Y ≠ Z
+    ("X[0]^5", 0.4, True),
+    ("X[0]^5", -0.6, True),
+    ("X[0]^2 X[1]^3", 0.5, True),
+    ("X[0]^2 X[1]^2 X[2]^2", -0.4, True),
+    ("X[0] X[1] X[2] X[3] X[4]", 0.3, True),
     ("X[0]^2 X[1]^2", 0.5, True),          # x2x2
     ("P[0] X[1]^2", 0.5, False),           # px2
     ("P[0] X[1]^2", -0.8, False),
@@ -347,7 +369,7 @@ def test_a_nested_target_below_zero_strength_records_nothing():
 SHIFTED_POWERS = {
     "unit-shift-squared": (0, [(2.0, [(1, 1, X)])], 2, 0.3),
     "square-shift-cubed": (0, [(0.8, [(1, 2, X)])], 3, -0.4),
-    # single_odd3's square, and the cross-term square of two monomials
+    # the cross-term square of two monomials
     "two-shifts-squared": (2, [(2.0, [(0, 3, X)]), (2.0, [(1, 2, X)])], 2,
                            -0.45),
     # one sign-sum row: shifts of both signs

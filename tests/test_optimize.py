@@ -331,10 +331,10 @@ def _scoped_as_packing_would_pack(seq):
 
 # the compile-large bodies and their ancillas at t = 0.3: the peak nesting
 # of the identities that take one
-LARGE_ANCILLAS = {"X[0]^9": 6, "X[0]^12": 5,
+LARGE_ANCILLAS = {"X[0]^9": 4, "X[0]^12": 5,
                   "X[0] X[1] X[2] X[3] X[4] X[5]": 2,
                   "X[0]^2 X[1] X[2] X[3]": 3, "X[0]^3 P[1] P[2] P[3]": 5,
-                  "P[0] P[1] X[2]^3": 6}
+                  "P[0] P[1] X[2]^3": 4}
 
 
 @pytest.mark.parametrize("body", LARGE_ANCILLAS)

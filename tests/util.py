@@ -157,6 +157,20 @@ def negate_last_exp(seq):
                                + seq.gates[i + 1:]))
 
 
+def negate_dss_square(seq):
+    """seq with the e^{iσX_a²} of its outermost DSS row negated, a the
+    first ancilla: the last x2 gate on a is that row's e^{−iσX_a²}, and
+    the gate negated is the last x2 gate on a before it at strength σ.
+    Unlike the last gate's strength, σ does not shrink as nesting deepens.
+    """
+    a = seq.ancilla_modes[0]
+    on_a = [i for i, g in enumerate(seq.gates)
+            if g.kind == "x2" and g.modes == (a,)]
+    minus = seq.gates[on_a[-1]].strength
+    i = max(i for i in on_a[:-1] if seq.gates[i].strength == -minus)
+    return with_strength(seq, i, minus)
+
+
 def with_strength(seq, i, strength):
     """seq with gate i replaced by the same record at another strength."""
     return replace(seq, gates=(seq.gates[:i]
