@@ -86,6 +86,9 @@ ROUTE_PINS = [
     # all-position form inside the intake Fourier conjugation
     ("X[0] P[1]^2", "SpecialIdentity(xxn)", 9, 21, 0),
     ("P[0]^2 P[1]^2", "SpecialIdentity(twosquares)", 119, 233, 1),
+    # shapes that only the dss identity compiles
+    ("X[0]^5", "DSS", 576, 1110, 2),
+    ("X[0] X[1] X[2] X[3] X[4]", "DSS", 1004, 1902, 2),
 ]
 
 

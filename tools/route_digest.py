@@ -23,7 +23,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cvexact.cli import parse_spec, preset_spec  # noqa: E402
 from cvexact.decompose import compile  # noqa: E402
 
-# the route pins of tests/test_decompose.py, then larger routes
+# the route pins of tests/test_decompose.py, then larger routes, then
+# shapes that only the dss identity compiles
 BODIES = (
     "X[0]^3", "X[0] X[1]", "P[0] X[1]", "X[0]^4", "X[0] X[1] X[2]",
     "P[0] P[1] P[2]", "X[0]^2 X[1] X[2]", "P[0] X[1]^2", "P[0] X[1]^3",
@@ -32,6 +33,8 @@ BODIES = (
     "X[0]^6", "X[0]^8", "X[0]^2 X[1] X[2] X[3]", "montecarlo:3",
     "P[0] X[1]^4", "P[0] X[1]^5", "X[0]^9",
     "X[0]^12", "X[0] X[1] X[2] X[3] X[4] X[5]",
+    "X[0]^5", "P[0]^5", "X[0]^2 X[1]^3", "X[0]^2 X[1]^2 X[2]^2",
+    "X[0] X[1] X[2] X[3] X[4]", "X[0]^7",
 )
 # 1e-13 puts the strengths of nested identities below ZERO_STRENGTH, so
 # those identities emit nothing
