@@ -26,7 +26,9 @@ _classify is the one route table, for the top-level target and for every
 nested target an identity asks for through _Compiler._sub; no identity
 calls another directly. _Compiler._emit is the one entry that runs a
 row's builder, records its identity in the recursion trace and scopes the
-ancillas it takes.
+ancillas it takes. It also builds each distinct nested target once per
+scope, the nested targets of one identity: a repeat gets the first build's
+gate list and replays its trace entries.
 """
 
 from __future__ import annotations
@@ -240,6 +242,10 @@ class _Compiler:
     The run decides record identity: every gate it makes goes through
     _gate, so its gate lists hold one Gate object per record, and later
     passes share their work per object.
+
+    Each distinct nested target is built once per scope, the nested
+    targets of one identity (_emit); a repeat appends the first build's
+    trace entries again, so the trace is that of a run that rebuilds it.
     """
 
     def __init__(self, n_modes: int, balanced: bool = False):
@@ -250,6 +256,8 @@ class _Compiler:
         self.balanced = balanced
         self._records: dict = {}  # record key -> its one Gate, for _gate
         self._inverses: dict = {}  # _map_records' table for _inverse
+        # the running builder's table of its nested targets, for _emit
+        self._built: dict = {}
 
     def fresh_ancilla(self) -> int:
         """The label above the current top of the ancilla stack, held until
@@ -376,7 +384,10 @@ class _Compiler:
         e^{iσ(X_a+(s/4)(Z+Y))²}·e^{−iσ(X_a+(s/4)(Z−Y))²}·e^{−i(4t/s)X_aY}:
         the squares differ by σs·X_aY + σ(s²/4)·YZ, so at σ = 4t/s² the
         last factor leaves tYZ. Y = Z, an even power, takes one shift; the
-        balanced split shrinks s below 2 for small |t|. Each nested target,
+        balanced split shrinks s below 2 for small |t|. S(s/2, Y) stands
+        twice but is asked for once: _emit's table would return the same
+        list for a second request, but would also trace its identities
+        again. Each nested target,
         P_aZ, P_aY or X_aY, has a lower total degree than YZ, as Y and Z
         have degree ≥ 2 each, so the recursion ends.
         """
@@ -431,27 +442,49 @@ class _Compiler:
         appends (label, depth) to the trace and its builder runs one level
         deeper. It is also the one scope of ancillas: the labels the
         builder takes are released when it returns, labelled or not.
+
+        The nested targets of a labelled row share one table, dropped when
+        its builder returns; an unlabelled row, which runs no identity of
+        its own, uses its caller's. A target met again there, at the same
+        strength, ancilla top and depth, gets the stored route and gate
+        list, and the trace entries of its first build are appended again.
+        A gate list depends on nothing else of the run, so a stored one is
+        what a rebuild would return, object for object; no caller mutates
+        one.
         """
-        route, label, build = _classify(target)
         if abs(target.strength) < ZERO_STRENGTH:
-            return route, []
+            return _classify(target)[0], []
         top, depth = self.next_anc, self.depth
+        key = (target.exponents, target.strength, top, depth)
+        hit = self._built.get(key)
+        if hit is not None:
+            route, gates, start, end = hit
+            self.trace += self.trace[start:end]
+            return route, gates
+        route, label, build = _classify(target)
+        start, scope = len(self.trace), self._built
         if label is not None:
             self.trace.append((label, depth))
             self.depth += 1
+            self._built = {}
         try:
-            return route, build(self)
+            gates = build(self)
         finally:
-            self.next_anc, self.depth = top, depth
+            self.next_anc, self.depth, self._built = top, depth, scope
+        scope[key] = route, gates, start, len(self.trace)
+        return route, gates
 
     def run(self, target: TargetGate) -> tuple[str, list[Gate]]:
         """_emit for a caller outside the compiler: also Ineligible, never
         OverflowError, when a parameter of the route's identities overflows,
-        so no returned gate strength is inf or NaN."""
+        so no returned gate strength is inf or NaN. It empties _emit's
+        table when it returns, so no later run meets this run's lists."""
         try:
             return self._emit(target)
         except OverflowError:
             raise _overflows(target) from None
+        finally:
+            self._built = {}
 
 
 def _overflows(target: TargetGate) -> Ineligible:
@@ -470,6 +503,7 @@ def compile(target: TargetGate, balanced: bool = False
     comp = _Compiler(n_modes, balanced)
     route, gates = comp.run(target)
     raw = GateSeq(tuple(gates), n_modes, tuple(comp.ancillas))
+    del gates  # raw holds the circuit; optimize's peak need not hold it twice
     seq = optimize(raw)
     if not all(math.isfinite(g.strength) for g in seq.gates):
         raise _overflows(target)  # merging two gates can overflow

@@ -398,6 +398,61 @@ def test_shifted_power_is_the_power_of_the_shifted_quadrature(c, shifts, n,
     assert verify_symbolic(negate_last_exp(seq), power, t) > 1e-3
 
 
+# ------------------------------------------------- one build per target ---
+
+class _CountingBuilds(_Compiler):
+    """Records each call of dss, commutator_round, px2 and x2x2 as the
+    table _emit looked its target up in and the target's key."""
+
+    def __init__(self, n_modes):
+        super().__init__(n_modes)
+        self.asked = []   # (table, key) of each _emit still running
+        self.builds = []  # (table, key) of each builder call
+
+    def _emit(self, target):
+        key = (target.exponents, target.strength, self.next_anc, self.depth)
+        self.asked.append((self._built, key))
+        try:
+            return super()._emit(target)
+        finally:
+            self.asked.pop()
+
+
+def _counted(name):
+    def build(self, *args):
+        self.builds.append(self.asked[-1])
+        return getattr(_Compiler, name)(self, *args)
+    return build
+
+
+for _name in ("dss", "commutator_round", "px2", "x2x2"):
+    setattr(_CountingBuilds, _name, _counted(_name))
+
+
+# trace lengths of tests/data/route_digest.txt, as before the table
+@pytest.mark.parametrize("body,trace_len", [
+    ("X[0]^12", 659), ("X[0] X[1] X[2] X[3] X[4] X[5]", 2206)])
+def test_each_nested_target_is_built_once_per_table(body, trace_len):
+    tg = parse_spec(f"t=0.3 {body}")
+    comp = _CountingBuilds(max(tg.modes()) + 1)
+    comp.run(tg)
+    # the records hold every table, so no id is reused
+    builds = [(id(table), key) for table, key in comp.builds]
+    assert len(set(builds)) == len(builds)
+    assert len(builds) < len(comp.trace) == trace_len
+    assert comp._built == {} and comp.depth == 0
+
+
+def test_no_table_outlives_a_run_or_crosses_splits():
+    # default, balanced, default in one process: each line is the recorded one
+    from test_route_digest import EXPECTED, route_digest
+    splits = ("default", "balanced", "default")
+    lines = [route_digest.digest_line("X[0]^9", 0.3, s) for s in splits]
+    assert lines[0] == lines[2]
+    assert lines[:2] == [line for line in EXPECTED
+                         if line.startswith("X[0]^9 | t=0.3 |")]
+
+
 # ------------------------------------------------------------ full routes ---
 
 @pytest.mark.parametrize("exps,t", [
