@@ -23,7 +23,10 @@ print("ancilla modes:", report.n_ancillas)
 
 # what kinds of gates make up the circuit? (interchange-format labels:
 # x1/x2/x3 are the linear/quadratic/cubic phase gates, xx the coupling gate)
-kinds = collections.Counter(entry["kind"] for entry in serialize(seq)["gates"])
+# the saved document holds each distinct gate record once, and the circuit
+# as indices into that record table
+doc = serialize(seq)
+kinds = collections.Counter(doc["records"][i]["kind"] for i in doc["gates"])
 for kind, n in sorted(kinds.items()):
     print(f"  {kind:10s} x{n}")
 

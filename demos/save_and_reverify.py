@@ -1,8 +1,10 @@
 """Round-trip a compiled circuit through the JSON interchange format.
 
 Circuits are serialized in application order (first gate applied first),
-so an external consumer can replay the file top to bottom. A reloaded
-circuit carries enough information to be re-verified from scratch.
+so an external consumer can replay the file top to bottom: each entry of
+"gates" is an index into "records", which holds each distinct gate record
+once. A reloaded circuit carries enough information to be re-verified
+from scratch.
 """
 
 import json
@@ -24,10 +26,11 @@ with tempfile.TemporaryDirectory() as tmp:
 
     with open(path) as fh:
         doc = json.load(fh)
-    print(f"schema version {doc['version']}, {len(doc['gates'])} gates on disk")
+    print(f"schema version {doc['version']}, {len(doc['gates'])} gates on "
+          f"disk, {len(doc['records'])} distinct records")
     print("first three gates as applied:")
-    for entry in doc["gates"][:3]:
-        print("  ", entry)
+    for i in doc["gates"][:3]:
+        print("  ", doc["records"][i])
 
     with open(path) as fh:
         loaded = deserialize(fh.read())

@@ -95,11 +95,16 @@ def commutator_approx(a: NOPoly, b: NOPoly, t2: float, K: int) -> GateSeq:
 
 
 def commutator_repeats(strength: float, epsilon: float) -> int:
-    """K for one commutator level at the given strength and target error."""
+    """K for one commutator level at the given strength and target error;
+    ValueError when K is past the largest float."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    return max(1, math.ceil(COMMUTATOR_MODEL_C * abs(strength)
-                            / math.sqrt(epsilon)))
+    k = COMMUTATOR_MODEL_C * abs(strength) / math.sqrt(epsilon)
+    if math.isinf(k):
+        raise ValueError(f"a commutator level of strength {strength:g} needs "
+                         f"more repeats at epsilon {epsilon:g} than a float "
+                         "holds")
+    return max(1, math.ceil(k))
 
 
 def _unit_like(exps) -> bool:

@@ -142,32 +142,32 @@ def _header(seq: GateSeq) -> dict:
             and all(map(_integer, seq.ancilla_modes))):
         raise SchemaViolation(f"mode count {seq.n_target_modes!r} or ancillas "
                               f"{seq.ancilla_modes} are not integers")
-    return {"version": 1, "modes": seq.n_target_modes,
+    return {"version": 2, "modes": seq.n_target_modes,
             "ancillas": list(seq.ancilla_modes)}
 
 
 def serialize(seq: GateSeq) -> dict:
-    """Circuit document; gate order is application order (first applied first)."""
-    return {**_header(seq),
-            "gates": [_gate_record(g) for g in reversed(seq.gates)]}
+    """Circuit document, version 2: records holds the record of each
+    distinct Gate object once, and gates the circuit in application order
+    (first applied first) as indices into records."""
+    header = _header(seq)
+    records: list[dict] = []
+
+    def index(g: Gate) -> int:
+        records.append(_gate_record(g))
+        return len(records) - 1
+
+    gates = _map_records(index, reversed(seq.gates))
+    return {**header, "records": records, "gates": gates}
 
 
 def serialize_json(seq: GateSeq) -> str:
-    """The circuit document as one line of compact JSON, byte for byte
-    json.dumps(serialize(seq)).
+    """The circuit document as one line of compact JSON.
 
     Strengths are written as the shortest decimal that reads back to the
-    same float, so deserialize(serialize_json(seq)) is exact. The file has
-    no indentation: the C encoder writes it several times faster than the
-    indented form, which deserialize still reads. Each distinct Gate object
-    is encoded once and its text joined in at every position; a circuit from
-    optimize or deserialize holds one object per record.
+    same float, so deserialize(serialize_json(seq)) is exact.
     """
-    # an exppoly gate has no record: _gate_record refuses it
-    records = _map_records(lambda g: json.dumps(_gate_record(g)),
-                           reversed(seq.gates))
-    head = json.dumps(_header(seq))
-    return f'{head[:-1]}, "gates": [{", ".join(records)}]}}'
+    return json.dumps(serialize(seq))
 
 
 def _integer(v) -> bool:
@@ -182,105 +182,70 @@ def _finite_number(v) -> bool:
 
 
 def deserialize(doc: dict | str | bytes) -> GateSeq:
-    """The GateSeq of a version-1 circuit document or its JSON text.
+    """The GateSeq of a circuit document of version 1 or 2, or of its JSON
+    text.
 
-    Nothing is coerced. The version must be the integer 1, the mode count,
-    each ancilla and each gate mode an integer, a strength a finite int or
-    float, dagger a JSON boolean and kind a string; a bool is none of the
-    numbers. Raises SchemaViolation for a document that breaks any of this,
-    and for a gate record with the wrong number of modes for its kind, the
-    same mode twice in an xx record, a mode the document does not declare,
-    or dagger set on a non-Fourier record, and for text that is not JSON:
-    nesting too deep to parse, bytes that do not decode, or a str that
-    starts with a byte order mark. Bytes are decoded as json.loads decodes
-    them, so UTF-8 (with or without a BOM), UTF-16 and UTF-32 bytes load.
+    Version 2 is what serialize writes. Version 1, which earlier versions
+    wrote, lists one record per gate in gates, in application order; it
+    loads as before. Nothing is coerced. The version must be the integer 1
+    or 2, the mode count, each ancilla and each gate mode an integer, a
+    strength a finite int or float, dagger a JSON boolean and kind a
+    string; a bool is none of the numbers. In version 2 each gate is an
+    integer index into records. Raises SchemaViolation for a document that
+    breaks any of this, and for a gate record with the wrong number of
+    modes for its kind, the same mode twice in an xx record, a mode the
+    document does not declare, or dagger set on a non-Fourier record, and
+    for text that is not JSON: nesting too deep to parse, bytes that do
+    not decode, or a str that starts with a byte order mark. Bytes are
+    decoded as json.loads decodes them, so UTF-8 (with or without a BOM),
+    UTF-16 and UTF-32 bytes load. Every record is checked, used or not.
     Other keys of a record, such as the "provenance" that older files
-    carry, are ignored.
-
-    Text in the layout serialize_json writes, with exactly its header and
-    record keys, is split at its gate records instead of parsed whole: its
-    cost is one split plus one parse and check per distinct record text.
-    Every other input (a dict, indented text, records with other keys,
-    trailing whitespace, or any text that fails a check) loads as before,
-    through json.loads of the whole text, with the same result or error
-    message; there every record's types are checked. Either way each
-    distinct record's Gate is built once and stands at every position of it.
+    carry, are ignored. Each distinct record's Gate is built once and
+    stands at every position of it.
     """
     if isinstance(doc, (str, bytes)):
-        seq = _load_serialized_text(doc)
-        if seq is not None:
-            return seq
         try:
             doc = json.loads(doc)
         except (json.JSONDecodeError, UnicodeDecodeError,
                 RecursionError) as exc:
             raise SchemaViolation(f"invalid JSON: {exc}") from exc
-    n, ancillas, records = _read_header(doc)
+    n, ancillas, records, indices = _read_header(doc)
     table: dict = {}
-    return _gate_seq([_load_record(rec, table) for rec in records],
-                     n, ancillas)
-
-
-_GATES_OPEN = ', "gates": ['
-# the keys serialize_json writes, which alone take the text path
-_HEADER_KEYS = frozenset(_header(GateSeq((), 0)))
-_RECORD_KEYS = frozenset(_gate_record(Gate.fourier(0)))
-
-
-def _load_serialized_text(doc: str | bytes) -> GateSeq | None:
-    """deserialize of text in serialize_json's layout, or None for any
-    other text and for any text that fails a check.
-
-    The header is the text up to the first ', "gates": [', closed with
-    "}"; the text must end in "]}", and the gate array between is split
-    on "}, {". When the header and every record piece parse as one object
-    each, the whole text is exactly that object with "gates" last, so
-    json.loads would give the same document. A piece parses two levels
-    shallower than it stands in the whole text, so only the keys
-    serialize_json writes are accepted: a record that holds nothing else
-    and passes the checks is too shallow to reach the nesting limit.
-    """
-    # every failure falls back to json.loads of the whole text, which gives
-    # its own result or error message
-    try:
-        text = doc if isinstance(doc, str) else doc.decode(
-            json.detect_encoding(doc), "surrogatepass")
-        cut = text.find(_GATES_OPEN)
-        if cut < 0 or not text.endswith("]}"):
-            return None
-        body = text[cut + len(_GATES_OPEN):-2]
-        if body and not (body.startswith("{") and body.endswith("}")):
-            return None
-        head = json.loads(text[:cut] + "}")  # an object: it ends in "}"
-        if head.keys() != _HEADER_KEYS:
-            return None
-        head["gates"] = body[1:-1].split("}, {") if body else []
-        n, ancillas, pieces = _read_header(head)
-        by_text = dict.fromkeys(pieces)  # each distinct record text once
-        table: dict = {}
-        for piece in by_text:
-            rec = json.loads("{" + piece + "}")
-            if rec.keys() != _RECORD_KEYS:
-                return None
-            by_text[piece] = _load_record(rec, table)
-        return _gate_seq(list(map(by_text.__getitem__, pieces)), n, ancillas)
-    except (ValueError, RecursionError, SchemaViolation):
-        return None
+    gates = [_load_record(rec, table) for rec in records]
+    if indices is not None:
+        gates = _look_up(gates, indices)
+    return _gate_seq(gates, n, ancillas)
 
 
 def _read_header(doc) -> tuple:
-    """The mode count, ancillas and gate records of a circuit document
-    whose header is checked."""
-    if not isinstance(doc, dict) or not _integer(doc.get("version")) \
-            or doc["version"] != 1:
-        raise SchemaViolation("expected a version-1 circuit document")
-    n, ancillas, records = doc.get("modes"), doc.get("ancillas"), doc.get("gates")
+    """The mode count, ancillas, gate records and gate indices of a
+    circuit document whose header is checked. The indices are None in
+    version 1, whose records are its gates."""
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if not _integer(version) or version not in (1, 2):
+        raise SchemaViolation("expected a circuit document of version 1 or 2")
+    n, ancillas, gates = doc.get("modes"), doc.get("ancillas"), doc.get("gates")
+    records = gates if version == 1 else doc.get("records")
     if not (_integer(n) and isinstance(ancillas, list)
-            and all(map(_integer, ancillas)) and isinstance(records, list)):
+            and all(map(_integer, ancillas)) and isinstance(gates, list)
+            and isinstance(records, list)):
         raise SchemaViolation("bad document structure: modes must be an "
                               "integer, ancillas a list of integers and "
-                              "gates a list")
-    return n, ancillas, records
+                              + ("gates a list" if version == 1 else
+                                 "records and gates lists"))
+    return n, ancillas, records, None if version == 1 else gates
+
+
+def _look_up(gates: list, indices: list) -> list:
+    """The gates at indices, each a JSON integer in range(len(gates))."""
+    # one type test per distinct type, not per index
+    if not (all(t is not bool and issubclass(t, int)
+                for t in set(map(type, indices)))
+            and (not indices or min(indices) >= 0
+                 and max(indices) < len(gates))):
+        raise SchemaViolation(f"gates must be integers in range({len(gates)})"
+                              ", each an index into records")
+    return list(map(gates.__getitem__, indices))
 
 
 def _load_record(rec, table: dict) -> Gate:

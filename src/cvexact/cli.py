@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from decimal import Decimal
 
 from .algebra import Basis
 from .baseline import estimate_commutator_count
@@ -212,11 +213,15 @@ def cmd_compare(args) -> int:
     target = args.target
     _, report = compile(target)
     exact = report.n_gates_nonfourier
-    estimate, model = estimate_commutator_count(target, args.epsilon)
+    estimate, model = args.estimate
+    try:
+        ratio = f"{estimate / max(exact, 1):.3g}"
+    except OverflowError:  # past the largest float: divide in decimal
+        ratio = f"{Decimal(estimate) / max(exact, 1):.3g}"
     print(f"target:              {format_spec(target)}")
     print(f"exact compilation:   {exact} non-Fourier gates")
     print(f"baseline estimate:   {estimate} gates at precision {args.epsilon:g}")
-    print(f"ratio:               {estimate / max(exact, 1):.3g}")
+    print(f"ratio:               {ratio}")
     print(f"model:               {model}")
     return 0
 
@@ -232,10 +237,11 @@ def _parse(args) -> None:
     """The parse stage: check every input before any compile or verify call.
 
     Sets args.target, args.ctx (a FockContext, or None without
-    --numeric-cutoff) and, for verify, args.seq. Raises SpecError or
-    ValueError for a bad spec, preset or flag (an --out whose directory
-    does not exist among them), OSError or SchemaViolation for a circuit
-    file that cannot be loaded.
+    --numeric-cutoff), for compare args.estimate (the baseline count and
+    its model) and for verify args.seq. Raises SpecError or ValueError for
+    a bad spec, preset or flag (an --out whose directory does not exist
+    among them, and an epsilon whose repeat count no float holds), OSError
+    or SchemaViolation for a circuit file that cannot be loaded.
     """
     spec = (preset_spec(args.name, args.strength) if args.command == "preset"
             else args.spec)
@@ -246,6 +252,8 @@ def _parse(args) -> None:
     epsilon = getattr(args, "epsilon", 1.0)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise SpecError("--epsilon must be finite and positive")
+    if args.command == "compare":
+        args.estimate = estimate_commutator_count(args.target, epsilon)
     out = getattr(args, "out", None)
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         raise SpecError(f"--out directory {os.path.dirname(out)!r} does not exist")

@@ -305,7 +305,7 @@ class _Compiler:
         (mode, power, basis), by the route _classify picks for it."""
         if not math.isfinite(s):
             raise OverflowError(f"nested strength {s!r}")
-        return self._emit(TargetGate(factors, s))[1]
+        return self._emit(TargetGate(factors, s))
 
     def _shifted_power(self, c: int, shifts: list[tuple[float, list]],
                        n: int, t: float) -> list[Gate]:
@@ -434,8 +434,8 @@ class _Compiler:
 
     # -- dispatch ----------------------------------------------------------
 
-    def _emit(self, target: TargetGate) -> tuple[str, list[Gate]]:
-        """Route of target and the gates it emits.
+    def _emit(self, target: TargetGate) -> list[Gate]:
+        """The gates target emits, by the route _classify picks for it.
 
         The one entry that runs an identity: a target below ZERO_STRENGTH
         emits nothing and records nothing; otherwise a row with a label
@@ -446,22 +446,21 @@ class _Compiler:
         The nested targets of a labelled row share one table, dropped when
         its builder returns; an unlabelled row, which runs no identity of
         its own, uses its caller's. A target met again there, at the same
-        strength, ancilla top and depth, gets the stored route and gate
-        list, and the trace entries of its first build are appended again.
-        A gate list depends on nothing else of the run, so a stored one is
-        what a rebuild would return, object for object; no caller mutates
-        one.
+        strength, ancilla top and depth, gets the stored gate list, and the
+        trace entries of its first build are appended again. A gate list
+        depends on nothing else of the run, so a stored one is what a
+        rebuild would return, object for object; no caller mutates one.
         """
         if abs(target.strength) < ZERO_STRENGTH:
-            return _classify(target)[0], []
+            return []
         top, depth = self.next_anc, self.depth
         key = (target.exponents, target.strength, top, depth)
         hit = self._built.get(key)
         if hit is not None:
-            route, gates, start, end = hit
+            gates, start, end = hit
             self.trace += self.trace[start:end]
-            return route, gates
-        route, label, build = _classify(target)
+            return gates
+        _, label, build = _classify(target)
         start, scope = len(self.trace), self._built
         if label is not None:
             self.trace.append((label, depth))
@@ -471,16 +470,17 @@ class _Compiler:
             gates = build(self)
         finally:
             self.next_anc, self.depth, self._built = top, depth, scope
-        scope[key] = route, gates, start, len(self.trace)
-        return route, gates
+        scope[key] = gates, start, len(self.trace)
+        return gates
 
     def run(self, target: TargetGate) -> tuple[str, list[Gate]]:
-        """_emit for a caller outside the compiler: also Ineligible, never
-        OverflowError, when a parameter of the route's identities overflows,
-        so no returned gate strength is inf or NaN. It empties _emit's
-        table when it returns, so no later run meets this run's lists."""
+        """The route of target and the gates _emit gives for it, for a
+        caller outside the compiler: also Ineligible, never OverflowError,
+        when a parameter of the route's identities overflows, so no
+        returned gate strength is inf or NaN. It empties _emit's table when
+        it returns, so no later run meets this run's lists."""
         try:
-            return self._emit(target)
+            return _classify(target)[0], self._emit(target)
         except OverflowError:
             raise _overflows(target) from None
         finally:

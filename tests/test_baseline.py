@@ -47,6 +47,7 @@ def test_target_from_poly_rejects_complex_coefficient():
     (lambda: trotter_suzuki([NOPoly.x(0, 2)], 0.4, 0), ValueError, "K must"),
     (lambda: commutator_repeats(1.0, 0.0), ValueError, "epsilon must"),
     (lambda: commutator_repeats(1.0, -1e-3), ValueError, "epsilon must"),
+    (lambda: commutator_repeats(1e200, 1e-300), ValueError, "than a float"),
     # strengths whose identity parameters overflow, as compile refuses them
     (lambda: trotter_suzuki([NOPoly.x(0, 4)], 1e300, 1), Ineligible,
      "overflows"),
@@ -67,7 +68,7 @@ def test_target_from_poly_rejects_complex_coefficient():
     (lambda: target_from_poly(NOPoly.x(0, 2), math.nan), ValueError,
      "not finite"),
 ], ids=["commutator-K0", "commutator-negative-t2", "trotter-K0",
-        "repeats-epsilon-0", "repeats-negative-epsilon",
+        "repeats-epsilon-0", "repeats-negative-epsilon", "repeats-past-float",
         "trotter-overflow-x4", "trotter-overflow-x8",
         "trotter-coefficient-overflow", "commutator-coefficient-overflow",
         "target-coefficient-overflow", "target-strength-inf",

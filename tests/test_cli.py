@@ -310,6 +310,25 @@ def test_compare_prices_the_identity_at_zero(capsys):
     assert "ratio:               0\n" in out
 
 
+@pytest.mark.parametrize("argv,ratio", [
+    (["t=1 X[0]^4", "--epsilon", "5e-324"], "9.49e+323"),
+    (["t=1e200 X[0] X[1] X[2]"], "2.12e+404"),
+], ids=["smallest-epsilon", "huge-strength"])
+def test_compare_prints_a_ratio_past_the_largest_float(argv, ratio, capsys):
+    assert main(["compare", *argv]) == 0
+    assert f"ratio:               {ratio}\n" in capsys.readouterr().out
+
+
+def test_compare_refuses_a_repeat_count_past_the_largest_float(capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr(cli, "compile", None)   # any call would raise
+    assert main(["compare", "t=1e200 X[0] X[1] X[2]",
+                 "--epsilon", "1e-300"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert "than a float holds" in err
+
+
 @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
 def test_bad_epsilon_exits_before_compile(epsilon, capsys, monkeypatch):
     monkeypatch.setattr(cli, "compile", None)   # any call would raise

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from cvexact.algebra import Basis, NOPoly
 from cvexact.baseline import commutator_approx
 from cvexact import circuit_tools
 from cvexact.circuit import EXPPOLY, Gate, GateSeq
-from cvexact.circuit_tools import (SchemaViolation, _load_serialized_text,
-                                   _map_records, _record_key,
+from cvexact.circuit_tools import (SchemaViolation, _map_records, _record_key,
                                    count_gates, deserialize, optimize,
                                    serialize, serialize_json)
 from cvexact.cli import parse_spec
@@ -21,7 +21,10 @@ from cvexact.verify import verify_symbolic
 from test_decompose import ROUTE_PINS, _OneLevel
 from test_verify import HAND_BUILT
 from util import (deserialize_per_record, inverse_per_gate,
-                  optimize_stack_per_pair, reuse_ancillas_per_gate)
+                  optimize_stack_per_pair, reuse_ancillas_per_gate,
+                  v1_document)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_fourier_pair_cancellation():
@@ -90,7 +93,7 @@ def test_ancilla_reuse_packs_disjoint_live_ranges():
 def test_serialize_round_trip():
     seq, _ = compile(TargetGate.position({0: 1, 1: 3}, 0.15))
     doc = serialize(seq)
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     back = deserialize(doc)
     assert len(back.gates) == len(seq.gates)
     for g, h in zip(back.gates, seq.gates):
@@ -113,8 +116,7 @@ def test_serialized_gates_are_in_application_order():
     # reverse of the operator-product order used internally
     seq = GateSeq((Gate.x(0, 2, 0.5), Gate.x(0, 1, 0.25)), 1)
     doc = serialize(seq)
-    assert doc["gates"][0]["kind"] == "x1"
-    assert doc["gates"][1]["kind"] == "x2"
+    assert [doc["records"][i]["kind"] for i in doc["gates"]] == ["x1", "x2"]
 
 
 def test_deserialize_rejects_bad_documents():
@@ -180,16 +182,16 @@ def _fields(seq):
 
 def test_saved_gate_records_hold_only_the_gate():
     seq, _ = compile(parse_spec("t=0.3 P[0] X[1]^3"))
-    records = json.loads(serialize_json(seq))["gates"]
+    records = json.loads(serialize_json(seq))["records"]
     assert {"fourier", "x3", "xx"} <= {rec["kind"] for rec in records}
     assert all(rec.keys() == {"kind", "modes", "strength", "dagger"}
                for rec in records)
 
 
 def test_records_with_provenance_still_load():
-    # files written before gates lost their provenance strings
+    # version-1 files written before gates lost their provenance strings
     seq, _ = compile(parse_spec("t=-1.7 X[0] X[1]^3"))
-    doc = serialize(seq)
+    doc = v1_document(seq)
     for rec in doc["gates"]:
         rec["provenance"] = "shift"
     assert _fields(deserialize(json.dumps(doc, indent=2))) == _fields(seq)
@@ -205,8 +207,9 @@ def test_saved_route_circuits_load_gate_for_gate():
 
 def test_indented_document_still_loads():
     seq, _ = compile(TargetGate.position({0: 1, 1: 3}, -1.7))
-    back = deserialize(json.dumps(serialize(seq), indent=2))
-    assert _fields(back) == _fields(seq)
+    for doc in (serialize(seq), v1_document(seq)):
+        back = deserialize(json.dumps(doc, indent=2))
+        assert _fields(back) == _fields(seq)
 
 
 def _doc(*records):
@@ -552,10 +555,10 @@ def test_serialize_json_writes_the_bytes_of_json_dumps(seq):
     assert _records(deserialize(text).gates) == _records(seq.gates)
 
 
-# ----------------------------------------------------------- text path ---
-# deserialize splits text in serialize_json's layout at its records and
-# parses each distinct record text once; every other text goes through
-# json.loads whole, as deserialize_per_record does
+# --------------------------------------------------------- saved files ---
+# serialize writes version 2, each distinct Gate object's record once and
+# the gates as indices into them; version-1 files, one record per gate,
+# still load. deserialize_per_record checks each record and index in turn
 
 
 def _same_load(doc):
@@ -587,12 +590,64 @@ LARGE_BODIES = list(LARGE_ANCILLAS)
 def test_saved_circuits_load_as_the_per_record_loader_loads_them(body):
     seq, _ = compile(parse_spec(f"t=0.3 {body}"))
     text = serialize_json(seq)
-    for doc in (text, text.encode()):
-        assert _records(_same_load(doc).gates) == _records(seq.gates)
+    distinct = len({id(g) for g in seq.gates})
+    assert len(json.loads(text)["records"]) == distinct
+    for doc in (text, text.encode(), json.dumps(v1_document(seq))):
+        loaded = _same_load(doc)
+        assert _records(loaded.gates) == _records(seq.gates)
+        assert (loaded.n_target_modes, loaded.ancilla_modes) == (
+            seq.n_target_modes, seq.ancilla_modes)
+        # one Gate per distinct record, as in the compiled circuit
+        assert len({id(g) for g in loaded.gates}) == distinct
+
+
+def test_a_file_of_the_version_1_writer_loads_to_the_same_circuit():
+    # serialize_json's one-line output before version 2, kept byte for byte
+    text = (DATA / "x4_v1.json").read_text()
+    assert json.loads(text)["version"] == 1
+    seq, _ = compile(parse_spec("t=0.3 X[0]^4"))
+    loaded = _same_load(text)
+    assert _records(loaded.gates) == _records(seq.gates)
+    # the same header, and one record per distinct Gate as in seq
+    assert serialize_json(loaded) == serialize_json(seq)
+
+
+_X1_REC = {"kind": "x1", "modes": [1], "strength": 0.5, "dagger": False}
+_F_REC = {"kind": "fourier", "modes": [0], "strength": 0.0, "dagger": True}
+# a record equal to the first: both load as one Gate
+_V2 = {"version": 2, "modes": 2, "ancillas": [],
+       "records": [_X1_REC, _F_REC, dict(_X1_REC)], "gates": [0, 1, 2, 0]}
+
+
+def test_a_version_2_document_loads_one_gate_per_distinct_record():
+    for doc in (_V2, json.dumps(_V2)):
+        loaded = _same_load(doc)
+        assert [g.kind for g in loaded.gates] == ["x1", "x1", "fourier", "x1"]
+        assert len({id(g) for g in loaded.gates}) == 2
+
+
+@pytest.mark.parametrize("change", [
+    {"version": True}, {"version": 2.0}, {"records": {}}, {"records": 5},
+    {"records": None}, {"gates": {}}, {"gates": [0, True]},
+    {"gates": [0, 1.0]}, {"gates": [0, "1"]}, {"gates": [-1, 0]},
+    {"gates": [0, 3]},
+    {"records": [_X1_REC, {**_F_REC, "dagger": "true"}]},
+    {"records": [_X1_REC, _F_REC, {**_X1_REC, "kind": "x4"}],
+     "gates": [0, 1]},
+], ids=["version-true", "version-float", "records-object",
+        "records-number", "records-null", "gates-object", "index-bool",
+        "index-float", "index-string", "index-negative",
+        "index-out-of-range", "bad-record", "bad-unused-record"])
+def test_version_2_documents_that_break_the_schema_are_refused(change):
+    for doc in ({**_V2, **change}, json.dumps({**_V2, **change})):
+        with pytest.raises(SchemaViolation):
+            deserialize(doc)
+        assert _same_load(doc) is None
 
 
 def _text(*records, header='{"version": 1, "modes": 2, "ancillas": []'):
-    """A document in serialize_json's layout with the given record texts."""
+    """A version-1 document in the version-1 writer's layout with the given
+    record texts."""
     return f'{header}, "gates": [{", ".join(records)}]}}'
 
 
@@ -610,50 +665,44 @@ _DEEP = ('{"kind": "x1", "modes": ' + "[" * 100_000 + "]" * 100_000
          + ', "strength": 0.5, "dagger": false}')
 
 
-# (doc, loads, split): split when the text path serves doc, which is then
-# only in serialize_json's layout; the 0.5/5e-1 twins load as one Gate, as
-# the reference shares records by key
-@pytest.mark.parametrize("doc,loads,split", [
-    (_with_provenance(), True, False),
+# (doc, loads): the 0.5/5e-1 twins load as one Gate, as the reference
+# shares records by key
+@pytest.mark.parametrize("doc,loads", [
+    (_with_provenance(), True),
     (_text(_X1, header='{"version": 1, "gates": 5, "modes": 2, '
-                       '"ancillas": []'), True, False),
+                       '"ancillas": []'), True),
     (_text(_X1, header='{"version": 1, "gates": [], "modes": 2, '
-                       '"ancillas": []'), True, False),
-    ('{, "gates": []}', False, False),
-    (_text(), True, True),
-    (_text(_X1) + "\n", True, False),
-    (json.dumps(json.loads(_text(_X1, _X1)), indent=2), True, False),
-    (_text(_X1, _X1.replace("0.5", "5e-1")), True, True),
-    (_text(_X1, _X1.replace("[1]", "[true]")), False, False),
-    (_text(_X1, _DEEP), False, False),
-    (_text(_X1, _X1.replace('"x1"', '"x4"')), False, False),
-    (_text(_X1, header='{"version": 1, "modes": 1, "ancillas": []'),
-     False, False),
-    (_text(_X1, header='{"version": 2, "modes": 2, "ancillas": []'),
-     False, False),
-    (_text(_X1, '{"kind": "x1"} , {"modes": [0]}'), False, False),
-    (_text(_X1, _X1)[:-3] + "}}", False, False),
-    ("\ufeff" + _text(_X1), False, False),
-    (b"\xef\xbb\xbf" + _text(_X1).encode(), True, True),
-    (_text(_X1, _X1).encode("utf-16"), True, True),
-    (_text(_X1).encode("utf-32-le"), True, True),
-    (_text(_X1).encode("utf-16")[:-1], False, False),
+                       '"ancillas": []'), True),
+    ('{, "gates": []}', False),
+    (_text(), True),
+    (_text(_X1) + "\n", True),
+    (json.dumps(json.loads(_text(_X1, _X1)), indent=2), True),
+    (_text(_X1, _X1.replace("0.5", "5e-1")), True),
+    (_text(_X1, _X1.replace("[1]", "[true]")), False),
+    (_text(_X1, _DEEP), False),
+    (_text(_X1, _X1.replace('"x1"', '"x4"')), False),
+    (_text(_X1, header='{"version": 1, "modes": 1, "ancillas": []'), False),
+    (_text(_X1, header='{"version": 2, "modes": 2, "ancillas": []'), False),
+    (_text(_X1, '{"kind": "x1"} , {"modes": [0]}'), False),
+    (_text(_X1, _X1)[:-3] + "}}", False),
+    ("\ufeff" + _text(_X1), False),
+    (b"\xef\xbb\xbf" + _text(_X1).encode(), True),
+    (_text(_X1, _X1).encode("utf-16"), True),
+    (_text(_X1).encode("utf-32-le"), True),
+    (_text(_X1).encode("utf-16")[:-1], False),
 ], ids=["provenance-holding-separators", "header-gates-number",
         "header-gates-list", "empty-header", "no-gates", "trailing-newline",
         "indented", "same-number-spelt-twice", "bool-mode-twin",
         "record-nested-too-deep", "unknown-kind", "undeclared-mode",
         "version-2", "split-record", "unclosed-array", "str-bom",
         "utf8-bom-bytes", "utf16-bytes", "utf32-bytes", "truncated-utf16"])
-def test_awkward_texts_load_as_the_per_record_loader_loads_them(doc, loads,
-                                                                split):
+def test_awkward_texts_load_as_the_per_record_loader_loads_them(doc, loads):
     assert (_same_load(doc) is not None) == loads
-    assert (_load_serialized_text(doc) is not None) == split
 
 
 def test_records_near_the_nesting_limit_load_as_the_reference_loads_them():
-    # a record piece parses two levels shallower than it stands in the whole
-    # text, so a record that only just fails to parse in the whole text
-    # parses on its own; it must still be refused
+    # a record that only just parses loads, and one that only just fails
+    # to parse is refused, as the reference has it
     def doc(depth):
         nested = "[" * depth + "]" * depth
         return _text(_X1, _X1.replace("false}", f'false, "p": {nested}}}'))
@@ -677,10 +726,12 @@ def test_records_near_the_nesting_limit_load_as_the_reference_loads_them():
 
 
 def test_each_distinct_record_text_is_parsed_once(monkeypatch):
+    # the file holds each distinct record once, and one json.loads reads it
     seq, _ = compile(parse_spec("t=0.3 X[0]^9"))
     text = serialize_json(seq)
-    distinct = {json.dumps(rec) for rec in serialize(seq)["gates"]}
-    assert len(distinct) * 10 < len(seq.gates)
+    records = [json.dumps(rec) for rec in serialize(seq)["records"]]
+    assert len(records) * 10 < len(seq.gates)
+    assert all(text.count(rec) == 1 for rec in records)
     calls = []
     loads = json.loads
 
@@ -690,9 +741,7 @@ def test_each_distinct_record_text_is_parsed_once(monkeypatch):
 
     monkeypatch.setattr(circuit_tools.json, "loads", counting_loads)
     assert _records(deserialize(text).gates) == _records(seq.gates)
-    # one parse of the header, then one per distinct record text
-    assert len(calls) == 1 + len(distinct)
-    assert set(calls[1:]) == distinct
+    assert calls == [text]
 
 
 def test_compiled_sequences_contain_only_universal_gates():

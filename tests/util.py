@@ -17,9 +17,10 @@ interval packing optimize once ran after its stack loop, the reference
 that the compiler's ancilla scope leaves no more ancillas than it would.
 optimize_stack_per_pair is optimize's
 stack loop as it was written with _is_identity and _merge_pair, the
-reference for the loop that tests each case inline. deserialize_per_record parses the whole
-text with json.loads and checks every record in turn, the reference for
-deserialize's split of serialize_json's layout.
+reference for the loop that tests each case inline. deserialize_per_record
+checks every record and then every gate index in turn, the reference for
+deserialize's checks of a whole document. v1_document is a circuit's
+document as the version-1 writer laid it out, one record per gate.
 """
 
 import itertools
@@ -37,7 +38,7 @@ from cvexact.circuit import (EXPPOLY, FOURIER, XX, Gate, GateSeq,
                              heisenberg_conjugate)
 from cvexact.circuit_tools import (ZERO_STRENGTH, SchemaViolation,
                                    _finite_number, _integer, _record_gate,
-                                   _record_key)
+                                   _record_key, serialize)
 
 
 def ladder(cutoff):
@@ -313,8 +314,9 @@ def _remap_gate_per_gate(g: Gate, mapping: dict[int, int]) -> Gate:
 
 
 def deserialize_per_record(doc):
-    """deserialize by json.loads of the whole text and a check of every
-    record in turn, each distinct record's Gate shared by key."""
+    """deserialize by json.loads of the whole text, a check of every record
+    in turn, each distinct record's Gate shared by key, and in version 2 a
+    check of every gate index in turn."""
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
@@ -322,14 +324,18 @@ def deserialize_per_record(doc):
                 RecursionError) as exc:
             raise SchemaViolation(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not _integer(doc.get("version")) \
-            or doc["version"] != 1:
-        raise SchemaViolation("expected a version-1 circuit document")
-    n, ancillas, records = doc.get("modes"), doc.get("ancillas"), doc.get("gates")
+            or doc["version"] not in (1, 2):
+        raise SchemaViolation("expected a circuit document of version 1 or 2")
+    version = doc["version"]
+    n, ancillas, indices = doc.get("modes"), doc.get("ancillas"), doc.get("gates")
+    records = indices if version == 1 else doc.get("records")
     if not (_integer(n) and isinstance(ancillas, list)
-            and all(map(_integer, ancillas)) and isinstance(records, list)):
-        raise SchemaViolation("bad document structure: modes must be an "
-                              "integer, ancillas a list of integers and "
-                              "gates a list")
+            and all(map(_integer, ancillas)) and isinstance(indices, list)
+            and isinstance(records, list)):
+        raise SchemaViolation(
+            "bad document structure: modes must be an integer, ancillas a "
+            "list of integers and " + ("gates a list" if version == 1
+                                       else "records and gates lists"))
     table: dict = {}
     gates = []
     for rec in records:
@@ -350,7 +356,22 @@ def deserialize_per_record(doc):
             # key None (kind exppoly) is refused here and never stored
             gate = table[key] = _record_gate(rec)
         gates.append(gate)
+    if version == 2:
+        for i in indices:
+            if not (_integer(i) and 0 <= i < len(gates)):
+                raise SchemaViolation(
+                    f"gates must be integers in range({len(gates)}), each "
+                    "an index into records")
+        gates = [gates[i] for i in indices]
     try:
         return GateSeq(tuple(reversed(gates)), n, tuple(ancillas))
     except ValueError as exc:
         raise SchemaViolation(str(exc)) from exc
+
+
+def v1_document(seq):
+    """The version-1 document of seq: the header with version 1 and one
+    record per gate, in application order."""
+    doc = serialize(seq)
+    records = doc.pop("records")
+    return {**doc, "version": 1, "gates": [records[i] for i in doc["gates"]]}
